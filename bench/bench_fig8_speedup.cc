@@ -241,8 +241,8 @@ void Run() {
       "sf=%.4g: %lld partsupp rows)\n\n",
       sf, static_cast<long long>(
               db.catalog()->FindTable("partsupp")->num_rows()));
-  std::printf("%-6s %14s %14s %9s   %s\n", "query", "no-GApply(ms)",
-              "GApply(ms)", "ratio", "paper");
+  std::printf("%-6s %14s %14s %9s %15s   %s\n", "query", "no-GApply(ms)",
+              "GApply(ms)", "ratio", "pgq_executions", "paper");
 
   struct Case {
     const char* name;
@@ -268,8 +268,14 @@ void Run() {
     QueryOptions opt;  // full optimizer both sides
     const double with_ms = TimePlanMs(&db, **gapply_plan, opt, &rows);
     const double without_ms = TimePlanMs(&db, *c.baseline, opt, &rows);
-    std::printf("%-6s %14.2f %14.2f %8.2fx   %s\n", c.name, without_ms,
-                with_ms, without_ms / with_ms, c.paper);
+    // Per-group query executions of one GApply run: one when the PGQ runs
+    // loop-lifted (DESIGN.md §17), one per group otherwise.
+    QueryStats stats;
+    if (!db.Execute(**gapply_plan, opt, &stats).ok()) std::exit(1);
+    std::printf("%-6s %14.2f %14.2f %8.2fx %15llu   %s\n", c.name,
+                without_ms, with_ms, without_ms / with_ms,
+                static_cast<unsigned long long>(stats.counters.pgq_executions),
+                c.paper);
     RecordTiming(std::string(c.name) + "_gapply", with_ms);
     RecordTiming(std::string(c.name) + "_baseline", without_ms);
     RecordPlanProfile(&db, **gapply_plan, opt,

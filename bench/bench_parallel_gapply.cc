@@ -168,7 +168,8 @@ void RunTpchSweep(Database* db, int reps) {
             return std::move(*phys);
           },
           reps);
-      groups = timed.counters.pgq_executions / 2;  // two UNION ALL branches
+      // Each group emits one row per UNION ALL branch.
+      groups = timed.rows.size() / 2;
       if (threads == 1) {
         serial = timed;
       }

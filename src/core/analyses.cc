@@ -3,6 +3,8 @@
 #include <map>
 #include <utility>
 
+#include "src/plan/plan_utils.h"
+
 namespace gapply::core {
 
 namespace {
@@ -35,22 +37,6 @@ ExprPtr AndRanges(ExprPtr a, ExprPtr b) {
   if (IsFalseLiteral(a)) return a;
   if (IsFalseLiteral(b)) return b;
   return And(std::move(a), std::move(b));
-}
-
-// Returns true iff the expression contains a correlated reference.
-bool HasCorrelatedRef(const Expr& e) {
-  switch (e.kind()) {
-    case ExprKind::kCorrelatedColumnRef:
-      return true;
-    case ExprKind::kUnary:
-      return HasCorrelatedRef(static_cast<const UnaryExpr&>(e).child());
-    case ExprKind::kBinary: {
-      const auto& bin = static_cast<const BinaryExpr&>(e);
-      return HasCorrelatedRef(bin.left()) || HasCorrelatedRef(bin.right());
-    }
-    default:
-      return false;
-  }
 }
 
 // Rewrites `e` (over a node's output columns) into an expression over the

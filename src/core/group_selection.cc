@@ -1,5 +1,6 @@
 #include "src/core/analyses.h"
 #include "src/core/rules.h"
+#include "src/plan/plan_utils.h"
 
 namespace gapply::core {
 
@@ -8,21 +9,6 @@ namespace {
 bool IsGroupScanOf(const LogicalOp& op, const std::string& var) {
   return op.type() == LogicalOpType::kGroupScan &&
          static_cast<const LogicalGroupScan&>(op).var() == var;
-}
-
-bool HasCorrelated(const Expr& e) {
-  switch (e.kind()) {
-    case ExprKind::kCorrelatedColumnRef:
-      return true;
-    case ExprKind::kUnary:
-      return HasCorrelated(static_cast<const UnaryExpr&>(e).child());
-    case ExprKind::kBinary: {
-      const auto& bin = static_cast<const BinaryExpr&>(e);
-      return HasCorrelated(bin.left()) || HasCorrelated(bin.right());
-    }
-    default:
-      return false;
-  }
 }
 
 // Walks down a [Project | Select]* chain to `GroupScan($var)`, collecting
@@ -41,7 +27,7 @@ bool MatchExistsProbe(const LogicalOp* op, const std::string& var,
     }
     if (op->type() == LogicalOpType::kSelect) {
       const auto* sel = static_cast<const LogicalSelect*>(op);
-      if (HasCorrelated(sel->predicate())) return false;
+      if (HasCorrelatedRef(sel->predicate())) return false;
       // A Select above a Project references projected columns; only the
       // below-Project selects are group-schema predicates. The binder
       // always produces Project(Select(GroupScan)), so require that order.
@@ -259,7 +245,7 @@ Result<bool> GroupSelectionAggregateRule::Apply(LogicalOpPtr* node,
     ExprPtr combined;
     while (probe->type() == LogicalOpType::kSelect) {
       const auto* sel = static_cast<const LogicalSelect*>(probe);
-      if (HasCorrelated(sel->predicate())) return false;
+      if (HasCorrelatedRef(sel->predicate())) return false;
       ExprPtr pred = sel->predicate().Clone();
       combined = combined == nullptr
                      ? std::move(pred)
@@ -282,7 +268,7 @@ Result<bool> GroupSelectionAggregateRule::Apply(LogicalOpPtr* node,
     const LogicalOp* below = body;
     while (below->type() == LogicalOpType::kSelect) {
       const auto* sel = static_cast<const LogicalSelect*>(below);
-      if (HasCorrelated(sel->predicate())) return false;
+      if (HasCorrelatedRef(sel->predicate())) return false;
       ExprPtr pred = sel->predicate().Clone();
       combined = combined == nullptr
                      ? std::move(pred)

@@ -19,31 +19,6 @@ Row ExtractKey(const Row& row, const std::vector<int>& cols) {
   return key;
 }
 
-Status AddRowToAccumulators(
-    const std::vector<AggregateDesc>& aggs,
-    const std::vector<std::unique_ptr<AggAccumulator>>& accs, const Row& row,
-    const EvalContext& eval) {
-  for (size_t i = 0; i < aggs.size(); ++i) {
-    if (aggs[i].kind == AggKind::kCountStar) {
-      RETURN_NOT_OK(accs[i]->Add(Value::Bool(true)));
-    } else {
-      ASSIGN_OR_RETURN(Value v, aggs[i].arg->Eval(row, eval));
-      RETURN_NOT_OK(accs[i]->Add(v));
-    }
-  }
-  return Status::OK();
-}
-
-std::vector<std::unique_ptr<AggAccumulator>> MakeAccumulators(
-    const std::vector<AggregateDesc>& aggs) {
-  std::vector<std::unique_ptr<AggAccumulator>> accs;
-  accs.reserve(aggs.size());
-  for (const AggregateDesc& a : aggs) {
-    accs.push_back(CreateAccumulator(a.kind, a.distinct));
-  }
-  return accs;
-}
-
 // Grace spill geometry (mirrors HashJoinOp's): partitions per level and
 // the recursion cap, past which a partition aggregates in memory
 // regardless of the budget.
@@ -137,7 +112,7 @@ Status HashGroupByOp::OpenImpl(ExecContext* ctx) {
         groups.push_back(MakeAccumulators(aggs_));
       }
       RETURN_NOT_OK(
-          AddRowToAccumulators(aggs_, groups[it->second], row, *ctx->eval()));
+          AccumulateRow(aggs_, groups[it->second], row, *ctx->eval()));
     }
   }
   RETURN_NOT_OK(child_->Close(ctx));
@@ -332,7 +307,7 @@ Status HashGroupByOp::AggregatePartition(
       first_pos.push_back(i);
     }
     RETURN_NOT_OK(
-        AddRowToAccumulators(aggs_, groups[it->second], r, *ctx->eval()));
+        AccumulateRow(aggs_, groups[it->second], r, *ctx->eval()));
   }
   for (size_t g = 0; g < groups.size(); ++g) {
     Row out = std::move(keys[g]);
@@ -356,7 +331,7 @@ Status HashGroupByOp::AggregateBuffered(ExecContext* ctx,
       groups.push_back(MakeAccumulators(aggs_));
     }
     RETURN_NOT_OK(
-        AddRowToAccumulators(aggs_, groups[it->second], row, *ctx->eval()));
+        AccumulateRow(aggs_, groups[it->second], row, *ctx->eval()));
   }
   output_.reserve(groups.size());
   for (size_t g = 0; g < groups.size(); ++g) {
@@ -420,7 +395,7 @@ Status HashGroupByOp::AggregateParallel(ExecContext* ctx,
             p.groups.push_back(MakeAccumulators(p.aggs));
             p.first_pos.push_back(i);
           }
-          Status st = AddRowToAccumulators(p.aggs, p.groups[it->second], row,
+          Status st = AccumulateRow(p.aggs, p.groups[it->second], row,
                                            *p.wctx.eval());
           if (!st.ok()) {
             p.error = std::move(st);
@@ -549,7 +524,7 @@ Status StreamGroupByOp::StartGroup(const Row& row) {
 }
 
 Status StreamGroupByOp::Accumulate(ExecContext* ctx, const Row& row) {
-  return AddRowToAccumulators(aggs_, accs_, row, *ctx->eval());
+  return AccumulateRow(aggs_, accs_, row, *ctx->eval());
 }
 
 Row StreamGroupByOp::FinishGroup() {
@@ -678,7 +653,7 @@ Result<bool> ScalarAggOp::NextImpl(ExecContext* ctx, Row* out) {
     ASSIGN_OR_RETURN(bool has, child_->NextBatch(ctx, &batch));
     if (!has) break;
     for (const Row& row : batch.rows()) {
-      RETURN_NOT_OK(AddRowToAccumulators(aggs_, accs, row, *ctx->eval()));
+      RETURN_NOT_OK(AccumulateRow(aggs_, accs, row, *ctx->eval()));
     }
   }
   out->clear();

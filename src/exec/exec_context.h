@@ -20,6 +20,27 @@ class PhysOp;
 class SpillManager;
 class ThreadPool;
 
+/// \brief A relation-valued binding: the rows a GApply hands its per-group
+/// query under the group variable.
+///
+/// Per-group execution binds one group: `rows[0, num_rows)`. Loop-lifted
+/// execution (DESIGN.md §17) binds a *segmented* view of the gid-clustered
+/// partition buffer instead: `rows` is the buffer base and group id `g` in
+/// `[first_gid, end_gid)` owns `rows[offsets[g], offsets[g + 1])`.
+struct GroupBinding {
+  const Schema* schema = nullptr;
+  const Row* rows = nullptr;
+  size_t num_rows = 0;
+  const size_t* offsets = nullptr;  // non-null only for segmented bindings
+  size_t first_gid = 0;
+  size_t end_gid = 0;
+
+  bool segmented() const { return offsets != nullptr; }
+  /// Buffer positions `[begin, end)` of every row in the binding.
+  size_t begin() const { return segmented() ? offsets[first_gid] : 0; }
+  size_t end() const { return segmented() ? offsets[end_gid] : num_rows; }
+};
+
 /// \brief Per-execution mutable state shared by all operators in a plan.
 ///
 /// Holds the two kinds of parameter bindings the paper's algebra needs:
@@ -27,7 +48,8 @@ class ThreadPool;
 ///    the embedded EvalContext used by expression evaluation, and
 ///  - named *relation-valued* bindings for `GApply` (the paper's core
 ///    addition, §3): GApply binds each group in succession under its
-///    variable name; `GroupScan` leaves read it. Bindings are stacks so
+///    variable name, or a whole gid range at once for a loop-lifted PGQ
+///    (GroupBinding); `GroupScan` leaves read it. Bindings are stacks so
 ///    nested GApply over the same variable name shadows correctly.
 ///
 /// Also exposes execution counters the benches use to verify plan-structure
@@ -176,11 +198,20 @@ class ExecContext {
   SpillManager* spill() const { return spill_; }
   void set_spill(SpillManager* spill) { spill_ = spill; }
 
-  /// Pushes a group binding for `var`. `schema` and `rows` must outlive the
-  /// binding.
+  /// Pushes a group binding for `var`. `binding.schema` and the bound rows
+  /// (and offsets, for a segmented binding) must outlive the binding.
+  void BindGroup(const std::string& var, const GroupBinding& binding) {
+    groups_[var].push_back(binding);
+  }
+
+  /// Binds one group held as a row vector.
   void BindGroup(const std::string& var, const Schema* schema,
                  const std::vector<Row>* rows) {
-    groups_[var].push_back({schema, rows});
+    GroupBinding binding;
+    binding.schema = schema;
+    binding.rows = rows->data();
+    binding.num_rows = rows->size();
+    BindGroup(var, binding);
   }
 
   /// Pops the innermost binding for `var`.
@@ -195,8 +226,7 @@ class ExecContext {
   }
 
   /// Innermost binding for `var`.
-  Result<std::pair<const Schema*, const std::vector<Row>*>> GetGroup(
-      const std::string& var) const {
+  Result<GroupBinding> GetGroup(const std::string& var) const {
     auto it = groups_.find(var);
     if (it == groups_.end() || it->second.empty()) {
       return Status::Internal("group variable not bound: " + var);
@@ -228,9 +258,7 @@ class ExecContext {
 
  private:
   EvalContext eval_;
-  std::map<std::string,
-           std::vector<std::pair<const Schema*, const std::vector<Row>*>>>
-      groups_;
+  std::map<std::string, std::vector<GroupBinding>> groups_;
   Counters counters_;
   size_t batch_size_ = RowBatch::kDefaultCapacity;
   ThreadPool* thread_pool_ = nullptr;

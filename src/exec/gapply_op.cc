@@ -4,12 +4,16 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <functional>
+#include <iterator>
+#include <limits>
 #include <system_error>
 #include <unordered_map>
 #include <utility>
 
 #include "src/common/thread_pool.h"
 #include "src/exec/filter_project_ops.h"
+#include "src/exec/lifted_ops.h"
 
 namespace gapply {
 
@@ -39,12 +43,56 @@ uint64_t NowNs() {
           .count());
 }
 
-void AppendPrefixed(const Row& key, const Row& suffix, Row* out) {
-  out->clear();
-  out->reserve(key.size() + suffix.size());
-  out->insert(out->end(), key.begin(), key.end());
-  out->insert(out->end(), suffix.begin(), suffix.end());
-}
+/// Lifted units per worker at DOP > 1: enough that one slow gid range
+/// does not leave the other workers idle, few enough that each lifted
+/// execution still covers many groups.
+constexpr size_t kLiftedUnitsPerWorker = 4;
+
+/// Open-addressing gid index for hash partitioning: slots hold gid + 1
+/// (0 = empty), probed linearly from a Fibonacci-mixed key hash, and the
+/// table doubles at half load by re-inserting the stored hashes. No
+/// allocation per group and no rehash per input batch.
+class GidIndex {
+ public:
+  GidIndex() : slots_(1024, 0), shift_(64 - 10) {}
+
+  /// Returns the gid whose key `matches` (called with candidate gids of
+  /// equal hash), or inserts `next_gid` and returns it.
+  template <typename Matches>
+  size_t FindOrInsert(size_t hash, size_t next_gid, Matches matches) {
+    size_t i = Slot(hash);
+    while (slots_[i] != 0) {
+      const size_t gid = slots_[i] - 1;
+      if (hashes_[gid] == hash && matches(gid)) return gid;
+      i = (i + 1) & (slots_.size() - 1);
+    }
+    slots_[i] = static_cast<uint32_t>(next_gid + 1);
+    hashes_.push_back(hash);
+    if (hashes_.size() * 2 > slots_.size()) Grow();
+    return next_gid;
+  }
+
+ private:
+  size_t Slot(size_t hash) const {
+    return static_cast<size_t>((static_cast<uint64_t>(hash) *
+                                0x9e3779b97f4a7c15ull) >>
+                               shift_);
+  }
+
+  void Grow() {
+    slots_.assign(slots_.size() * 2, 0);
+    --shift_;
+    for (size_t gid = 0; gid < hashes_.size(); ++gid) {
+      size_t i = Slot(hashes_[gid]);
+      while (slots_[i] != 0) i = (i + 1) & (slots_.size() - 1);
+      slots_[i] = static_cast<uint32_t>(gid + 1);
+    }
+  }
+
+  std::vector<uint32_t> slots_;
+  std::vector<size_t> hashes_;  // by gid
+  int shift_;
+};
 
 // Grace spill geometry (mirrors HashJoinOp's). Partitioning is by gid, so
 // every group's members land in exactly one file per level.
@@ -80,9 +128,16 @@ GApplyOp::GApplyOp(PhysOpPtr outer, std::vector<int> grouping_columns,
       mode_(mode),
       parallelism_(std::max<size_t>(1, parallelism)) {}
 
+std::vector<const PhysOp*> GApplyOp::children() const {
+  if (lifted_ != nullptr) return {outer_.get(), lifted_.get(), pgq_.get()};
+  return {outer_.get(), pgq_.get()};
+}
+
 Status GApplyOp::Partition(ExecContext* ctx) {
+  num_groups_ = 0;
   group_keys_.clear();
-  groups_.clear();
+  members_.clear();
+  offsets_.clear();
   spilled_ = false;
   spill_writers_.clear();
   spill_paths_.clear();
@@ -92,164 +147,211 @@ Status GApplyOp::Partition(ExecContext* ctx) {
 
   RETURN_NOT_OK(outer_->Open(ctx));
   RowBatch batch(ctx->batch_size());
-
   if (mode_ == PartitionMode::kHash) {
-    // Hash mode partitions batch-at-a-time, straight off the outer child:
-    // each batch's key hashes are precomputed in one pass, then rows are
-    // routed into their groups. Group keys are materialized exactly once
-    // per distinct group (on first appearance) — a row belonging to an
-    // existing group is matched by comparing its grouping columns in place
-    // against the stored key, with no per-row key row built.
-    std::unordered_map<size_t, std::vector<size_t>> index;  // hash → gids
-    std::vector<size_t> hashes;
-    const auto row_matches_key = [this](const Row& row, const Row& key) {
-      for (size_t i = 0; i < grouping_columns_.size(); ++i) {
-        const size_t c = static_cast<size_t>(grouping_columns_[i]);
-        if (!row[c].Equals(key[i])) return false;
-      }
-      return true;
-    };
-    while (true) {
-      ASSIGN_OR_RETURN(bool has, outer_->NextBatch(ctx, &batch));
-      if (!has) break;
-      ctx->counters().rows_hash_partitioned += batch.size();
-      hashes.resize(batch.size());
-      for (size_t i = 0; i < batch.size(); ++i) {
-        hashes[i] = HashRowColumns(batch[i], grouping_columns_);
-      }
-      index.reserve(index.size() + batch.size());
-      for (size_t i = 0; i < batch.size(); ++i) {
-        Row& r = batch[i];
-        std::vector<size_t>& bucket = index[hashes[i]];
-        size_t gid = groups_.size();
-        for (size_t cand : bucket) {
-          if (row_matches_key(r, group_keys_[cand])) {
-            gid = cand;
-            break;
-          }
-        }
-        if (gid == groups_.size()) {
-          bucket.push_back(gid);
-          group_keys_.push_back(ExtractKey(r, grouping_columns_));
-          groups_.emplace_back();
-        }
-        if (!spilled_ && budgeted && !mem_.TryGrow(ApproxRowBytes(r))) {
-          RETURN_NOT_OK(StartMemberSpill(ctx));
-        }
-        if (spilled_) {
-          RETURN_NOT_OK(
-              spill_writers_[PartitionOfGid(gid, 0)]->WriteIndexedRow(gid, r));
-        } else {
-          groups_[gid].push_back(std::move(r));
-        }
-      }
-    }
-    if (spilled_) {
-      spill_paths_.resize(spill_writers_.size());
-      for (size_t p = 0; p < spill_writers_.size(); ++p) {
-        RETURN_NOT_OK(FinishPart(ctx, spill_writers_[p].get()));
-        spill_paths_[p] = spill_writers_[p]->path();
-      }
-      spill_writers_.clear();
-    }
+    RETURN_NOT_OK(PartitionByHash(ctx, &batch));
     return outer_->Close(ctx);
   }
 
-  std::vector<Row> input;
   while (true) {
     ASSIGN_OR_RETURN(bool has, outer_->NextBatch(ctx, &batch));
     if (!has) break;
-    for (Row& row : batch.rows()) input.push_back(std::move(row));
+    for (Row& row : batch.rows()) members_.push_back(std::move(row));
   }
   RETURN_NOT_OK(outer_->Close(ctx));
 
-  {
-    ctx->counters().rows_sorted += input.size();
-    std::stable_sort(input.begin(), input.end(),
-                     [this](const Row& a, const Row& b) {
-                       for (int c : grouping_columns_) {
-                         const int cmp =
-                             CompareForSort(a[static_cast<size_t>(c)],
-                                            b[static_cast<size_t>(c)]);
-                         if (cmp != 0) return cmp < 0;
-                       }
-                       return false;
-                     });
-    // After sorting, equal keys are adjacent, so a group boundary is a row
-    // that differs from its predecessor on some grouping column — compared
-    // on the raw row, with no per-row key materialization. A first pass
-    // finds the run lengths so every vector can be reserved exactly; keys
-    // are extracted once per group, not once per row.
-    const auto same_group = [this](const Row& a, const Row& b) {
-      for (int c : grouping_columns_) {
-        if (!a[static_cast<size_t>(c)].Equals(b[static_cast<size_t>(c)])) {
-          return false;
-        }
+  // A stable sort on the grouping columns leaves the input gid-clustered
+  // in place: equal keys are adjacent and keep their input order. A group
+  // boundary is a row that differs from its predecessor on some grouping
+  // column — compared on the raw row. A group's key is read off its first
+  // row.
+  ctx->counters().rows_sorted += members_.size();
+  std::stable_sort(members_.begin(), members_.end(),
+                   [this](const Row& a, const Row& b) {
+                     for (int c : grouping_columns_) {
+                       const int cmp =
+                           CompareForSort(a[static_cast<size_t>(c)],
+                                          b[static_cast<size_t>(c)]);
+                       if (cmp != 0) return cmp < 0;
+                     }
+                     return false;
+                   });
+  const auto same_group = [this](const Row& a, const Row& b) {
+    for (int c : grouping_columns_) {
+      if (!a[static_cast<size_t>(c)].Equals(b[static_cast<size_t>(c)])) {
+        return false;
       }
-      return true;
-    };
-    std::vector<size_t> run_lengths;
-    for (size_t i = 0; i < input.size(); ++i) {
-      if (i == 0 || !same_group(input[i - 1], input[i])) {
-        run_lengths.push_back(0);
-      }
-      ++run_lengths.back();
     }
-    group_keys_.reserve(run_lengths.size());
-    groups_.reserve(run_lengths.size());
-    size_t pos = 0;
-    for (size_t len : run_lengths) {
-      group_keys_.push_back(ExtractKey(input[pos], grouping_columns_));
-      groups_.emplace_back();
-      groups_.back().reserve(len);
-      for (size_t j = 0; j < len; ++j) {
-        groups_.back().push_back(std::move(input[pos++]));
-      }
+    return true;
+  };
+  for (size_t i = 0; i < members_.size(); ++i) {
+    if (i == 0 || !same_group(members_[i - 1], members_[i])) {
+      offsets_.push_back(i);
     }
   }
+  num_groups_ = offsets_.size();
+  offsets_.push_back(members_.size());
   return Status::OK();
 }
 
-Status GApplyOp::OpenGroup(ExecContext* ctx) {
-  ctx->BindGroup(var_name_, &outer_->output_schema(),
-                 &groups_[current_group_]);
-  Status st = pgq_->Open(ctx);
+Status GApplyOp::PartitionByHash(ExecContext* ctx, RowBatch* batch) {
+  // Pass 1 assigns gids straight off the outer child, batch at a time: key
+  // hashes are precomputed per batch, then each row is matched against the
+  // gid index by comparing its grouping columns in place with those of its
+  // group's first row — no key is materialized until a spill needs one.
+  const bool budgeted = mem_.tracker() != nullptr;
+  GidIndex index;
+  std::vector<Row> input;
+  std::vector<uint32_t> gids;
+  std::vector<size_t> counts;
+  std::vector<size_t> first_row;  // input position of each gid's first row
+  std::vector<size_t> hashes;
+  const auto row_matches_group = [&](const Row& row, size_t gid) {
+    for (size_t i = 0; i < grouping_columns_.size(); ++i) {
+      const size_t c = static_cast<size_t>(grouping_columns_[i]);
+      const Value& key =
+          spilled_ ? group_keys_[gid][i] : input[first_row[gid]][c];
+      if (!row[c].Equals(key)) return false;
+    }
+    return true;
+  };
+  while (true) {
+    ASSIGN_OR_RETURN(bool has, outer_->NextBatch(ctx, batch));
+    if (!has) break;
+    ctx->counters().rows_hash_partitioned += batch->size();
+    hashes.resize(batch->size());
+    for (size_t i = 0; i < batch->size(); ++i) {
+      hashes[i] = HashRowColumns((*batch)[i], grouping_columns_);
+    }
+    for (size_t i = 0; i < batch->size(); ++i) {
+      Row& r = (*batch)[i];
+      // A buffered row costs its own bytes plus its gids slot.
+      if (!spilled_ && budgeted &&
+          !mem_.TryGrow(ApproxRowBytes(r) + sizeof(uint32_t))) {
+        RETURN_NOT_OK(StartMemberSpill(ctx, &input, &gids, first_row));
+      }
+      const size_t gid = index.FindOrInsert(
+          hashes[i], num_groups_,
+          [&](size_t cand) { return row_matches_group(r, cand); });
+      if (gid == num_groups_) {
+        ++num_groups_;
+        if (spilled_) {
+          group_keys_.push_back(ExtractKey(r, grouping_columns_));
+        } else {
+          first_row.push_back(input.size());
+          counts.push_back(0);
+        }
+      }
+      if (spilled_) {
+        RETURN_NOT_OK(
+            spill_writers_[PartitionOfGid(gid, 0)]->WriteIndexedRow(gid, r));
+      } else {
+        ++counts[gid];
+        gids.push_back(static_cast<uint32_t>(gid));
+        input.push_back(std::move(r));
+      }
+    }
+  }
+  if (spilled_) {
+    spill_paths_.resize(spill_writers_.size());
+    for (size_t p = 0; p < spill_writers_.size(); ++p) {
+      RETURN_NOT_OK(FinishPart(ctx, spill_writers_[p].get()));
+      spill_paths_[p] = spill_writers_[p]->path();
+    }
+    spill_writers_.clear();
+    return Status::OK();
+  }
+
+  // Pass 2: a stable counting scatter into gid order, in place. Each gids
+  // entry becomes its row's destination (its gid's next free slot, taken
+  // in input order), and following the permutation's cycles moves every
+  // row there, so no second row array is allocated.
+  if (input.size() > std::numeric_limits<uint32_t>::max()) {
+    return Status::NotImplemented("GApply partition of more than 2^32 rows");
+  }
+  offsets_.assign(counts.size() + 1, 0);
+  for (size_t g = 0; g < counts.size(); ++g) {
+    offsets_[g + 1] = offsets_[g] + counts[g];
+    counts[g] = offsets_[g];
+  }
+  for (uint32_t& slot : gids) slot = static_cast<uint32_t>(counts[slot]++);
+  for (size_t i = 0; i < input.size(); ++i) {
+    while (gids[i] != i) {
+      const size_t dest = gids[i];
+      std::swap(input[i], input[dest]);
+      std::swap(gids[i], gids[dest]);
+    }
+  }
+  members_ = std::move(input);
+  return Status::OK();
+}
+
+GroupBinding GApplyOp::UnitBinding(size_t u) const {
+  GroupBinding binding;
+  binding.schema = &outer_->output_schema();
+  if (run_lifted_) {
+    binding.rows = members_.data();
+    binding.num_rows = members_.size();
+    binding.offsets = offsets_.data();
+    binding.first_gid = unit_bounds_[u];
+    binding.end_gid = unit_bounds_[u + 1];
+  } else {
+    binding.rows = members_.data() + offsets_[u];
+    binding.num_rows = offsets_[u + 1] - offsets_[u];
+  }
+  return binding;
+}
+
+Row GApplyOp::PrefixedRow(size_t unit, Row pgq_row) const {
+  const size_t gid = run_lifted_ ? GidOf(pgq_row) : unit;
+  const size_t n = pgq_row.size() - (run_lifted_ ? 1 : 0);
+  Row full;
+  full.reserve(grouping_columns_.size() + n);
+  if (spilled_) {
+    const Row& key = group_keys_[gid];
+    full.insert(full.end(), key.begin(), key.end());
+  } else {
+    const Row& first = members_[offsets_[gid]];
+    for (int c : grouping_columns_) full.push_back(first[static_cast<size_t>(c)]);
+  }
+  full.insert(full.end(), std::make_move_iterator(pgq_row.begin()),
+              std::make_move_iterator(pgq_row.begin() +
+                                      static_cast<std::ptrdiff_t>(n)));
+  return full;
+}
+
+Status GApplyOp::OpenUnit(ExecContext* ctx) {
+  ctx->BindGroup(var_name_, UnitBinding(current_unit_));
+  Status st = active_pgq()->Open(ctx);
   if (!st.ok()) {
     (void)ctx->UnbindGroup(var_name_);
     return st;
   }
-  group_open_ = true;
-  group_open_ns_ = NowNs();
-  ctx->counters().pgq_executions++;
+  unit_open_ = true;
+  unit_open_ns_ = NowNs();
+  if (!run_lifted_) ctx->counters().pgq_executions++;
   return Status::OK();
 }
 
-Status GApplyOp::CloseGroup(ExecContext* ctx) {
-  const uint64_t group_ns = NowNs() - group_open_ns_;
-  ctx->counters().gapply_pgq_ns += group_ns;
-  if (ctx->profiling()) profile_.AddPhaseNs("per_group_query", group_ns);
-  RETURN_NOT_OK(pgq_->Close(ctx));
+Status GApplyOp::CloseUnit(ExecContext* ctx) {
+  const uint64_t unit_ns = NowNs() - unit_open_ns_;
+  ctx->counters().gapply_pgq_ns += unit_ns;
+  if (ctx->profiling()) profile_.AddPhaseNs("per_group_query", unit_ns);
+  RETURN_NOT_OK(active_pgq()->Close(ctx));
   RETURN_NOT_OK(ctx->UnbindGroup(var_name_));
-  group_open_ = false;
+  unit_open_ = false;
   return Status::OK();
 }
 
-Status GApplyOp::ExecuteOneGroup(PhysOp* pgq, ExecContext* ctx, size_t g,
-                                 std::vector<Row>* out) {
-  return ExecuteGroupRows(pgq, ctx, g, groups_[g], out);
-}
-
-Status GApplyOp::ExecuteGroupRows(PhysOp* pgq, ExecContext* ctx, size_t g,
-                                  const std::vector<Row>& rows,
-                                  std::vector<Row>* out) {
-  ctx->BindGroup(var_name_, &outer_->output_schema(), &rows);
+Status GApplyOp::ExecuteBound(PhysOp* pgq, ExecContext* ctx,
+                              const GroupBinding& binding, size_t unit,
+                              std::vector<Row>* out) {
+  ctx->BindGroup(var_name_, binding);
   Status st = pgq->Open(ctx);
   if (!st.ok()) {
     (void)ctx->UnbindGroup(var_name_);
     return st;
   }
-  ctx->counters().pgq_executions++;
-  const Row& key = group_keys_[g];
+  if (!run_lifted_) ctx->counters().pgq_executions++;
   RowBatch batch(ctx->batch_size());
   while (true) {
     auto next = pgq->NextBatch(ctx, &batch);
@@ -259,10 +361,8 @@ Status GApplyOp::ExecuteGroupRows(PhysOp* pgq, ExecContext* ctx, size_t g,
       return next.status();
     }
     if (!*next) break;
-    for (const Row& pgq_row : batch.rows()) {
-      Row full;
-      AppendPrefixed(key, pgq_row, &full);
-      out->push_back(std::move(full));
+    for (Row& pgq_row : batch.rows()) {
+      out->push_back(PrefixedRow(unit, std::move(pgq_row)));
     }
   }
   st = pgq->Close(ctx);
@@ -271,58 +371,59 @@ Status GApplyOp::ExecuteGroupRows(PhysOp* pgq, ExecContext* ctx, size_t g,
   return unbind;
 }
 
-Status GApplyOp::ExecuteGroupsParallel(ExecContext* ctx) {
-  const size_t dop = std::min(parallelism_, groups_.size());
-  group_outputs_.assign(groups_.size(), {});
+Status GApplyOp::ExecuteUnitsParallel(ExecContext* ctx) {
+  const size_t units = num_units();
+  const size_t dop = std::min(parallelism_, units);
+  unit_outputs_.assign(units, {});
 
   struct WorkerState {
     PhysOpPtr pgq;
     ExecContext ctx;
     Status error = Status::OK();
-    size_t error_group = 0;
+    size_t error_unit = 0;
     bool failed = false;
-    size_t groups_claimed = 0;
+    size_t units_claimed = 0;
   };
   std::vector<WorkerState> workers(dop);
   for (WorkerState& w : workers) {
-    w.pgq = pgq_->Clone();
+    w.pgq = active_pgq()->Clone();
     w.ctx = ctx->ForkForWorker();
   }
 
-  // Morsel-driven scheduling: workers claim the next unprocessed group
-  // through a shared cursor. Each group's output goes to its own slot in
-  // group_outputs_, so no two workers ever write the same element and the
+  // Morsel-driven scheduling: workers claim the next unprocessed unit
+  // through a shared cursor. Each unit's output goes to its own slot in
+  // unit_outputs_, so no two workers ever write the same element and the
   // final stream order is independent of scheduling. The worker loops run
   // as one task group on the shared engine pool (with the calling thread
   // helping), falling back to a transient pool for standalone plans — no
   // per-execution thread spawn/join when a Database pool is present.
-  std::atomic<size_t> next_group{0};
+  std::atomic<size_t> next_unit{0};
   std::atomic<bool> abort{false};
   std::vector<std::function<void()>> tasks;
   tasks.reserve(dop);
   for (size_t w = 0; w < dop; ++w) {
-    tasks.push_back([this, &workers, &next_group, &abort, w] {
+    tasks.push_back([this, &workers, &next_unit, &abort, units, w] {
       WorkerState& ws = workers[w];
       const uint64_t busy_start = NowNs();
       while (!abort.load(std::memory_order_relaxed)) {
-        const size_t g = next_group.fetch_add(1, std::memory_order_relaxed);
-        if (g >= groups_.size()) break;
-        ws.groups_claimed++;
-        Status st = ExecuteOneGroup(ws.pgq.get(), &ws.ctx, g,
-                                    &group_outputs_[g]);
+        const size_t u = next_unit.fetch_add(1, std::memory_order_relaxed);
+        if (u >= units) break;
+        ws.units_claimed++;
+        Status st = ExecuteBound(ws.pgq.get(), &ws.ctx, UnitBinding(u), u,
+                                 &unit_outputs_[u]);
         if (!st.ok()) {
           ws.error = std::move(st);
-          ws.error_group = g;
+          ws.error_unit = u;
           ws.failed = true;
           abort.store(true, std::memory_order_relaxed);
           break;
         }
       }
       // Per-worker attribution: only a worker that actually claimed a
-      // group reports itself. A worker that lost every race to the group
+      // unit reports itself. A worker that lost every race to the unit
       // cursor must be skipped entirely — folding it in as a zero would
       // collapse the min-busy attribution to 0 (see Counters::MergeFrom).
-      if (ws.groups_claimed > 0) {
+      if (ws.units_claimed > 0) {
         ExecContext::Counters busy;
         busy.gapply_workers = 1;
         busy.gapply_worker_busy_ns = NowNs() - busy_start;
@@ -339,7 +440,7 @@ Status GApplyOp::ExecuteGroupsParallel(ExecContext* ctx) {
   }
   if (ctx->profiling()) {
     uint64_t pgq_rows = 0;
-    for (const std::vector<Row>& rows : group_outputs_) {
+    for (const std::vector<Row>& rows : unit_outputs_) {
       pgq_rows += rows.size();
     }
     // The clones' output had no profiled consumer (workers drain them from
@@ -347,16 +448,16 @@ Status GApplyOp::ExecuteGroupsParallel(ExecContext* ctx) {
     // the children's merged rows_out.
     profile_.rows_in += pgq_rows;
     for (const WorkerState& w : workers) {
-      if (w.groups_claimed > 0) pgq_->MergeTreeProfileFrom(*w.pgq);
+      if (w.units_claimed > 0) active_pgq()->MergeTreeProfileFrom(*w.pgq);
     }
   }
 
   // Deterministic error selection: among the workers that failed, surface
-  // the smallest group index — the error serial execution would hit first.
+  // the smallest unit index — the error serial execution would hit first.
   const WorkerState* first_failure = nullptr;
   for (const WorkerState& w : workers) {
     if (w.failed && (first_failure == nullptr ||
-                     w.error_group < first_failure->error_group)) {
+                     w.error_unit < first_failure->error_unit)) {
       first_failure = &w;
     }
   }
@@ -364,23 +465,28 @@ Status GApplyOp::ExecuteGroupsParallel(ExecContext* ctx) {
   return Status::OK();
 }
 
-Status GApplyOp::StartMemberSpill(ExecContext* ctx) {
+Status GApplyOp::StartMemberSpill(ExecContext* ctx, std::vector<Row>* input,
+                                  std::vector<uint32_t>* gids,
+                                  const std::vector<size_t>& first_row) {
   spill_writers_.resize(kSpillFanout);
   for (auto& w : spill_writers_) {
     ASSIGN_OR_RETURN(std::string path, ctx->spill()->NewFilePath());
     ASSIGN_OR_RETURN(w, SpillWriter::Open(path));
   }
-  // Flush the buffered member rows gid by gid: each gid's rows stay
-  // contiguous and in insertion order (= outer input order), which is all
-  // the per-partition gid bucketing in phase 2 relies on.
-  for (size_t g = 0; g < groups_.size(); ++g) {
-    SpillWriter* w = spill_writers_[PartitionOfGid(g, 0)].get();
-    for (const Row& r : groups_[g]) {
-      RETURN_NOT_OK(w->WriteIndexedRow(g, r));
-    }
-    groups_[g].clear();
-    groups_[g].shrink_to_fit();
+  // Group keys stay in memory; the member rows they were read from go.
+  for (size_t pos : first_row) {
+    group_keys_.push_back(ExtractKey((*input)[pos], grouping_columns_));
   }
+  // Flush the buffered member rows in input order: each gid's rows stay in
+  // outer input order within its partition file, which is all the
+  // per-partition gid bucketing in phase 2 relies on.
+  for (size_t i = 0; i < input->size(); ++i) {
+    const uint32_t gid = (*gids)[i];
+    RETURN_NOT_OK(spill_writers_[PartitionOfGid(gid, 0)]->WriteIndexedRow(
+        gid, (*input)[i]));
+  }
+  *input = std::vector<Row>();
+  *gids = std::vector<uint32_t>();
   mem_.ReleaseAll();
   spilled_ = true;
   return Status::OK();
@@ -470,20 +576,26 @@ Status GApplyOp::ExecuteSpilledPartition(ExecContext* ctx,
   }
   rows.clear();
   for (uint64_t g : order) {
-    RETURN_NOT_OK(ExecuteGroupRows(pgq_.get(), ctx, static_cast<size_t>(g),
-                                   members[g],
-                                   &group_outputs_[static_cast<size_t>(g)]));
+    const std::vector<Row>& group = members[g];
+    GroupBinding binding;
+    binding.schema = &outer_->output_schema();
+    binding.rows = group.data();
+    binding.num_rows = group.size();
+    const size_t gid = static_cast<size_t>(g);
+    RETURN_NOT_OK(
+        ExecuteBound(pgq_.get(), ctx, binding, gid, &unit_outputs_[gid]));
   }
   RemoveFile(path);
   return Status::OK();
 }
 
 Status GApplyOp::OpenImpl(ExecContext* ctx) {
-  current_group_ = 0;
+  current_unit_ = 0;
   output_pos_ = 0;
-  group_open_ = false;
-  parallel_exec_ = false;
-  group_outputs_.clear();
+  unit_open_ = false;
+  buffered_exec_ = false;
+  run_lifted_ = false;
+  unit_outputs_.clear();
   pgq_batch_.Clear();
 
   const uint64_t t0 = NowNs();
@@ -493,11 +605,11 @@ Status GApplyOp::OpenImpl(ExecContext* ctx) {
   if (ctx->profiling()) profile_.AddPhaseNs("partition", partition_ns);
 
   if (spilled_) {
-    // Spilled phase 2 runs serially, one partition at a time, into the
-    // same per-gid output slots the parallel path uses — the buffered
-    // drain below emits them in gid order either way.
-    parallel_exec_ = true;
-    group_outputs_.assign(groups_.size(), {});
+    // Spilled phase 2 runs per group, serially, one partition at a time,
+    // into per-gid output slots — the buffered drain below emits them in
+    // gid order.
+    buffered_exec_ = true;
+    unit_outputs_.assign(num_groups(), {});
     const uint64_t t1 = NowNs();
     Status st = Status::OK();
     for (const std::string& path : spill_paths_) {
@@ -511,11 +623,34 @@ Status GApplyOp::OpenImpl(ExecContext* ctx) {
     const uint64_t pgq_ns = NowNs() - t1;
     ctx->counters().gapply_pgq_ns += pgq_ns;
     if (ctx->profiling()) profile_.AddPhaseNs("per_group_query", pgq_ns);
-    RETURN_NOT_OK(st);
-  } else if (parallelism_ > 1 && groups_.size() > 1) {
-    parallel_exec_ = true;
+    return st;
+  }
+
+  if (lifted_ != nullptr) {
+    // One lifted execution covers every group. Serially that is one unit;
+    // in parallel, contiguous gid ranges of about equal row counts, a few
+    // per worker so a skewed range does not idle the others.
+    run_lifted_ = true;
+    const size_t groups = num_groups();
+    unit_bounds_.assign(1, 0);
+    if (parallelism_ > 1 && groups > 1) {
+      const size_t target = std::max<size_t>(
+          1, members_.size() / (parallelism_ * kLiftedUnitsPerWorker));
+      for (size_t g = 1; g < groups; ++g) {
+        if (offsets_[g] - offsets_[unit_bounds_.back()] >= target) {
+          unit_bounds_.push_back(g);
+        }
+      }
+    }
+    if (groups > 0) {
+      unit_bounds_.push_back(groups);
+      ctx->counters().pgq_executions++;
+    }
+  }
+  if (parallelism_ > 1 && num_units() > 1) {
+    buffered_exec_ = true;
     const uint64_t t1 = NowNs();
-    Status st = ExecuteGroupsParallel(ctx);
+    Status st = ExecuteUnitsParallel(ctx);
     const uint64_t pgq_ns = NowNs() - t1;
     ctx->counters().gapply_pgq_ns += pgq_ns;
     if (ctx->profiling()) profile_.AddPhaseNs("per_group_query", pgq_ns);
@@ -525,36 +660,36 @@ Status GApplyOp::OpenImpl(ExecContext* ctx) {
 }
 
 Result<bool> GApplyOp::NextImpl(ExecContext* ctx, Row* out) {
-  if (parallel_exec_) {
-    while (current_group_ < group_outputs_.size()) {
-      std::vector<Row>& rows = group_outputs_[current_group_];
+  if (buffered_exec_) {
+    while (current_unit_ < unit_outputs_.size()) {
+      std::vector<Row>& rows = unit_outputs_[current_unit_];
       if (output_pos_ < rows.size()) {
         *out = std::move(rows[output_pos_++]);
         return true;
       }
-      // Release each group's buffer as soon as it is drained.
+      // Release each unit's buffer as soon as it is drained.
       rows.clear();
       rows.shrink_to_fit();
-      ++current_group_;
+      ++current_unit_;
       output_pos_ = 0;
     }
     return false;
   }
 
-  while (current_group_ < groups_.size()) {
-    if (!group_open_) RETURN_NOT_OK(OpenGroup(ctx));
+  while (current_unit_ < num_units()) {
+    if (!unit_open_) RETURN_NOT_OK(OpenUnit(ctx));
     Row pgq_row;
-    auto next = pgq_->Next(ctx, &pgq_row);
+    auto next = active_pgq()->Next(ctx, &pgq_row);
     if (!next.ok()) {
-      (void)CloseGroup(ctx);
+      (void)CloseUnit(ctx);
       return next.status();
     }
     if (*next) {
-      AppendPrefixed(group_keys_[current_group_], pgq_row, out);
+      *out = PrefixedRow(current_unit_, std::move(pgq_row));
       return true;
     }
-    RETURN_NOT_OK(CloseGroup(ctx));
-    ++current_group_;
+    RETURN_NOT_OK(CloseUnit(ctx));
+    ++current_unit_;
   }
   return false;
 }
@@ -562,11 +697,11 @@ Result<bool> GApplyOp::NextImpl(ExecContext* ctx, Row* out) {
 Result<bool> GApplyOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
   out->Clear();
 
-  if (parallel_exec_) {
-    // Slice ranges straight out of the per-group buffers, preserving the
+  if (buffered_exec_) {
+    // Slice ranges straight out of the per-unit buffers, preserving the
     // serial emission order.
-    while (current_group_ < group_outputs_.size() && !out->full()) {
-      std::vector<Row>& rows = group_outputs_[current_group_];
+    while (current_unit_ < unit_outputs_.size() && !out->full()) {
+      std::vector<Row>& rows = unit_outputs_[current_unit_];
       const size_t n = std::min(out->capacity() - out->size(),
                                 rows.size() - output_pos_);
       for (size_t i = 0; i < n; ++i) {
@@ -576,7 +711,7 @@ Result<bool> GApplyOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
       if (output_pos_ >= rows.size()) {
         rows.clear();
         rows.shrink_to_fit();
-        ++current_group_;
+        ++current_unit_;
         output_pos_ = 0;
       }
     }
@@ -585,28 +720,25 @@ Result<bool> GApplyOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
     return true;
   }
 
-  // Serial phase 2: pull PGQ batches for the open group and emit them
-  // key-prefixed, rolling over group boundaries until the batch fills.
+  // Serial phase 2: pull PGQ batches for the open unit and emit them
+  // key-prefixed, rolling over unit boundaries until the batch fills.
   if (pgq_batch_.capacity() != out->capacity()) {
     pgq_batch_ = RowBatch(out->capacity());
   }
-  while (current_group_ < groups_.size() && !out->full()) {
-    if (!group_open_) RETURN_NOT_OK(OpenGroup(ctx));
-    auto next = pgq_->NextBatch(ctx, &pgq_batch_);
+  while (current_unit_ < num_units() && !out->full()) {
+    if (!unit_open_) RETURN_NOT_OK(OpenUnit(ctx));
+    auto next = active_pgq()->NextBatch(ctx, &pgq_batch_);
     if (!next.ok()) {
-      (void)CloseGroup(ctx);
+      (void)CloseUnit(ctx);
       return next.status();
     }
     if (!*next) {
-      RETURN_NOT_OK(CloseGroup(ctx));
-      ++current_group_;
+      RETURN_NOT_OK(CloseUnit(ctx));
+      ++current_unit_;
       continue;
     }
-    const Row& key = group_keys_[current_group_];
-    for (const Row& pgq_row : pgq_batch_.rows()) {
-      Row full;
-      AppendPrefixed(key, pgq_row, &full);
-      out->Add(std::move(full));
+    for (Row& pgq_row : pgq_batch_.rows()) {
+      out->Add(PrefixedRow(current_unit_, std::move(pgq_row)));
     }
   }
   if (out->empty()) return false;
@@ -615,10 +747,13 @@ Result<bool> GApplyOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
 }
 
 Status GApplyOp::CloseImpl(ExecContext* ctx) {
-  if (group_open_) RETURN_NOT_OK(CloseGroup(ctx));
+  if (unit_open_) RETURN_NOT_OK(CloseUnit(ctx));
+  num_groups_ = 0;
   group_keys_.clear();
-  groups_.clear();
-  group_outputs_.clear();
+  members_.clear();
+  offsets_.clear();
+  unit_bounds_.clear();
+  unit_outputs_.clear();
   spill_writers_.clear();
   for (const std::string& path : spill_paths_) RemoveFile(path);
   spill_paths_.clear();
@@ -640,13 +775,16 @@ std::string GApplyOp::DebugName() const {
   if (parallelism_ > 1) {
     out += ", parallelism=" + std::to_string(parallelism_);
   }
+  if (lifted_ != nullptr) out += ", lifted";
   return out + ")";
 }
 
 PhysOpPtr GApplyOp::Clone() const {
-  return std::make_unique<GApplyOp>(outer_->Clone(), grouping_columns_,
-                                    var_name_, pgq_->Clone(), mode_,
-                                    parallelism_);
+  auto clone = std::make_unique<GApplyOp>(outer_->Clone(), grouping_columns_,
+                                          var_name_, pgq_->Clone(), mode_,
+                                          parallelism_);
+  if (lifted_ != nullptr) clone->set_lifted_pgq(lifted_->Clone());
+  return clone;
 }
 
 }  // namespace gapply

@@ -20,42 +20,53 @@ const char* PartitionModeName(PartitionMode mode);
 /// \brief The paper's core contribution: GApply(GCols, PGQ).
 ///
 /// Phase 1 (Partition): the outer input is partitioned on the grouping
-/// columns — by sorting (output then comes out clustered by group, in
-/// grouping-column order) or by hashing (first-appearance group order).
+/// columns into one flat, gid-clustered partition buffer: the member rows
+/// in group-id (gid) order plus a G+1 offset array. Group ids follow
+/// grouping-column order when partitioning by sorting and first-appearance
+/// order when hashing. Hashing assigns gids in one pass and places rows
+/// with a stable counting scatter in a second, so each group keeps its
+/// rows in outer input order.
 ///
-/// Phase 2 (Execute): for each group, the group's rows are bound to the
-/// relation-valued variable `var_name`, the per-group query subplan `pgq`
-/// (whose GroupScan leaves read that binding) is re-opened and drained, and
-/// each per-group output row is emitted prefixed by the grouping-column
-/// values — implementing
-///   ⋃_{c ∈ distinct(π_C(outer))} ({c} × PGQ(σ_{C=c}(outer))).
+/// Phase 2 (Execute) implements
+///   ⋃_{c ∈ distinct(π_C(outer))} ({c} × PGQ(σ_{C=c}(outer)))
+/// and prefixes each PGQ output row with its group's grouping-column
+/// values, in gid order. It takes one of two forms:
+///  - *loop-lifted* (DESIGN.md §17), when lowering supplied a lifted PGQ
+///    (set_lifted_pgq): the lifted plan runs once over a whole gid range,
+///    reading the buffer through a segmented binding of `var_name` and
+///    carrying each row's gid in a trailing column;
+///  - *per group*: the group's slice of the buffer is bound to `var_name`
+///    and `pgq` (whose GroupScan leaves read that binding) is re-opened and
+///    drained once per group. This serves PGQ shapes lowering cannot lift
+///    and spilled partitions.
+/// Both produce bit-for-bit the same rows in the same order.
 ///
 /// Output schema: grouping columns (as named in the outer schema) followed
 /// by the PGQ output schema.
 ///
 /// Parallel execution (the paper's §3 observation that no group's evaluation
 /// depends on another's, made operational): with `parallelism` > 1, phase 2
-/// fans the groups out over a worker pool. Each worker owns a deep Clone of
-/// the PGQ subplan and a private ExecContext forked from the caller's (so
-/// enclosing Apply/GApply bindings remain visible but per-group bindings and
-/// counters stay private), and claims groups through a shared atomic cursor.
-/// Per-group outputs are buffered per group index and emitted in exactly the
+/// fans *units* — single groups, or contiguous gid ranges for a lifted PGQ
+/// — out over a worker pool. Each worker owns a deep Clone of the PGQ
+/// subplan and a private ExecContext forked from the caller's (so enclosing
+/// Apply/GApply bindings remain visible but its own bindings and counters
+/// stay private), and claims units through a shared atomic cursor.
+/// Per-unit outputs are buffered per unit index and emitted in exactly the
 /// order the serial path would produce, so parallel output is bit-for-bit
 /// identical to serial output; worker counters are merged back into the
-/// caller's context, so global counters stay exact. If any group's PGQ
-/// fails, the error of the smallest failing group index is reported
-/// (again matching what serial execution would surface first).
+/// caller's context, so global counters stay exact. If any unit fails, the
+/// error of the smallest failing unit is reported (again matching what
+/// serial execution would surface first).
 ///
 /// Under a memory budget (DESIGN.md §16), hash-mode partitioning whose
 /// member rows exceed the query's MemoryTracker budget spills members to
-/// disk as (gid, row) records partitioned by a gid hash — the gid index
-/// and group keys stay in memory. Phase 2 then executes one partition at a
-/// time: its rows are bucketed by gid in file order (= outer input order
+/// disk as (gid, row) records partitioned by a gid hash — the group keys
+/// stay in memory. Phase 2 then executes one partition at a time, per
+/// group: its rows are bucketed by gid in file order (= outer input order
 /// per group, since every gid lives in exactly one partition per level)
-/// and the PGQ runs serially per group into the per-gid output slots the
-/// parallel drain path already emits in gid order — bit-for-bit the
-/// in-memory output. Sort-mode partitioning stays in-memory (the sort
-/// below it is what spills).
+/// and the PGQ runs serially per group into per-gid output slots emitted
+/// in gid order — bit-for-bit the in-memory output. Sort-mode
+/// partitioning stays in-memory (the sort below it is what spills).
 class GApplyOp : public PhysOp {
  public:
   GApplyOp(PhysOpPtr outer, std::vector<int> grouping_columns,
@@ -68,41 +79,59 @@ class GApplyOp : public PhysOp {
   Status CloseImpl(ExecContext* ctx) override;
   std::string DebugName() const override;
   PhysOpPtr Clone() const override;
-  std::vector<const PhysOp*> children() const override {
-    return {outer_.get(), pgq_.get()};
-  }
+  /// Outer, then the lifted PGQ (when present), then the per-group PGQ.
+  std::vector<const PhysOp*> children() const override;
 
   size_t parallelism() const { return parallelism_; }
   size_t profile_dop() const override { return parallelism_; }
 
+  /// Installs the loop-lifted form of the PGQ (lifted_ops.h): same output
+  /// columns as `pgq` plus a trailing gid. Lowering calls this for PGQ
+  /// shapes it can lift; without it every group runs `pgq`.
+  void set_lifted_pgq(PhysOpPtr lifted) { lifted_ = std::move(lifted); }
+  bool lifted() const { return lifted_ != nullptr; }
+
  private:
   Status Partition(ExecContext* ctx);
-  Status OpenGroup(ExecContext* ctx);
-  Status CloseGroup(ExecContext* ctx);
+  Status PartitionByHash(ExecContext* ctx, RowBatch* batch);
 
-  /// Runs `pgq` over group `g` with bindings in `ctx`, appending key-prefixed
-  /// output rows to `*out`. Thread-safe w.r.t. other groups: reads only the
-  /// materialized partitions, mutates only `ctx` and `*out`.
-  Status ExecuteOneGroup(PhysOp* pgq, ExecContext* ctx, size_t g,
-                         std::vector<Row>* out);
+  size_t num_groups() const { return num_groups_; }
+  size_t num_units() const {
+    return run_lifted_ ? unit_bounds_.size() - 1 : num_groups();
+  }
+  PhysOp* active_pgq() const {
+    return run_lifted_ ? lifted_.get() : pgq_.get();
+  }
+  /// The binding unit `u` runs under: one group's slice of the buffer, or
+  /// a segmented gid range for the lifted PGQ.
+  GroupBinding UnitBinding(size_t u) const;
+  /// Prefixes a PGQ row with its group's key (dropping a lifted row's gid).
+  Row PrefixedRow(size_t unit, Row pgq_row) const;
 
-  /// ExecuteOneGroup over an explicit member-row vector (the spill path
-  /// re-loads members from disk instead of reading groups_[g]).
-  Status ExecuteGroupRows(PhysOp* pgq, ExecContext* ctx, size_t g,
-                          const std::vector<Row>& rows,
-                          std::vector<Row>* out);
+  Status OpenUnit(ExecContext* ctx);
+  Status CloseUnit(ExecContext* ctx);
 
-  /// Phase-2 fan-out: executes every group on a worker pool, filling
-  /// group_outputs_, and merges worker counters into `ctx`.
-  Status ExecuteGroupsParallel(ExecContext* ctx);
+  /// Runs `pgq` to completion under `binding` for unit `unit`, appending
+  /// key-prefixed output rows to `*out`. Thread-safe w.r.t. other units:
+  /// reads only the partition buffer, mutates only `ctx` and `*out`.
+  Status ExecuteBound(PhysOp* pgq, ExecContext* ctx,
+                      const GroupBinding& binding, size_t unit,
+                      std::vector<Row>* out);
 
-  /// Flips hash-mode partitioning to spill mode: flushes every buffered
+  /// Phase-2 fan-out: executes every unit on a worker pool, filling
+  /// unit_outputs_, and merges worker counters into `ctx`.
+  Status ExecuteUnitsParallel(ExecContext* ctx);
+
+  /// Flips hash-mode partitioning to spill mode: extracts the group keys
+  /// (from each gid's `first_row` in `input`), flushes every buffered
   /// member row to gid-partitioned spill files and opens spill_writers_
   /// for the rest of the outer input.
-  Status StartMemberSpill(ExecContext* ctx);
+  Status StartMemberSpill(ExecContext* ctx, std::vector<Row>* input,
+                          std::vector<uint32_t>* gids,
+                          const std::vector<size_t>& first_row);
   /// Phase 2 over one spill partition: loads its (gid, row) records
   /// (recursively repartitioning on overflow), buckets them by gid and
-  /// runs the PGQ per group into group_outputs_.
+  /// runs the per-group PGQ per group into unit_outputs_.
   Status ExecuteSpilledPartition(ExecContext* ctx, const std::string& path,
                                  int level);
   /// Finishes a spill file and books its bytes into counters + profile.
@@ -112,19 +141,31 @@ class GApplyOp : public PhysOp {
   std::vector<int> grouping_columns_;
   std::string var_name_;
   PhysOpPtr pgq_;
+  PhysOpPtr lifted_;  // nullptr: the PGQ runs per group
   PartitionMode mode_;
   size_t parallelism_;
 
-  // Materialized partitions: parallel vectors of key and member rows.
+  // The partition buffer: member rows clustered by gid, gid g's rows at
+  // members_[offsets_[g], offsets_[g + 1]). A group's key is read off its
+  // first row; only a spilled partitioning, whose rows are on disk, keeps
+  // the keys (by gid) in group_keys_.
+  size_t num_groups_ = 0;
+  std::vector<Row> members_;
+  std::vector<size_t> offsets_;
   std::vector<Row> group_keys_;
-  std::vector<std::vector<Row>> groups_;
-  size_t current_group_ = 0;
-  bool group_open_ = false;
-  uint64_t group_open_ns_ = 0;  // steady_clock stamp of the OpenGroup call
 
-  // Parallel-path state: per-group output buffers, streamed by Next.
-  bool parallel_exec_ = false;
-  std::vector<std::vector<Row>> group_outputs_;
+  // Phase-2 units. Lifted: unit u covers gids [unit_bounds_[u],
+  // unit_bounds_[u + 1]). Per group: unit u is group u.
+  bool run_lifted_ = false;
+  std::vector<size_t> unit_bounds_;
+  size_t current_unit_ = 0;
+  bool unit_open_ = false;
+  uint64_t unit_open_ns_ = 0;  // steady_clock stamp of the OpenUnit call
+
+  // Buffered-output state (parallel and spilled phase 2): per-unit output
+  // rows, streamed by Next in unit order.
+  bool buffered_exec_ = false;
+  std::vector<std::vector<Row>> unit_outputs_;
   size_t output_pos_ = 0;
 
   // Member-row spill state (hash mode only); inert until a budget refusal

@@ -6,12 +6,12 @@ namespace gapply {
 
 namespace {
 
-// Shared native batch path of the three scans: range-copy `rows[*pos..end)`
-// into `out`, up to its capacity.
-bool ScanIntoBatch(const std::vector<Row>& rows, size_t* pos, size_t end,
+// Shared native batch path of the three scans: range-copy
+// `rows[*pos..min(end, size))` into `out`, up to its capacity.
+bool ScanIntoBatch(const Row* rows, size_t size, size_t* pos, size_t end,
                    RowBatch* out) {
   out->Clear();
-  end = std::min(end, rows.size());
+  end = std::min(end, size);
   if (*pos >= end) return false;
   const size_t n = std::min(out->capacity(), end - *pos);
   for (size_t i = 0; i < n; ++i) {
@@ -112,7 +112,10 @@ Result<bool> TableScanOp::NextImpl(ExecContext* ctx, Row* out) {
 Result<bool> TableScanOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
   // Same predicate-free fast path as NextImpl.
   if (preds_.empty()) {
-    if (!ScanIntoBatch(table_->rows(), &pos_, end_, out)) return false;
+    const std::vector<Row>& rows = table_->rows();
+    if (!ScanIntoBatch(rows.data(), rows.size(), &pos_, end_, out)) {
+      return false;
+    }
     ctx->counters().rows_scanned += out->size();
     RecordBatch(ctx, out->size());
     return true;
@@ -183,30 +186,31 @@ GroupScanOp::GroupScanOp(std::string var_name, Schema schema)
     : PhysOp(std::move(schema)), var_name_(std::move(var_name)) {}
 
 Status GroupScanOp::OpenImpl(ExecContext* ctx) {
-  ASSIGN_OR_RETURN(auto binding, ctx->GetGroup(var_name_));
-  const Schema* bound_schema = binding.first;
-  if (bound_schema->num_columns() != schema_.num_columns()) {
+  ASSIGN_OR_RETURN(GroupBinding binding, ctx->GetGroup(var_name_));
+  if (binding.schema->num_columns() != schema_.num_columns()) {
     return Status::Internal(
         "group variable " + var_name_ + " bound with arity " +
-        std::to_string(bound_schema->num_columns()) + ", plan expects " +
+        std::to_string(binding.schema->num_columns()) + ", plan expects " +
         std::to_string(schema_.num_columns()));
   }
-  rows_ = binding.second;
-  pos_ = 0;
+  rows_ = binding.rows;
+  pos_ = binding.begin();
+  end_ = binding.end();
+  open_ = true;
   return Status::OK();
 }
 
 Result<bool> GroupScanOp::NextImpl(ExecContext* ctx, Row* out) {
-  if (rows_ == nullptr) return Status::Internal("GroupScan not opened");
-  if (pos_ >= rows_->size()) return false;
-  *out = (*rows_)[pos_++];
+  if (!open_) return Status::Internal("GroupScan not opened");
+  if (pos_ >= end_) return false;
+  *out = rows_[pos_++];
   ctx->counters().group_rows_scanned++;
   return true;
 }
 
 Result<bool> GroupScanOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
-  if (rows_ == nullptr) return Status::Internal("GroupScan not opened");
-  if (!ScanIntoBatch(*rows_, &pos_, rows_->size(), out)) return false;
+  if (!open_) return Status::Internal("GroupScan not opened");
+  if (!ScanIntoBatch(rows_, end_, &pos_, end_, out)) return false;
   ctx->counters().group_rows_scanned += out->size();
   RecordBatch(ctx, out->size());
   return true;
@@ -214,6 +218,7 @@ Result<bool> GroupScanOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
 
 Status GroupScanOp::CloseImpl(ExecContext*) {
   rows_ = nullptr;
+  open_ = false;
   return Status::OK();
 }
 
@@ -240,7 +245,9 @@ Result<bool> ValuesOp::NextImpl(ExecContext*, Row* out) {
 }
 
 Result<bool> ValuesOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
-  if (!ScanIntoBatch(rows_, &pos_, rows_.size(), out)) return false;
+  if (!ScanIntoBatch(rows_.data(), rows_.size(), &pos_, rows_.size(), out)) {
+    return false;
+  }
   RecordBatch(ctx, out->size());
   return true;
 }

@@ -128,8 +128,10 @@ class GroupScanOp : public PhysOp {
 
  private:
   std::string var_name_;
-  const std::vector<Row>* rows_ = nullptr;
+  const Row* rows_ = nullptr;
   size_t pos_ = 0;
+  size_t end_ = 0;
+  bool open_ = false;
 };
 
 /// In-memory literal relation (tests and VALUES-style plans).

@@ -275,24 +275,35 @@ AggregateDesc Max(ExprPtr arg, std::string name) {
   return AggregateDesc(AggKind::kMax, std::move(arg), std::move(name));
 }
 
-Result<Row> ComputeAggregates(const std::vector<AggregateDesc>& aggs,
-                              const std::vector<Row>& rows,
-                              const EvalContext& ctx) {
+std::vector<std::unique_ptr<AggAccumulator>> MakeAccumulators(
+    const std::vector<AggregateDesc>& aggs) {
   std::vector<std::unique_ptr<AggAccumulator>> accs;
   accs.reserve(aggs.size());
   for (const AggregateDesc& a : aggs) {
     accs.push_back(CreateAccumulator(a.kind, a.distinct));
   }
-  for (const Row& row : rows) {
-    for (size_t i = 0; i < aggs.size(); ++i) {
-      if (aggs[i].kind == AggKind::kCountStar) {
-        RETURN_NOT_OK(accs[i]->Add(Value::Bool(true)));
-      } else {
-        ASSIGN_OR_RETURN(Value v, aggs[i].arg->Eval(row, ctx));
-        RETURN_NOT_OK(accs[i]->Add(v));
-      }
+  return accs;
+}
+
+Status AccumulateRow(const std::vector<AggregateDesc>& aggs,
+                     const std::vector<std::unique_ptr<AggAccumulator>>& accs,
+                     const Row& row, const EvalContext& ctx) {
+  for (size_t i = 0; i < aggs.size(); ++i) {
+    if (aggs[i].kind == AggKind::kCountStar) {
+      RETURN_NOT_OK(accs[i]->Add(Value::Bool(true)));
+    } else {
+      ASSIGN_OR_RETURN(Value v, aggs[i].arg->Eval(row, ctx));
+      RETURN_NOT_OK(accs[i]->Add(v));
     }
   }
+  return Status::OK();
+}
+
+Result<Row> ComputeAggregates(const std::vector<AggregateDesc>& aggs,
+                              const std::vector<Row>& rows,
+                              const EvalContext& ctx) {
+  std::vector<std::unique_ptr<AggAccumulator>> accs = MakeAccumulators(aggs);
+  for (const Row& row : rows) RETURN_NOT_OK(AccumulateRow(aggs, accs, row, ctx));
   Row out;
   out.reserve(aggs.size());
   for (const auto& acc : accs) out.push_back(acc->Finish());

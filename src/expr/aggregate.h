@@ -86,6 +86,16 @@ AggregateDesc Avg(ExprPtr arg, std::string name = "avg");
 AggregateDesc Min(ExprPtr arg, std::string name = "min");
 AggregateDesc Max(ExprPtr arg, std::string name = "max");
 
+/// One fresh accumulator per descriptor.
+std::vector<std::unique_ptr<AggAccumulator>> MakeAccumulators(
+    const std::vector<AggregateDesc>& aggs);
+
+/// Feeds one input row to `accs` (parallel to `aggs`): count(*) counts the
+/// row, every other aggregate its evaluated argument.
+Status AccumulateRow(const std::vector<AggregateDesc>& aggs,
+                     const std::vector<std::unique_ptr<AggAccumulator>>& accs,
+                     const Row& row, const EvalContext& ctx);
+
 /// Evaluates `aggs` over `rows` (one group) in one pass; returns one output
 /// value per descriptor. Used by the executor and as the reference
 /// implementation in property tests.

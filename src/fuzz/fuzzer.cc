@@ -3,6 +3,8 @@
 #include <chrono>
 #include <utility>
 
+#include "src/exec/gapply_op.h"
+#include "src/exec/lowering.h"
 #include "src/sql/binder.h"
 
 namespace gapply::fuzz {
@@ -45,6 +47,16 @@ void GenerateCase(uint64_t seed, GeneratedCase* out) {
   out->error = "query failed to bind after 8 attempts; last: " + last_error;
 }
 
+bool HasLiftedGApply(const PhysOp& op) {
+  if (const auto* ga = dynamic_cast<const GApplyOp*>(&op)) {
+    if (ga->lifted()) return true;
+  }
+  for (const PhysOp* child : op.children()) {
+    if (HasLiftedGApply(*child)) return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 CaseResult RunOneCase(uint64_t seed, const OracleMatrixOptions& matrix) {
@@ -59,6 +71,8 @@ CaseResult RunOneCase(uint64_t seed, const OracleMatrixOptions& matrix) {
   }
   result.sql = gen.query.sql;
   result.features = gen.query.features;
+  Result<PhysOpPtr> baseline = LowerPlan(*gen.plan, ExecSpec().lowering);
+  result.lifted = baseline.ok() && HasLiftedGApply(**baseline);
   for (const std::string& f : gen.data.features) {
     result.features.push_back(f);
   }
@@ -94,6 +108,7 @@ FuzzReport RunFuzz(const FuzzOptions& options, std::ostream* log) {
     const uint64_t seed = options.base_seed + static_cast<uint64_t>(i);
     CaseResult result = RunOneCase(seed, options.matrix);
     ++report.cases_run;
+    if (result.lifted) ++report.lifted_cases;
     for (const std::string& f : result.features) {
       report.feature_counts[f]++;
     }
@@ -160,7 +175,7 @@ FuzzReport RunFuzz(const FuzzOptions& options, std::ostream* log) {
   if (log != nullptr) {
     *log << "fuzz: " << report.cases_run << " cases, " << report.failures
          << " mismatches, " << report.generator_errors
-         << " generator errors";
+         << " generator errors, " << report.lifted_cases << " lifted";
     if (report.hit_time_budget) *log << " (time budget hit)";
     *log << "\nfeature coverage:";
     for (const auto& [feature, count] : report.feature_counts) {

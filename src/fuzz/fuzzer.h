@@ -36,6 +36,9 @@ struct CaseResult {
   std::string sql;
   std::vector<std::string> features;
   std::vector<Mismatch> mismatches;
+  /// The baseline plan ran a loop-lifted GApply (DESIGN.md §17), so the
+  /// budget oracles compared lifted (unlimited) with per-group (spilled).
+  bool lifted = false;
   /// Set when the generator produced SQL that failed to parse or bind —
   /// always a bug in the generator/printer, reported fatally.
   std::string generator_error;
@@ -51,6 +54,7 @@ struct FuzzReport {
   int cases_run = 0;
   int failures = 0;
   int generator_errors = 0;
+  int lifted_cases = 0;  // cases whose baseline ran a lifted GApply
   bool hit_time_budget = false;
   std::map<std::string, int> feature_counts;
   std::vector<CaseFailure> failure_details;

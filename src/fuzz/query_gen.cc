@@ -396,16 +396,19 @@ class QueryGen {
   /// group's schema (`scope`).
   GenSelect GenPgq(const std::string& var, const Scope& scope, int depth) {
     const int roll = static_cast<int>(rng_->UniformInt(0, 99));
+    // Weighted towards the shapes lowering loop-lifts (DESIGN.md §17) —
+    // scalar subqueries, EXISTS and unions of aggregates — so the budget
+    // oracles keep comparing lifted runs against spilled per-group runs.
     // Deep recursion collapses to the three simple shapes.
     if (depth <= 2) {
-      if (roll < 11) return GenPgqScalarSubquery(var, scope);
-      if (roll < 22) return GenPgqExists(var, scope);
-      if (roll < 29) return GenPgqAggExists(var, scope);
-      if (roll < 38) return GenPgqUnion(var, scope);
-      if (roll < 43 && depth <= 1) return GenPgqNestedGApply(var, scope, depth);
+      if (roll < 18) return GenPgqScalarSubquery(var, scope);
+      if (roll < 34) return GenPgqExists(var, scope);
+      if (roll < 41) return GenPgqAggExists(var, scope);
+      if (roll < 55) return GenPgqUnion(var, scope);
+      if (roll < 60 && depth <= 1) return GenPgqNestedGApply(var, scope, depth);
     }
-    if (roll < 60) return GenPgqPassthrough(var, scope);
-    if (roll < 80) return GenPgqScalarAgg(var, scope);
+    if (roll < 74) return GenPgqPassthrough(var, scope);
+    if (roll < 88) return GenPgqScalarAgg(var, scope);
     return GenPgqGroupBy(var, scope);
   }
 
@@ -532,7 +535,7 @@ class QueryGen {
 
   GenSelect GenPgqUnion(const std::string& var, const Scope& scope) {
     Tag("pgq-union");
-    GenSelect base = rng_->Bernoulli(0.5) ? GenPgqPassthrough(var, scope)
+    GenSelect base = rng_->Bernoulli(0.4) ? GenPgqPassthrough(var, scope)
                                           : GenPgqScalarAgg(var, scope);
     std::unique_ptr<SelectStmt> other = CloneSelect(*base.stmt);
     if (other == nullptr) return base;  // printer failed: degrade gracefully

@@ -90,4 +90,19 @@ bool ApplyInnerIsCorrelated(const LogicalOp& inner) {
   return NodeRefersToDepth(inner, 0);
 }
 
+bool HasCorrelatedRef(const Expr& e) {
+  switch (e.kind()) {
+    case ExprKind::kCorrelatedColumnRef:
+      return true;
+    case ExprKind::kUnary:
+      return HasCorrelatedRef(static_cast<const UnaryExpr&>(e).child());
+    case ExprKind::kBinary: {
+      const auto& bin = static_cast<const BinaryExpr&>(e);
+      return HasCorrelatedRef(bin.left()) || HasCorrelatedRef(bin.right());
+    }
+    default:
+      return false;
+  }
+}
+
 }  // namespace gapply

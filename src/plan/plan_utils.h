@@ -15,6 +15,9 @@ namespace gapply {
 /// ranges over the group, not the row).
 bool ApplyInnerIsCorrelated(const LogicalOp& inner);
 
+/// True iff `e` holds a correlated reference (to any enclosing row).
+bool HasCorrelatedRef(const Expr& e);
+
 }  // namespace gapply
 
 #endif  // GAPPLY_PLAN_PLAN_UTILS_H_

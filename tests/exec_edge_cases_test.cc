@@ -46,9 +46,9 @@ TEST(ExecEdgeCases, GroupBindingShadowsByName) {
   ctx.BindGroup("g", &s, &outer_rows);
   ctx.BindGroup("g", &s, &inner_rows);
   ASSERT_TRUE(ctx.GetGroup("g").ok());
-  EXPECT_EQ(ctx.GetGroup("g")->second, &inner_rows);
+  EXPECT_EQ(ctx.GetGroup("g")->rows, inner_rows.data());
   ASSERT_TRUE(ctx.UnbindGroup("g").ok());
-  EXPECT_EQ(ctx.GetGroup("g")->second, &outer_rows);
+  EXPECT_EQ(ctx.GetGroup("g")->rows, outer_rows.data());
 }
 
 TEST(ExecEdgeCases, SortOnEmptyInput) {

@@ -4,12 +4,17 @@
 #include <memory>
 #include <utility>
 
+#include "src/common/memory_tracker.h"
+#include "src/common/spill_file.h"
 #include "src/exec/agg_ops.h"
 #include "src/exec/apply_ops.h"
 #include "src/exec/filter_project_ops.h"
 #include "src/exec/gapply_op.h"
+#include "src/exec/lowering.h"
 #include "src/exec/scan_ops.h"
 #include "src/expr/aggregate.h"
+#include "src/sql/binder.h"
+#include "src/storage/catalog.h"
 #include "tests/test_util.h"
 
 namespace gapply {
@@ -351,6 +356,294 @@ TEST_P(GApplyPropertyTest, CorrelatedSubqueryPgqMatchesReference) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GApplyPropertyTest,
                          ::testing::Range(1, 13));
+
+// ---------------------------------------------------------------------------
+// Loop-lifted GApply (DESIGN.md §17). Lowering lifts the PGQ shapes it can;
+// the lifted run must reproduce per-group execution of the same plan row
+// for row, in order, for every partition mode, DOP and batch size.
+// ---------------------------------------------------------------------------
+
+class LiftedGApplyTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    // Keys 1..40 (skewed towards small keys) plus NULL; group sizes vary
+    // from 1 to a few dozen rows, so filters leave some groups (and some
+    // segments) empty.
+    Schema s({{"k", TypeId::kInt64, "t"},
+              {"j", TypeId::kInt64, "t"},
+              {"v", TypeId::kInt64, "t"},
+              {"d", TypeId::kDouble, "t"},
+              {"s", TypeId::kString, "t"}});
+    Rng rng(17);
+    std::vector<Row> rows;
+    for (int i = 0; i < 600; ++i) {
+      const int64_t key = rng.UniformInt(0, 40);
+      const int64_t skew = rng.UniformInt(1, key == 0 ? 1 : key);
+      Row row;
+      row.push_back(key == 0 ? Value::Null() : Value::Int(skew));
+      row.push_back(rng.Bernoulli(0.1) ? Value::Null()
+                                       : Value::Int(rng.UniformInt(0, 2)));
+      row.push_back(Value::Int(rng.UniformInt(0, 100)));
+      row.push_back(Value::Double(rng.UniformDouble(0.0, 10.0)));
+      row.push_back(Value::Str("s" + std::to_string(rng.UniformInt(0, 9))));
+      rows.push_back(std::move(row));
+    }
+    ASSERT_TRUE(
+        catalog_.AddTable(MakeTable("t", std::move(s), std::move(rows))).ok());
+  }
+
+  PhysOpPtr LowerSql(const std::string& sql, PartitionMode mode,
+                     size_t dop) {
+    Result<LogicalOpPtr> plan = sql::ParseAndBind(catalog_, sql);
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString() << "\n" << sql;
+    if (!plan.ok()) return nullptr;
+    LoweringOptions opts;
+    opts.force_partition_mode = mode;
+    opts.gapply_parallelism = dop;
+    opts.exchange_parallelism = 1;
+    Result<PhysOpPtr> phys = LowerPlan(**plan, opts);
+    EXPECT_TRUE(phys.ok()) << phys.status().ToString();
+    return phys.ok() ? std::move(*phys) : nullptr;
+  }
+
+  /// The outermost GApply of a lowered plan.
+  static GApplyOp* FindGApply(const PhysOp* op) {
+    if (auto* ga = dynamic_cast<const GApplyOp*>(op)) {
+      return const_cast<GApplyOp*>(ga);
+    }
+    for (const PhysOp* child : op->children()) {
+      if (GApplyOp* found = FindGApply(child)) return found;
+    }
+    return nullptr;
+  }
+
+  struct Run {
+    QueryResult result;
+    ExecContext::Counters counters;
+  };
+
+  static Run Execute(PhysOp* plan, size_t batch, size_t budget = 0) {
+    ExecContext ctx;
+    ctx.set_batch_size(batch);
+    MemoryTracker memory(budget);
+    SpillManager spill("lifted-test");
+    if (budget > 0) {
+      ctx.set_memory(&memory);
+      ctx.set_spill(&spill);
+    }
+    Result<QueryResult> r = ExecuteToVector(plan, &ctx);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return {r.ok() ? std::move(*r) : QueryResult{}, ctx.counters()};
+  }
+
+  /// Runs `sql` per group (lifting removed) and lifted at DOP {1, 4},
+  /// batch {1, 1024}, hash and sort partitioning; demands identical row
+  /// sequences and one PGQ execution per lifted run. Returns the row count.
+  size_t ExpectLiftedMatchesPerGroup(const std::string& sql) {
+    size_t rows = 0;
+    for (PartitionMode mode : {PartitionMode::kHash, PartitionMode::kSort}) {
+      PhysOpPtr per_group = LowerSql(sql, mode, 1);
+      if (per_group == nullptr) return 0;
+      GApplyOp* ga = FindGApply(per_group.get());
+      EXPECT_NE(ga, nullptr);
+      if (ga == nullptr) return 0;
+      EXPECT_TRUE(ga->lifted()) << per_group->DebugString();
+      ga->set_lifted_pgq(nullptr);
+      const Run expected = Execute(per_group.get(), 1024);
+      EXPECT_GT(expected.counters.pgq_executions, 1u);
+      rows = expected.result.rows.size();
+
+      for (size_t dop : {size_t{1}, size_t{4}}) {
+        for (size_t batch : {size_t{1}, size_t{1024}}) {
+          PhysOpPtr lifted = LowerSql(sql, mode, dop);
+          const std::string explain = lifted->DebugString();
+          EXPECT_NE(explain.find(", lifted)"), std::string::npos) << explain;
+          const Run got = Execute(lifted.get(), batch);
+          EXPECT_TRUE(SameRowSequence(got.result.rows, expected.result.rows))
+              << "mode=" << PartitionModeName(mode) << " dop=" << dop
+              << " batch=" << batch << "\n" << sql << "\ngot:\n"
+              << got.result.ToString() << "expected:\n"
+              << expected.result.ToString();
+          EXPECT_EQ(got.counters.pgq_executions, 1u)
+              << "mode=" << PartitionModeName(mode) << " dop=" << dop;
+        }
+      }
+    }
+    return rows;
+  }
+
+  Catalog catalog_;
+};
+
+TEST_F(LiftedGApplyTest, EmptySegmentsAfterFilterUnderScalarAgg) {
+  // Many groups have no row with v > 90: count 0, sum/avg/min NULL.
+  EXPECT_GT(ExpectLiftedMatchesPerGroup(
+                "select gapply(select count(*), sum(v), avg(d), min(s) "
+                "from g where v > 90) from t group by k : g"),
+            0u);
+}
+
+TEST_F(LiftedGApplyTest, GroupsWithoutPgqOutput) {
+  EXPECT_GT(ExpectLiftedMatchesPerGroup(
+                "select gapply(select s, v, d from g where v > 95) "
+                "from t group by k : g"),
+            0u);
+}
+
+TEST_F(LiftedGApplyTest, NullGroupingKeys) {
+  // k is NULL for a whole group, j for rows scattered over all groups.
+  ExpectLiftedMatchesPerGroup(
+      "select gapply(select s, v + 1, null from g) from t group by k, j : g");
+  ExpectLiftedMatchesPerGroup(
+      "select gapply(select count(*), max(d) from g) from t group by j : g");
+}
+
+TEST_F(LiftedGApplyTest, UnionAllKeepsBranchOrderWithinEachGroup) {
+  ExpectLiftedMatchesPerGroup(
+      "select gapply(select v, d from g where v < 30 "
+      "              union all select count(*), avg(d) from g "
+      "              union all select v, d from g where v > 70) "
+      "from t group by k : g");
+}
+
+TEST_F(LiftedGApplyTest, ExistsAndNotExists) {
+  ExpectLiftedMatchesPerGroup(
+      "select gapply(select * from g where exists "
+      "              (select v from g where v > 95)) from t group by k : g");
+  ExpectLiftedMatchesPerGroup(
+      "select gapply(select s, v from g where not exists "
+      "              (select v from g where v > 95)) from t group by k : g");
+}
+
+TEST_F(LiftedGApplyTest, ScalarSubqueryBecomesGidMergeJoin) {
+  // The Fig. 8 Q4 shape: rows above their group's average.
+  ExpectLiftedMatchesPerGroup(
+      "select gapply(select s, d from g where d > (select avg(d) from g)) "
+      "from t group by k, j : g");
+  ExpectLiftedMatchesPerGroup(
+      "select gapply(select count(*), null from g "
+      "              where d >= (select avg(d) from g where v > 50) "
+      "              union all select null, count(*) from g "
+      "              where d < (select avg(d) from g)) "
+      "from t group by k : g");
+}
+
+TEST_F(LiftedGApplyTest, NonLiftableShapesRunPerGroup) {
+  for (const char* sql :
+       {"select gapply(select v, count(*) from g group by v) "
+        "from t group by k : g",
+        "select gapply(select gapply(select count(*) from h) "
+        "              from g group by j : h) from t group by k : g"}) {
+    PhysOpPtr plan = LowerSql(sql, PartitionMode::kHash, 1);
+    ASSERT_NE(plan, nullptr);
+    GApplyOp* ga = FindGApply(plan.get());
+    ASSERT_NE(ga, nullptr);
+    EXPECT_FALSE(ga->lifted()) << plan->DebugString();
+    EXPECT_EQ(ga->DebugName().find(", lifted)"), std::string::npos);
+    const Run run = Execute(plan.get(), 1024);
+    EXPECT_GT(run.counters.pgq_executions, 1u) << sql;
+  }
+}
+
+TEST_F(LiftedGApplyTest, SpilledPartitionRunsPerGroup) {
+  const std::string sql =
+      "select gapply(select s, d from g where d > (select avg(d) from g)) "
+      "from t group by k : g";
+  PhysOpPtr plan = LowerSql(sql, PartitionMode::kHash, 1);
+  ASSERT_NE(plan, nullptr);
+  ASSERT_TRUE(FindGApply(plan.get())->lifted());
+  const Run unlimited = Execute(plan.get(), 1024);
+  EXPECT_EQ(unlimited.counters.pgq_executions, 1u);
+  EXPECT_EQ(unlimited.counters.spill_bytes, 0u);
+  PhysOpPtr per_group = LowerSql(sql, PartitionMode::kHash, 1);
+  FindGApply(per_group.get())->set_lifted_pgq(nullptr);
+  const uint64_t groups = Execute(per_group.get(), 1024).counters.pgq_executions;
+  EXPECT_GT(groups, 1u);
+
+  for (size_t dop : {size_t{1}, size_t{4}}) {
+    PhysOpPtr budgeted_plan = LowerSql(sql, PartitionMode::kHash, dop);
+    const Run spilled = Execute(budgeted_plan.get(), 1024, /*budget=*/512);
+    EXPECT_GT(spilled.counters.spill_bytes, 0u);
+    EXPECT_EQ(spilled.counters.pgq_executions, groups);
+    EXPECT_TRUE(
+        SameRowSequence(spilled.result.rows, unlimited.result.rows))
+        << "dop=" << dop;
+  }
+}
+
+TEST_F(LiftedGApplyTest, FallibleExpressionsOutsideSkippedRowsStayLifted) {
+  // A division evaluated on every row per group too (a Project, a Filter
+  // outside Exists and Apply inners), or one by a nonzero literal.
+  ExpectLiftedMatchesPerGroup(
+      "select gapply(select s, 1000 / (v + 1) from g where v % 7 > 2) "
+      "from t group by k : g");
+  ExpectLiftedMatchesPerGroup(
+      "select gapply(select * from g where exists "
+      "              (select v from g where v / 2 > 45)) from t group by k : g");
+}
+
+TEST_F(LiftedGApplyTest, RowsPerGroupExecutionSkipsStayPerGroup) {
+  // In `e`, group 1 is x = [5, 0]: its Exists stops at 5 (10 / 5 > 1) and
+  // never divides by 0. In `a`, group 2 is x = [0]: the Apply's outer
+  // filter leaves it no row, so its inner (10 % 0) never runs. A lifted
+  // plan would evaluate both, so these PGQs must stay per group and
+  // succeed at every DOP, partition mode, batch size and memory budget.
+  const auto add_table = [&](const std::string& name,
+                             std::vector<std::pair<int64_t, int64_t>> kx) {
+    Schema schema({{"k", TypeId::kInt64, name}, {"x", TypeId::kInt64, name}});
+    std::vector<Row> rows;
+    for (const auto& [k, x] : kx) rows.push_back({Value::Int(k), Value::Int(x)});
+    ASSERT_TRUE(catalog_
+                    .AddTable(MakeTable(name, std::move(schema),
+                                        std::move(rows)))
+                    .ok());
+  };
+  add_table("e", {{1, 5}, {1, 0}, {3, 20}, {3, 4}});
+  add_table("a", {{1, 5}, {1, 7}, {2, 0}, {3, 20}, {3, 4}});
+  const auto row = [](int64_t a, int64_t b, int64_t c) {
+    return Row{Value::Int(a), Value::Int(b), Value::Int(c)};
+  };
+  struct Case {
+    std::string sql;
+    std::vector<Row> expected;
+    uint64_t groups;
+  };
+  const std::vector<Case> cases = {
+      {"select gapply(select * from g where exists "
+       "              (select * from g where 10 / x > 1)) "
+       "from e group by k : g",
+       {row(1, 1, 5), row(1, 1, 0), row(3, 3, 20), row(3, 3, 4)},
+       2},
+      {"select gapply(select x, (select count(*) from g where 10 % x > 1) "
+       "              from g where x > 0) "
+       "from a group by k : g",
+       {row(1, 5, 1), row(1, 7, 1), row(3, 20, 2), row(3, 4, 2)},
+       3}};
+  for (const Case& c : cases) {
+    for (PartitionMode mode : {PartitionMode::kHash, PartitionMode::kSort}) {
+      for (size_t dop : {size_t{1}, size_t{4}}) {
+        for (size_t batch : {size_t{1}, size_t{1024}}) {
+          for (size_t budget : {size_t{0}, size_t{64}}) {
+            PhysOpPtr plan = LowerSql(c.sql, mode, dop);
+            ASSERT_NE(plan, nullptr);
+            EXPECT_FALSE(FindGApply(plan.get())->lifted())
+                << plan->DebugString();
+            const Run run = Execute(plan.get(), batch, budget);
+            EXPECT_TRUE(SameRowSequence(run.result.rows, c.expected))
+                << c.sql << "\nmode=" << PartitionModeName(mode)
+                << " dop=" << dop << " batch=" << batch
+                << " budget=" << budget << "\n"
+                << run.result.ToString();
+            EXPECT_EQ(run.counters.pgq_executions, c.groups);
+            if (budget > 0 && mode == PartitionMode::kHash) {
+              EXPECT_GT(run.counters.spill_bytes, 0u);
+            }
+          }
+        }
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace gapply
