@@ -79,12 +79,14 @@ Result<size_t> RunSimulation(Database* db) {
   {
     TableScanOp scan(&tmp_table);
     RETURN_NOT_OK(scan.Open(&ctx));
-    Row row;
+    RowBatch batch(ctx.batch_size());
     while (true) {
-      ASSIGN_OR_RETURN(bool has, scan.Next(&ctx, &row));
+      ASSIGN_OR_RETURN(bool has, scan.NextBatch(&ctx, &batch));
       if (!has) break;
-      groups[{row[static_cast<size_t>(sk)], row[static_cast<size_t>(sz)]}]
-          .push_back(row);
+      for (Row& row : batch.rows()) {
+        groups[{row[static_cast<size_t>(sk)], row[static_cast<size_t>(sz)]}]
+            .push_back(std::move(row));
+      }
     }
     RETURN_NOT_OK(scan.Close(&ctx));
   }

@@ -1,6 +1,7 @@
 #ifndef GAPPLY_COMMON_ROW_BATCH_H_
 #define GAPPLY_COMMON_ROW_BATCH_H_
 
+#include <cassert>
 #include <cstddef>
 #include <utility>
 #include <vector>
@@ -9,16 +10,14 @@
 
 namespace gapply {
 
-/// \brief The unit of vectorized data flow: a resizable block of rows with a
-/// target capacity.
+/// \brief The unit of data flow: a block of at most `capacity` rows.
 ///
 /// Operators move batches, not rows, through the pipeline
 /// (`PhysOp::NextBatch`), amortizing per-row virtual dispatch and expression
-/// interpretation. `capacity` is a *scheduling hint*, not a hard bound: an
-/// operator should stop appending once `full()`, but may overshoot when its
-/// output is produced in indivisible chunks (all matches of one probe row in
-/// a hash join, one group's entire PGQ output in GApply). Consumers must
-/// therefore never assume `size() <= capacity()`.
+/// interpretation. `capacity` is a hard bound — an operator stops appending
+/// once `full()` and resumes on its next call — so a consumer may rely on
+/// `size() <= capacity()`, and one that pulls a 1-row batch runs its input
+/// exactly one row at a time.
 class RowBatch {
  public:
   static constexpr size_t kDefaultCapacity = 1024;
@@ -36,7 +35,10 @@ class RowBatch {
   /// Drops the rows but keeps the allocation.
   void Clear() { rows_.clear(); }
 
-  void Add(Row row) { rows_.push_back(std::move(row)); }
+  void Add(Row row) {
+    assert(!full());
+    rows_.push_back(std::move(row));
+  }
 
   Row& operator[](size_t i) { return rows_[i]; }
   const Row& operator[](size_t i) const { return rows_[i]; }

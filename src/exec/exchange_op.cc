@@ -193,36 +193,6 @@ Status ExchangeOp::OpenParallel(ExecContext* ctx, TableScanOp* scan) {
   return Status::OK();
 }
 
-Result<bool> ExchangeOp::NextImpl(ExecContext* ctx, Row* out) {
-  if (passthrough_) {
-    ASSIGN_OR_RETURN(bool has, child_->Next(ctx, out));
-    if (!has) return false;
-    ctx->counters().exchange_rows++;
-    return true;
-  }
-  const uint64_t t0 = NowNs();
-  const auto book_merge_ns = [&] {
-    const uint64_t merge_ns = NowNs() - t0;
-    ctx->counters().exchange_merge_ns += merge_ns;
-    if (ctx->profiling()) profile_.AddPhaseNs("merge", merge_ns);
-  };
-  while (current_slot_ < slots_.size()) {
-    std::vector<Row>& rows = slots_[current_slot_];
-    if (slot_pos_ < rows.size()) {
-      *out = std::move(rows[slot_pos_++]);
-      ctx->counters().exchange_rows++;
-      book_merge_ns();
-      return true;
-    }
-    rows.clear();
-    rows.shrink_to_fit();
-    ++current_slot_;
-    slot_pos_ = 0;
-  }
-  book_merge_ns();
-  return false;
-}
-
 Result<bool> ExchangeOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
   if (passthrough_) {
     ASSIGN_OR_RETURN(bool has, child_->NextBatch(ctx, out));

@@ -83,7 +83,7 @@ class ExecContext {
     // Vectorized execution: number of (non-empty) batches produced across
     // all operators, and the rows they carried. batch_rows_produced /
     // batches_produced is the pipeline-wide average batch fill; per-operator
-    // fill lives in PhysOp::batch_stats().
+    // fill is a profile's rows_out / batches_out.
     uint64_t batches_produced = 0;
     uint64_t batch_rows_produced = 0;
 
@@ -159,8 +159,8 @@ class ExecContext {
 
   Counters& counters() { return counters_; }
 
-  /// Target rows per batch for `PhysOp::NextBatch` (a scheduling hint, see
-  /// RowBatch). 1 degenerates to row-at-a-time through the batch API.
+  /// Capacity of the batches the root is pulled with (see RowBatch). 1
+  /// runs the whole plan one row at a time through the batch API.
   size_t batch_size() const { return batch_size_; }
   void set_batch_size(size_t n) { batch_size_ = n == 0 ? 1 : n; }
 
@@ -171,7 +171,7 @@ class ExecContext {
   bool profiling() const { return profiling_; }
   void set_profiling(bool on) { profiling_ = on; }
 
-  /// Profiler-only stack of operators currently inside their Open/Next/
+  /// Profiler-only stack of operators currently inside their Open/
   /// NextBatch/Close entry point. The top entry below `this` is the
   /// operator that pulled, which is how each operator's rows_in is credited
   /// independently of its children's rows_out (the fuzzer asserts the two

@@ -32,15 +32,6 @@ Status FilterOp::OpenImpl(ExecContext* ctx) {
   return child_->Open(ctx);
 }
 
-Result<bool> FilterOp::NextImpl(ExecContext* ctx, Row* out) {
-  while (true) {
-    ASSIGN_OR_RETURN(bool has, child_->Next(ctx, out));
-    if (!has) return false;
-    ASSIGN_OR_RETURN(bool pass, EvalPredicate(*predicate_, *out, *ctx->eval()));
-    if (pass) return true;
-  }
-}
-
 Result<bool> FilterOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
   out->Clear();
   if (child_batch_.capacity() != out->capacity()) {
@@ -48,7 +39,7 @@ Result<bool> FilterOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
   }
   // Pull child batches until some row survives the predicate (or EOS). The
   // batch predicate evaluation plus the selection pass replace one virtual
-  // Next and one recursive Eval per input row.
+  // call and one recursive Eval per input row.
   while (out->empty()) {
     ASSIGN_OR_RETURN(bool has, child_->NextBatch(ctx, &child_batch_));
     if (!has) return false;
@@ -129,19 +120,6 @@ Status ProjectOp::OpenImpl(ExecContext* ctx) {
   profile_.expr_instructions = instructions;
   profile_.expr_fallback = fallback_reason_;
   return child_->Open(ctx);
-}
-
-Result<bool> ProjectOp::NextImpl(ExecContext* ctx, Row* out) {
-  Row in;
-  ASSIGN_OR_RETURN(bool has, child_->Next(ctx, &in));
-  if (!has) return false;
-  out->clear();
-  out->reserve(exprs_.size());
-  for (const ExprPtr& e : exprs_) {
-    ASSIGN_OR_RETURN(Value v, e->Eval(in, *ctx->eval()));
-    out->push_back(std::move(v));
-  }
-  return true;
 }
 
 Result<bool> ProjectOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
@@ -324,13 +302,6 @@ Result<bool> SortOp::MergeNext(Row* out) {
     return true;
   }
   *out = std::move(rows_[pos_++]);
-  return true;
-}
-
-Result<bool> SortOp::NextImpl(ExecContext*, Row* out) {
-  if (spilled_) return MergeNext(out);
-  if (pos_ >= rows_.size()) return false;
-  *out = rows_[pos_++];
   return true;
 }
 

@@ -15,13 +15,11 @@ namespace gapply {
 
 /// Emits input rows whose predicate evaluates to TRUE (NULL rejects).
 ///
-/// The batch path evaluates the predicate with the configured expression
-/// engine (set_expr_engine, stamped by lowering): under bytecode the
-/// predicate is compiled once at first Open into an ExprProgram producing
-/// keep flags column-at-a-time, falling back to the interpreter — with the
-/// compiler's reason recorded in the runtime profile — when a node is
-/// unsupported. The row path always interprets (it exists as the
-/// vectorization baseline).
+/// The predicate is evaluated with the configured expression engine
+/// (set_expr_engine, stamped by lowering): under bytecode it is compiled
+/// once at first Open into an ExprProgram producing keep flags
+/// column-at-a-time, falling back to the interpreter — with the compiler's
+/// reason recorded in the runtime profile — when a node is unsupported.
 class FilterOp : public PhysOp {
  public:
   FilterOp(PhysOpPtr child, ExprPtr predicate);
@@ -29,7 +27,6 @@ class FilterOp : public PhysOp {
   void set_expr_engine(ExprEngine engine) { expr_engine_ = engine; }
 
   Status OpenImpl(ExecContext* ctx) override;
-  Result<bool> NextImpl(ExecContext* ctx, Row* out) override;
   Result<bool> NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
   Status CloseImpl(ExecContext* ctx) override;
   std::string DebugName() const override;
@@ -69,7 +66,6 @@ class ProjectOp : public PhysOp {
   void set_expr_engine(ExprEngine engine) { expr_engine_ = engine; }
 
   Status OpenImpl(ExecContext* ctx) override;
-  Result<bool> NextImpl(ExecContext* ctx, Row* out) override;
   Result<bool> NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
   Status CloseImpl(ExecContext* ctx) override;
   std::string DebugName() const override;
@@ -118,7 +114,6 @@ class SortOp : public PhysOp {
   SortOp(PhysOpPtr child, std::vector<SortKey> keys);
 
   Status OpenImpl(ExecContext* ctx) override;
-  Result<bool> NextImpl(ExecContext* ctx, Row* out) override;
   Result<bool> NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
   Status CloseImpl(ExecContext* ctx) override;
   std::string DebugName() const override;

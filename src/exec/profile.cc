@@ -67,8 +67,7 @@ void RenderTo(const ProfileNode& node, const ProfileRenderOptions& options,
     if (node.profile.batches_out > 0) {
       *out += " batches=" + std::to_string(node.profile.batches_out);
     }
-    *out += " calls=" +
-            std::to_string(node.profile.next_calls + node.profile.batch_calls);
+    *out += " calls=" + std::to_string(node.profile.batch_calls);
     if (node.profile.workers_merged > 0) {
       *out += " workers=" + std::to_string(node.profile.workers_merged);
     }
@@ -130,8 +129,6 @@ JsonValue ProfileToJson(const ProfileNode& node) {
   obj.Set("batches_out",
           JsonValue::Int(static_cast<int64_t>(node.profile.batches_out)));
   obj.Set("opens", JsonValue::Int(static_cast<int64_t>(node.profile.opens)));
-  obj.Set("next_calls",
-          JsonValue::Int(static_cast<int64_t>(node.profile.next_calls)));
   obj.Set("batch_calls",
           JsonValue::Int(static_cast<int64_t>(node.profile.batch_calls)));
   obj.Set("workers_merged",

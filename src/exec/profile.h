@@ -50,8 +50,8 @@ std::string RenderProfileText(const ProfileNode& node,
 /// EXPLAIN (ANALYZE, FORMAT JSON), tools/gapply_profile, and every bench's
 /// BENCH_*.json "profiles" section:
 ///   {"op": ..., "dop": ..., "estimated_rows": ...?, "rows_out": ...,
-///    "rows_in": ..., "batches_out": ..., "opens": ..., "next_calls": ...,
-///    "batch_calls": ..., "workers_merged": ..., "total_ns": ...,
+///    "rows_in": ..., "batches_out": ..., "opens": ..., "batch_calls": ...,
+///    "workers_merged": ..., "total_ns": ...,
 ///    "self_ns": ..., "open_ns": ..., "next_ns": ..., "close_ns": ...,
 ///    "phases": {...}, "children": [...]}
 JsonValue ProfileToJson(const ProfileNode& node);

@@ -84,33 +84,10 @@ void TableScanOp::SkipPrunedChunks(ExecContext* ctx, size_t end) {
   }
 }
 
-Result<bool> TableScanOp::NextImpl(ExecContext* ctx, Row* out) {
+Result<bool> TableScanOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
   // No pushed predicates: the dense arrays buy nothing over the row store
   // (the streams are bit-for-bit identical), so both storage modes take the
   // row-store copy and never force the columnar mirror to materialize.
-  if (preds_.empty()) {
-    if (pos_ >= end_) return false;
-    *out = table_->rows()[pos_++];
-    ctx->counters().rows_scanned++;
-    return true;
-  }
-  const ColumnarTable& ct = table_->columnar();
-  const size_t end = std::min(end_, ct.num_rows());
-  while (pos_ < end) {
-    SkipPrunedChunks(ctx, end);
-    if (pos_ >= end) break;
-    const size_t i = pos_++;
-    if (compiled_.empty() || ct.RowMatches(i, compiled_)) {
-      ct.MaterializeRow(i, out);
-      ctx->counters().rows_scanned++;
-      return true;
-    }
-  }
-  return false;
-}
-
-Result<bool> TableScanOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
-  // Same predicate-free fast path as NextImpl.
   if (preds_.empty()) {
     const std::vector<Row>& rows = table_->rows();
     if (!ScanIntoBatch(rows.data(), rows.size(), &pos_, end_, out)) {
@@ -200,14 +177,6 @@ Status GroupScanOp::OpenImpl(ExecContext* ctx) {
   return Status::OK();
 }
 
-Result<bool> GroupScanOp::NextImpl(ExecContext* ctx, Row* out) {
-  if (!open_) return Status::Internal("GroupScan not opened");
-  if (pos_ >= end_) return false;
-  *out = rows_[pos_++];
-  ctx->counters().group_rows_scanned++;
-  return true;
-}
-
 Result<bool> GroupScanOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
   if (!open_) return Status::Internal("GroupScan not opened");
   if (!ScanIntoBatch(rows_, end_, &pos_, end_, out)) return false;
@@ -236,12 +205,6 @@ ValuesOp::ValuesOp(Schema schema, std::vector<Row> rows)
 Status ValuesOp::OpenImpl(ExecContext*) {
   pos_ = 0;
   return Status::OK();
-}
-
-Result<bool> ValuesOp::NextImpl(ExecContext*, Row* out) {
-  if (pos_ >= rows_.size()) return false;
-  *out = rows_[pos_++];
-  return true;
 }
 
 Result<bool> ValuesOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {

@@ -39,7 +39,6 @@ class TableScanOp : public PhysOp {
   explicit TableScanOp(const Table* table, std::string alias = "");
 
   Status OpenImpl(ExecContext* ctx) override;
-  Result<bool> NextImpl(ExecContext* ctx, Row* out) override;
   Result<bool> NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
   Status CloseImpl(ExecContext* ctx) override;
   std::string DebugName() const override;
@@ -118,7 +117,6 @@ class GroupScanOp : public PhysOp {
   GroupScanOp(std::string var_name, Schema schema);
 
   Status OpenImpl(ExecContext* ctx) override;
-  Result<bool> NextImpl(ExecContext* ctx, Row* out) override;
   Result<bool> NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
   Status CloseImpl(ExecContext* ctx) override;
   std::string DebugName() const override;
@@ -140,7 +138,6 @@ class ValuesOp : public PhysOp {
   ValuesOp(Schema schema, std::vector<Row> rows);
 
   Status OpenImpl(ExecContext* ctx) override;
-  Result<bool> NextImpl(ExecContext* ctx, Row* out) override;
   Result<bool> NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
   Status CloseImpl(ExecContext* ctx) override;
   std::string DebugName() const override;

@@ -69,7 +69,6 @@ std::string ExecSpec::Key() const {
          : lowering.expr_engine == ExprEngine::kBytecode ? "b"
                                                          : "i";
   key += ";b=" + std::to_string(batch_size);
-  key += row_path ? ";rows" : ";vec";
   if (profile) key += ";prof";
   if (memory_budget > 0) key += ";mb=" + std::to_string(memory_budget);
   return key;
@@ -117,23 +116,20 @@ std::vector<OraclePair> BuildOracleMatrix(const OracleMatrixOptions& options) {
                        CompareMode::kMultiset});
   }
 
-  ExecSpec rows = base;
-  rows.name = "exec:row-path";
-  rows.row_path = true;
-  oracles.push_back({"exec:batch-vs-row", base, rows, CompareMode::kMultiset});
-
-  ExecSpec full_rows = full;
-  full_rows.name = "optimizer:full,row-path";
-  full_rows.row_path = true;
-  oracles.push_back({"exec:batch-vs-row-optimized", full, full_rows,
-                     CompareMode::kMultiset});
-
+  // Batch-size sweep: batch 1 runs every operator one row at a time
+  // through the batch API, the reference the default batch is held to.
   for (size_t b : {size_t{1}, size_t{3}}) {
     ExecSpec s = base;
     s.name = "exec:batch=" + std::to_string(b);
     s.batch_size = b;
     oracles.push_back({s.name, base, s, CompareMode::kMultiset});
   }
+
+  ExecSpec full_single = full;
+  full_single.name = "optimizer:full,batch=1";
+  full_single.batch_size = 1;
+  oracles.push_back({"exec:batch=1-optimized", full, full_single,
+                     CompareMode::kMultiset});
 
   // DOP sweep: the engine promises bit-for-bit identity with the serial
   // run at any DOP, so this one is a sequence comparison.
@@ -297,9 +293,7 @@ Result<QueryResult> RunSpec(const LogicalOp& plan, const Catalog& catalog,
     ctx.set_memory(&memory);
     ctx.set_spill(spill.get());
   }
-  Result<QueryResult> result = spec.row_path
-                                   ? ExecuteToVectorRows(phys.get(), &ctx)
-                                   : ExecuteToVector(phys.get(), &ctx);
+  Result<QueryResult> result = ExecuteToVector(phys.get(), &ctx);
   if (result.ok() && spec.profile) {
     RETURN_NOT_OK(ValidateProfile(CollectProfile(*phys)));
   }

@@ -15,7 +15,7 @@
 namespace gapply::fuzz {
 
 /// One execution configuration: optimizer settings + lowering knobs +
-/// batch size + which executor loop drives the root.
+/// batch size.
 struct ExecSpec {
   std::string name;
   /// Run the optimizer over a clone of the plan first.
@@ -23,8 +23,6 @@ struct ExecSpec {
   Optimizer::Options opt;
   LoweringOptions lowering;
   size_t batch_size = 1024;
-  /// Drive the root through ExecuteToVectorRows instead of ExecuteToVector.
-  bool row_path = false;
   /// Execute with per-operator profiling on and assert the profile counter
   /// invariants (ValidateProfile) after a successful run: rows_in must
   /// equal the children's rows_out, cumulative time must cover self time.
@@ -72,7 +70,7 @@ struct OracleMatrixOptions {
 };
 
 /// The full oracle matrix: per-rule opt-vs-unopt, full optimizer (gated
-/// and ungated), batch-vs-row, batch-size sweep, DOP×batch, sort-vs-hash
+/// and ungated), batch-size sweep (raw and optimized), DOP×batch, sort-vs-hash
 /// GApply partitioning, hash-vs-stream aggregation, and tiny-budget
 /// spill-vs-unlimited (serial and parallel).
 std::vector<OraclePair> BuildOracleMatrix(const OracleMatrixOptions& options);

@@ -1,6 +1,7 @@
 #include "src/sql/parser.h"
 
 #include <set>
+#include <string>
 
 #include "src/sql/lexer.h"
 
@@ -74,6 +75,31 @@ class Parser {
     return Status::OK();
   }
 
+  // --- nesting -------------------------------------------------------------
+
+  // Each nested query, parenthesized expression and NOT / unary-minus chain
+  // link descends one level of recursive descent. Past this depth the
+  // parser refuses the input instead of exhausting the stack.
+  static constexpr int kMaxNestingDepth = 256;
+
+  // One nesting level, held for the duration of a recursive parse call.
+  class NestingLevel {
+   public:
+    explicit NestingLevel(int* depth) : depth_(depth) { ++*depth_; }
+    ~NestingLevel() { --*depth_; }
+    NestingLevel(const NestingLevel&) = delete;
+    NestingLevel& operator=(const NestingLevel&) = delete;
+
+   private:
+    int* depth_;
+  };
+
+  Status CheckNesting() const {
+    if (depth_ <= kMaxNestingDepth) return Status::OK();
+    return Error("nesting exceeds " + std::to_string(kMaxNestingDepth) +
+                 " levels");
+  }
+
   Status Error(const std::string& message) const {
     const Token& t = Peek();
     std::string got = t.type == TokenType::kEnd ? "end of input"
@@ -96,6 +122,8 @@ class Parser {
   // --- grammar ------------------------------------------------------------
 
   Result<QueryPtr> ParseQuery() {
+    NestingLevel level(&depth_);
+    RETURN_NOT_OK(CheckNesting());
     auto query = std::make_unique<Query>();
     ASSIGN_OR_RETURN(auto first, ParseSelect());
     query->branches.push_back(std::move(first));
@@ -218,6 +246,8 @@ class Parser {
 
   Result<SqlExprPtr> ParseNot() {
     if (AcceptKeyword("not")) {
+      NestingLevel level(&depth_);
+      RETURN_NOT_OK(CheckNesting());
       // `not exists (...)` folds into the exists node.
       if (PeekKeyword("exists")) {
         ASSIGN_OR_RETURN(SqlExprPtr e, ParseComparison());
@@ -297,6 +327,8 @@ class Parser {
   }
 
   Result<SqlExprPtr> ParseUnary() {
+    NestingLevel level(&depth_);
+    RETURN_NOT_OK(CheckNesting());
     if (AcceptSymbol("-")) {
       ASSIGN_OR_RETURN(SqlExprPtr child, ParseUnary());
       return MakeUnary(UnaryOp::kNegate, std::move(child));
@@ -409,6 +441,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

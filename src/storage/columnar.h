@@ -161,7 +161,8 @@ class ColumnarTable {
                    std::vector<uint32_t>* selection) const;
 
   /// True iff row `i` satisfies every compiled predicate; NULL rejects.
-  /// Row-at-a-time twin of FilterRange.
+  /// Row-at-a-time twin of FilterRange, kept as the reference its tests
+  /// compare against.
   bool RowMatches(size_t i,
                   const std::vector<CompiledPredicate>& preds) const;
 

@@ -114,7 +114,7 @@ TEST(JsonTest, ProfileSchemaRoundTrips) {
   while (node != nullptr) {
     for (const char* key :
          {"op", "dop", "rows_out", "rows_in", "batches_out", "opens",
-          "next_calls", "batch_calls", "workers_merged", "total_ns",
+          "batch_calls", "workers_merged", "total_ns",
           "self_ns", "open_ns", "next_ns", "close_ns", "phases",
           "children"}) {
       EXPECT_NE(node->Find(key), nullptr)

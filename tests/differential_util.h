@@ -13,8 +13,8 @@
 // The determinism contract the matrices encode:
 //   - changing DOP or batch size must not change the output *sequence*
 //     (bit-for-bit bar — use ExpectSameSequence);
-//   - changing physical strategy (sort vs hash partitioning, row vs batch
-//     drive at dop=1) must preserve the output *multiset*
+//   - changing physical strategy (sort vs hash partitioning, hash vs
+//     stream aggregation) must preserve the output *multiset*
 //     (use ExpectSameMultiset).
 
 #include <cstddef>
@@ -29,7 +29,7 @@
 
 namespace gapply::tutil {
 
-/// Batch sizes every batch-vs-row differential sweeps: degenerate (1),
+/// Batch sizes every batch differential sweeps: degenerate (1),
 /// straddling (3, forces mid-group batch boundaries), and default (1024).
 inline constexpr size_t kDiffBatchSizes[] = {1, 3, 1024};
 

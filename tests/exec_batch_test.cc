@@ -1,13 +1,19 @@
-// Differential tests for the vectorized execution layer: every operator
-// with a native NextBatch must produce, for every batch size, exactly what
-// the row-at-a-time Next path produces — the same multiset always, and the
-// same sequence where the operator promises an order (Sort, StreamGroupBy,
-// parallel GApply's bit-for-bit guarantee).
+// Differential tests for the batch execution layer: every operator must
+// produce, at every batch size, exactly the rows a plain std:: loop over the
+// generated input computes — the same multiset always, and the same
+// sequence where the operator promises an order (Sort, StreamGroupBy,
+// Apply, GApply's gid order). The references share no code with the
+// operators under test. Every emitted batch is also held to the hard
+// capacity bound.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <map>
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -34,35 +40,40 @@ using tutil::MakeTable;
 using tutil::RandomGroupedRows;
 using tutil::kDiffBatchSizes;
 
-std::vector<Row> RunRowPath(PhysOp* root) {
-  ExecContext ctx;
-  Result<QueryResult> r = ExecuteToVectorRows(root, &ctx);
-  EXPECT_TRUE(r.ok()) << (r.ok() ? "" : r.status().ToString());
-  return r.ok() ? std::move(r)->rows : std::vector<Row>{};
-}
-
+// Drives `root` batch by batch at `batch_size`, checking every batch
+// against its capacity.
 std::vector<Row> RunBatchPath(PhysOp* root, size_t batch_size,
                               ExecContext::Counters* counters = nullptr) {
   ExecContext ctx;
   ctx.set_batch_size(batch_size);
-  Result<QueryResult> r = ExecuteToVector(root, &ctx);
-  EXPECT_TRUE(r.ok()) << (r.ok() ? "" : r.status().ToString());
+  std::vector<Row> rows;
+  Status open = root->Open(&ctx);
+  EXPECT_TRUE(open.ok()) << open.ToString();
+  if (!open.ok()) return rows;
+  RowBatch batch(batch_size);
+  while (true) {
+    Result<bool> more = root->NextBatch(&ctx, &batch);
+    EXPECT_TRUE(more.ok()) << (more.ok() ? "" : more.status().ToString());
+    if (!more.ok() || !*more) break;
+    EXPECT_LE(batch.size(), batch.capacity()) << root->DebugName();
+    for (Row& row : batch.rows()) rows.push_back(std::move(row));
+  }
+  Status close = root->Close(&ctx);
+  EXPECT_TRUE(close.ok()) << close.ToString();
   if (counters != nullptr) *counters = ctx.counters();
-  return r.ok() ? std::move(r)->rows : std::vector<Row>{};
+  return rows;
 }
 
 using PlanBuilder = std::function<PhysOpPtr()>;
 
-// Executes fresh plans from `build` through both paths and compares. A
-// fresh plan per run keeps operator state strictly per-execution, so the
-// row run can never leak buffered batches into the batch run.
-void ExpectBatchMatchesRows(const PlanBuilder& build,
-                            bool ordered = false) {
-  PhysOpPtr row_plan = build();
-  const std::vector<Row> expected = RunRowPath(row_plan.get());
+// Executes a fresh plan from `build` at every batch size and compares it
+// with `expected`.
+void ExpectBatchesMatch(const PlanBuilder& build,
+                        const std::vector<Row>& expected,
+                        bool ordered = false) {
   for (size_t bs : kDiffBatchSizes) {
-    PhysOpPtr batch_plan = build();
-    const std::vector<Row> got = RunBatchPath(batch_plan.get(), bs);
+    PhysOpPtr plan = build();
+    const std::vector<Row> got = RunBatchPath(plan.get(), bs);
     const std::string label = "batch_size=" + std::to_string(bs);
     if (ordered) {
       tutil::ExpectSameSequence(got, expected, label);
@@ -72,114 +83,294 @@ void ExpectBatchMatchesRows(const PlanBuilder& build,
   }
 }
 
+// --- std:: reference helpers over GroupedSchema rows (k, v, d) ----------
+
+int64_t K(const Row& row) { return row[0].int_val(); }
+bool HasV(const Row& row) { return !row[1].is_null(); }
+int64_t V(const Row& row) { return row[1].int_val(); }
+double D(const Row& row) { return row[2].double_val(); }
+
+Row Concat(const Row& a, const Row& b) {
+  Row out = a;
+  out.insert(out.end(), b.begin(), b.end());
+  return out;
+}
+
+// count(*), sum(v), avg(d) over `rows`, as SQL defines them (sum over no
+// non-NULL v is NULL).
+Row CountSumAvg(const std::vector<Row>& rows) {
+  int64_t sum = 0;
+  bool any_v = false;
+  double dsum = 0;
+  for (const Row& row : rows) {
+    if (HasV(row)) {
+      sum += V(row);
+      any_v = true;
+    }
+    dsum += D(row);
+  }
+  return {Value::Int(static_cast<int64_t>(rows.size())),
+          any_v ? Value::Int(sum) : Value::Null(),
+          rows.empty()
+              ? Value::Null()
+              : Value::Double(dsum / static_cast<double>(rows.size()))};
+}
+
+// Rows grouped on k, groups in first-appearance order, each group's rows
+// in input order.
+std::vector<std::pair<int64_t, std::vector<Row>>> GroupByK(
+    const std::vector<Row>& rows) {
+  std::vector<std::pair<int64_t, std::vector<Row>>> groups;
+  std::map<int64_t, size_t> index;
+  for (const Row& row : rows) {
+    auto [it, inserted] = index.try_emplace(K(row), groups.size());
+    if (inserted) groups.push_back({K(row), {}});
+    groups[it->second].second.push_back(row);
+  }
+  return groups;
+}
+
 class BatchDifferentialTest : public ::testing::Test {
  protected:
   void SetUp() override {
     Rng rng(42);
-    table_ = MakeTable("t", GroupedSchema(),
-                       RandomGroupedRows(&rng, 500, 17, /*null_fraction=*/0.1));
+    rows_ = RandomGroupedRows(&rng, 500, 17, /*null_fraction=*/0.1);
+    table_ = MakeTable("t", GroupedSchema(), rows_);
     Rng rng2(43);
-    dim_ = MakeTable("dim", GroupedSchema(), RandomGroupedRows(&rng2, 60, 17));
+    dim_rows_ = RandomGroupedRows(&rng2, 60, 17);
+    dim_ = MakeTable("dim", GroupedSchema(), dim_rows_);
   }
 
+  std::vector<Row> rows_;
+  std::vector<Row> dim_rows_;
   std::unique_ptr<Table> table_;
   std::unique_ptr<Table> dim_;
 };
 
 TEST_F(BatchDifferentialTest, TableScan) {
-  ExpectBatchMatchesRows([this] {
-    return std::make_unique<TableScanOp>(table_.get());
-  });
-}
-
-TEST_F(BatchDifferentialTest, Filter) {
-  ExpectBatchMatchesRows([this]() -> PhysOpPtr {
-    auto scan = std::make_unique<TableScanOp>(table_.get());
-    const Schema s = scan->output_schema();
-    return std::make_unique<FilterOp>(
-        std::move(scan), Gt(Col(s, "v"), Lit(int64_t{50})));
-  });
-}
-
-TEST_F(BatchDifferentialTest, Project) {
-  ExpectBatchMatchesRows([this]() -> PhysOpPtr {
-    auto scan = std::make_unique<TableScanOp>(table_.get());
-    const Schema s = scan->output_schema();
-    std::vector<ExprPtr> exprs;
-    exprs.push_back(Col(s, "k"));
-    exprs.push_back(Binary(BinaryOp::kAdd, Col(s, "v"), Lit(int64_t{7})));
-    exprs.push_back(Binary(BinaryOp::kMultiply, Col(s, "d"), Lit(2.0)));
-    Result<PhysOpPtr> p =
-        ProjectOp::Make(std::move(scan), std::move(exprs), {"k", "v7", "d2"});
-    EXPECT_TRUE(p.ok());
-    return std::move(p).value();
-  });
-}
-
-TEST_F(BatchDifferentialTest, FilterThenProject) {
-  ExpectBatchMatchesRows([this]() -> PhysOpPtr {
-    auto scan = std::make_unique<TableScanOp>(table_.get());
-    const Schema s = scan->output_schema();
-    auto filter = std::make_unique<FilterOp>(
-        std::move(scan), Le(Col(s, "v"), Lit(int64_t{80})));
-    std::vector<ExprPtr> exprs;
-    exprs.push_back(Binary(BinaryOp::kSubtract, Col(s, "v"), Col(s, "k")));
-    Result<PhysOpPtr> p =
-        ProjectOp::Make(std::move(filter), std::move(exprs), {"vk"});
-    EXPECT_TRUE(p.ok());
-    return std::move(p).value();
-  });
-}
-
-TEST_F(BatchDifferentialTest, SortIsOrderPreserving) {
-  ExpectBatchMatchesRows(
-      [this]() -> PhysOpPtr {
-        auto scan = std::make_unique<TableScanOp>(table_.get());
-        return std::make_unique<SortOp>(
-            std::move(scan),
-            std::vector<SortKey>{{0, true}, {1, false}});
-      },
+  ExpectBatchesMatch(
+      [this] { return std::make_unique<TableScanOp>(table_.get()); }, rows_,
       /*ordered=*/true);
 }
 
+TEST_F(BatchDifferentialTest, Filter) {
+  std::vector<Row> expected;
+  for (const Row& row : rows_) {
+    if (HasV(row) && V(row) > 50) expected.push_back(row);
+  }
+  ExpectBatchesMatch(
+      [this]() -> PhysOpPtr {
+        auto scan = std::make_unique<TableScanOp>(table_.get());
+        const Schema s = scan->output_schema();
+        return std::make_unique<FilterOp>(
+            std::move(scan), Gt(Col(s, "v"), Lit(int64_t{50})));
+      },
+      expected);
+}
+
+TEST_F(BatchDifferentialTest, Project) {
+  std::vector<Row> expected;
+  for (const Row& row : rows_) {
+    expected.push_back({row[0], HasV(row) ? Value::Int(V(row) + 7) : Value(),
+                        Value::Double(D(row) * 2.0)});
+  }
+  ExpectBatchesMatch(
+      [this]() -> PhysOpPtr {
+        auto scan = std::make_unique<TableScanOp>(table_.get());
+        const Schema s = scan->output_schema();
+        std::vector<ExprPtr> exprs;
+        exprs.push_back(Col(s, "k"));
+        exprs.push_back(Binary(BinaryOp::kAdd, Col(s, "v"), Lit(int64_t{7})));
+        exprs.push_back(Binary(BinaryOp::kMultiply, Col(s, "d"), Lit(2.0)));
+        Result<PhysOpPtr> p = ProjectOp::Make(std::move(scan),
+                                              std::move(exprs),
+                                              {"k", "v7", "d2"});
+        EXPECT_TRUE(p.ok());
+        return std::move(p).value();
+      },
+      expected);
+}
+
+TEST_F(BatchDifferentialTest, FilterThenProject) {
+  std::vector<Row> expected;
+  for (const Row& row : rows_) {
+    if (HasV(row) && V(row) <= 80) {
+      expected.push_back({Value::Int(V(row) - K(row))});
+    }
+  }
+  ExpectBatchesMatch(
+      [this]() -> PhysOpPtr {
+        auto scan = std::make_unique<TableScanOp>(table_.get());
+        const Schema s = scan->output_schema();
+        auto filter = std::make_unique<FilterOp>(
+            std::move(scan), Le(Col(s, "v"), Lit(int64_t{80})));
+        std::vector<ExprPtr> exprs;
+        exprs.push_back(Binary(BinaryOp::kSubtract, Col(s, "v"), Col(s, "k")));
+        Result<PhysOpPtr> p =
+            ProjectOp::Make(std::move(filter), std::move(exprs), {"vk"});
+        EXPECT_TRUE(p.ok());
+        return std::move(p).value();
+      },
+      expected);
+}
+
+TEST_F(BatchDifferentialTest, SortIsOrderPreserving) {
+  // k ascending, then v descending with NULL sorting lowest (so last);
+  // ties keep input order.
+  std::vector<Row> expected = rows_;
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const Row& a, const Row& b) {
+                     if (K(a) != K(b)) return K(a) < K(b);
+                     if (HasV(a) != HasV(b)) return HasV(a);
+                     return HasV(a) && V(a) > V(b);
+                   });
+  ExpectBatchesMatch(
+      [this]() -> PhysOpPtr {
+        auto scan = std::make_unique<TableScanOp>(table_.get());
+        return std::make_unique<SortOp>(
+            std::move(scan), std::vector<SortKey>{{0, true}, {1, false}});
+      },
+      expected, /*ordered=*/true);
+}
+
 TEST_F(BatchDifferentialTest, HashJoin) {
-  ExpectBatchMatchesRows([this]() -> PhysOpPtr {
-    auto probe = std::make_unique<TableScanOp>(table_.get());
-    auto build = std::make_unique<TableScanOp>(dim_.get());
-    return std::make_unique<HashJoinOp>(std::move(probe), std::move(build),
-                                        std::vector<int>{0},
-                                        std::vector<int>{0});
-  });
+  std::vector<Row> expected;
+  for (const Row& probe : rows_) {
+    for (const Row& build : dim_rows_) {
+      if (K(probe) == K(build)) expected.push_back(Concat(probe, build));
+    }
+  }
+  ExpectBatchesMatch(
+      [this]() -> PhysOpPtr {
+        auto probe = std::make_unique<TableScanOp>(table_.get());
+        auto build = std::make_unique<TableScanOp>(dim_.get());
+        return std::make_unique<HashJoinOp>(std::move(probe), std::move(build),
+                                            std::vector<int>{0},
+                                            std::vector<int>{0});
+      },
+      expected);
 }
 
 TEST_F(BatchDifferentialTest, HashJoinWithResidual) {
-  ExpectBatchMatchesRows([this]() -> PhysOpPtr {
-    auto probe = std::make_unique<TableScanOp>(table_.get());
-    auto build = std::make_unique<TableScanOp>(dim_.get());
-    const Schema joined =
-        Schema::Concat(probe->output_schema(), build->output_schema());
-    return std::make_unique<HashJoinOp>(
-        std::move(probe), std::move(build), std::vector<int>{0},
-        std::vector<int>{0}, Lt(Col(joined, 1), Col(joined, 4)));
-  });
+  std::vector<Row> expected;
+  for (const Row& probe : rows_) {
+    for (const Row& build : dim_rows_) {
+      if (K(probe) == K(build) && HasV(probe) && V(probe) < V(build)) {
+        expected.push_back(Concat(probe, build));
+      }
+    }
+  }
+  ExpectBatchesMatch(
+      [this]() -> PhysOpPtr {
+        auto probe = std::make_unique<TableScanOp>(table_.get());
+        auto build = std::make_unique<TableScanOp>(dim_.get());
+        const Schema joined =
+            Schema::Concat(probe->output_schema(), build->output_schema());
+        return std::make_unique<HashJoinOp>(
+            std::move(probe), std::move(build), std::vector<int>{0},
+            std::vector<int>{0}, Lt(Col(joined, 1), Col(joined, 4)));
+      },
+      expected);
+}
+
+TEST_F(BatchDifferentialTest, NestedLoopJoin) {
+  std::vector<Row> expected;
+  for (const Row& left : rows_) {
+    for (const Row& right : dim_rows_) {
+      if (HasV(left) && V(left) + K(right) == V(right)) {
+        expected.push_back(Concat(left, right));
+      }
+    }
+  }
+  ExpectBatchesMatch(
+      [this]() -> PhysOpPtr {
+        auto left = std::make_unique<TableScanOp>(table_.get());
+        auto right = std::make_unique<TableScanOp>(dim_.get());
+        const Schema joined =
+            Schema::Concat(left->output_schema(), right->output_schema());
+        return std::make_unique<NestedLoopJoinOp>(
+            std::move(left), std::move(right),
+            Eq(Binary(BinaryOp::kAdd, Col(joined, 1), Col(joined, 3)),
+               Col(joined, 4)));
+      },
+      expected, /*ordered=*/true);
+}
+
+TEST_F(BatchDifferentialTest, CorrelatedApply) {
+  // Per outer row, the dim rows sharing its k, in dim order.
+  std::vector<Row> expected;
+  for (const Row& outer : rows_) {
+    for (const Row& inner : dim_rows_) {
+      if (K(inner) == K(outer)) expected.push_back(Concat(outer, inner));
+    }
+  }
+  ExpectBatchesMatch(
+      [this]() -> PhysOpPtr {
+        auto outer = std::make_unique<TableScanOp>(table_.get());
+        auto inner = std::make_unique<TableScanOp>(dim_.get());
+        const Schema is = inner->output_schema();
+        auto filter = std::make_unique<FilterOp>(
+            std::move(inner),
+            Eq(Col(is, "k"), std::make_unique<CorrelatedColumnRefExpr>(
+                                 0, 0, TypeId::kInt64, "t.k")));
+        return std::make_unique<ApplyOp>(std::move(outer), std::move(filter));
+      },
+      expected, /*ordered=*/true);
+}
+
+TEST_F(BatchDifferentialTest, ApplyWithCachedInner) {
+  std::vector<Row> inner_rows;
+  for (const Row& inner : dim_rows_) {
+    if (V(inner) > 90) inner_rows.push_back(inner);
+  }
+  std::vector<Row> expected;
+  for (const Row& outer : rows_) {
+    for (const Row& inner : inner_rows) {
+      expected.push_back(Concat(outer, inner));
+    }
+  }
+  ExpectBatchesMatch(
+      [this]() -> PhysOpPtr {
+        auto outer = std::make_unique<TableScanOp>(table_.get());
+        auto inner = std::make_unique<TableScanOp>(dim_.get());
+        const Schema is = inner->output_schema();
+        auto filter = std::make_unique<FilterOp>(
+            std::move(inner), Gt(Col(is, "v"), Lit(int64_t{90})));
+        return std::make_unique<ApplyOp>(std::move(outer), std::move(filter),
+                                         /*cache_uncorrelated_inner=*/true);
+      },
+      expected, /*ordered=*/true);
 }
 
 TEST_F(BatchDifferentialTest, HashGroupBy) {
-  ExpectBatchMatchesRows([this]() -> PhysOpPtr {
-    auto scan = std::make_unique<TableScanOp>(table_.get());
-    const Schema s = scan->output_schema();
-    std::vector<AggregateDesc> aggs;
-    aggs.push_back(CountStar("cnt"));
-    aggs.push_back(Sum(Col(s, "v"), "sum_v"));
-    aggs.push_back(Avg(Col(s, "d"), "avg_d"));
-    return std::make_unique<HashGroupByOp>(std::move(scan),
-                                           std::vector<int>{0},
-                                           std::move(aggs));
-  });
+  std::vector<Row> expected;
+  for (const auto& [k, group] : GroupByK(rows_)) {
+    expected.push_back(Concat({Value::Int(k)}, CountSumAvg(group)));
+  }
+  ExpectBatchesMatch(
+      [this]() -> PhysOpPtr {
+        auto scan = std::make_unique<TableScanOp>(table_.get());
+        const Schema s = scan->output_schema();
+        std::vector<AggregateDesc> aggs;
+        aggs.push_back(CountStar("cnt"));
+        aggs.push_back(Sum(Col(s, "v"), "sum_v"));
+        aggs.push_back(Avg(Col(s, "d"), "avg_d"));
+        return std::make_unique<HashGroupByOp>(
+            std::move(scan), std::vector<int>{0}, std::move(aggs));
+      },
+      expected);
 }
 
 TEST_F(BatchDifferentialTest, StreamGroupByOverSortedInput) {
-  ExpectBatchMatchesRows(
+  std::vector<Row> expected;
+  std::vector<std::pair<int64_t, std::vector<Row>>> groups = GroupByK(rows_);
+  std::sort(groups.begin(), groups.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (const auto& [k, group] : groups) {
+    Row agg = CountSumAvg(group);
+    expected.push_back({Value::Int(k), agg[0], agg[1]});
+  }
+  ExpectBatchesMatch(
       [this]() -> PhysOpPtr {
         auto scan = std::make_unique<TableScanOp>(table_.get());
         const Schema s = scan->output_schema();
@@ -191,51 +382,69 @@ TEST_F(BatchDifferentialTest, StreamGroupByOverSortedInput) {
         return std::make_unique<StreamGroupByOp>(
             std::move(sort), std::vector<int>{0}, std::move(aggs));
       },
-      /*ordered=*/true);
+      expected, /*ordered=*/true);
 }
 
 TEST_F(BatchDifferentialTest, ScalarAgg) {
-  ExpectBatchMatchesRows([this]() -> PhysOpPtr {
-    auto scan = std::make_unique<TableScanOp>(table_.get());
-    const Schema s = scan->output_schema();
-    std::vector<AggregateDesc> aggs;
-    aggs.push_back(CountStar("cnt"));
-    aggs.push_back(Sum(Col(s, "v"), "sum_v"));
-    return std::make_unique<ScalarAggOp>(std::move(scan), std::move(aggs));
-  });
+  const Row agg = CountSumAvg(rows_);
+  ExpectBatchesMatch(
+      [this]() -> PhysOpPtr {
+        auto scan = std::make_unique<TableScanOp>(table_.get());
+        const Schema s = scan->output_schema();
+        std::vector<AggregateDesc> aggs;
+        aggs.push_back(CountStar("cnt"));
+        aggs.push_back(Sum(Col(s, "v"), "sum_v"));
+        return std::make_unique<ScalarAggOp>(std::move(scan),
+                                             std::move(aggs));
+      },
+      {{agg[0], agg[1]}});
 }
 
 TEST_F(BatchDifferentialTest, Distinct) {
-  ExpectBatchMatchesRows([this]() -> PhysOpPtr {
-    auto scan = std::make_unique<TableScanOp>(table_.get());
-    const Schema s = scan->output_schema();
-    // Project to (k, v) so duplicates actually occur.
-    std::vector<ExprPtr> exprs;
-    exprs.push_back(Col(s, "k"));
-    exprs.push_back(Col(s, "v"));
-    Result<PhysOpPtr> p =
-        ProjectOp::Make(std::move(scan), std::move(exprs), {"k", "v"});
-    EXPECT_TRUE(p.ok());
-    return std::make_unique<DistinctOp>(std::move(p).value());
-  });
+  std::vector<Row> expected;
+  std::set<std::pair<int64_t, std::optional<int64_t>>> seen;
+  for (const Row& row : rows_) {
+    const std::optional<int64_t> v =
+        HasV(row) ? std::optional<int64_t>(V(row)) : std::nullopt;
+    if (seen.insert({K(row), v}).second) expected.push_back({row[0], row[1]});
+  }
+  ExpectBatchesMatch(
+      [this]() -> PhysOpPtr {
+        auto scan = std::make_unique<TableScanOp>(table_.get());
+        const Schema s = scan->output_schema();
+        // Project to (k, v) so duplicates actually occur.
+        std::vector<ExprPtr> exprs;
+        exprs.push_back(Col(s, "k"));
+        exprs.push_back(Col(s, "v"));
+        Result<PhysOpPtr> p =
+            ProjectOp::Make(std::move(scan), std::move(exprs), {"k", "v"});
+        EXPECT_TRUE(p.ok());
+        return std::make_unique<DistinctOp>(std::move(p).value());
+      },
+      expected, /*ordered=*/true);
 }
 
 TEST_F(BatchDifferentialTest, UnionAll) {
-  ExpectBatchMatchesRows([this]() -> PhysOpPtr {
-    std::vector<PhysOpPtr> branches;
-    branches.push_back(std::make_unique<TableScanOp>(table_.get()));
-    branches.push_back(std::make_unique<TableScanOp>(dim_.get()));
-    branches.push_back(std::make_unique<TableScanOp>(table_.get()));
-    Result<PhysOpPtr> u = UnionAllOp::Make(std::move(branches));
-    EXPECT_TRUE(u.ok());
-    return std::move(u).value();
-  });
+  std::vector<Row> expected = rows_;
+  expected.insert(expected.end(), dim_rows_.begin(), dim_rows_.end());
+  expected.insert(expected.end(), rows_.begin(), rows_.end());
+  ExpectBatchesMatch(
+      [this]() -> PhysOpPtr {
+        std::vector<PhysOpPtr> branches;
+        branches.push_back(std::make_unique<TableScanOp>(table_.get()));
+        branches.push_back(std::make_unique<TableScanOp>(dim_.get()));
+        branches.push_back(std::make_unique<TableScanOp>(table_.get()));
+        Result<PhysOpPtr> u = UnionAllOp::Make(std::move(branches));
+        EXPECT_TRUE(u.ok());
+        return std::move(u).value();
+      },
+      expected, /*ordered=*/true);
 }
 
 // ---------------------------------------------------------------------------
 // GApply: both partition modes x parallelism {1, 4}, identity / agg /
-// filter PGQs. Parallel output must additionally be bit-for-bit identical
-// between the row and batch drive paths.
+// filter PGQs, against a std:: reference in gid order: grouping-column
+// order when partitioning by sorting, first appearance when hashing.
 // ---------------------------------------------------------------------------
 
 PhysOpPtr IdentityPgq(const Schema& gs, const std::string& var) {
@@ -257,41 +466,56 @@ PhysOpPtr FilterPgq(const Schema& gs, const std::string& var) {
       std::move(scan), Ge(Col(gs, "v"), Lit(int64_t{50})));
 }
 
+std::vector<Row> IdentityRef(const std::vector<Row>& group) { return group; }
+
+std::vector<Row> AggRef(const std::vector<Row>& group) {
+  return {CountSumAvg(group)};
+}
+
+std::vector<Row> FilterRef(const std::vector<Row>& group) {
+  std::vector<Row> out;
+  for (const Row& row : group) {
+    if (HasV(row) && V(row) >= 50) out.push_back(row);
+  }
+  return out;
+}
+
 class GApplyBatchTest
     : public ::testing::TestWithParam<std::tuple<PartitionMode, size_t>> {};
 
 TEST_P(GApplyBatchTest, BatchMatchesRowsForAllPgqShapes) {
   const auto [mode, dop] = GetParam();
   Rng rng(7);
-  auto table = MakeTable("t", GroupedSchema(),
-                         RandomGroupedRows(&rng, 400, 23, 0.05));
+  const std::vector<Row> rows = RandomGroupedRows(&rng, 400, 23, 0.05);
+  auto table = MakeTable("t", GroupedSchema(), rows);
+  std::vector<std::pair<int64_t, std::vector<Row>>> groups = GroupByK(rows);
+  if (mode == PartitionMode::kSort) {
+    std::sort(groups.begin(), groups.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+  }
 
   using PgqBuilder =
       std::function<PhysOpPtr(const Schema&, const std::string&)>;
-  const PgqBuilder pgqs[] = {IdentityPgq, AggPgq, FilterPgq};
-  for (const PgqBuilder& pgq : pgqs) {
-    const auto build = [&]() -> PhysOpPtr {
+  using PgqReference = std::function<std::vector<Row>(const std::vector<Row>&)>;
+  const std::pair<PgqBuilder, PgqReference> pgqs[] = {
+      {IdentityPgq, IdentityRef}, {AggPgq, AggRef}, {FilterPgq, FilterRef}};
+  for (const auto& [pgq, reference] : pgqs) {
+    std::vector<Row> expected;
+    for (const auto& [k, group] : groups) {
+      for (const Row& row : reference(group)) {
+        expected.push_back(Concat({Value::Int(k)}, row));
+      }
+    }
+    for (size_t bs : kDiffBatchSizes) {
       auto outer = std::make_unique<TableScanOp>(table.get());
       const Schema gs = outer->output_schema();
-      return std::make_unique<GApplyOp>(std::move(outer),
-                                        std::vector<int>{0}, "g",
-                                        pgq(gs, "g"), mode, dop);
-    };
-    PhysOpPtr row_plan = build();
-    const std::vector<Row> expected = RunRowPath(row_plan.get());
-    for (size_t bs : kDiffBatchSizes) {
-      PhysOpPtr batch_plan = build();
-      const std::vector<Row> got = RunBatchPath(batch_plan.get(), bs);
-      const std::string label = std::string(PartitionModeName(mode)) +
-                                " dop=" + std::to_string(dop) +
-                                " batch_size=" + std::to_string(bs);
-      if (dop > 1) {
-        // The parallel path promises bit-for-bit serial-identical output,
-        // and the batch drive must not disturb that.
-        tutil::ExpectSameSequence(got, expected, label);
-      } else {
-        tutil::ExpectSameMultiset(got, expected, label);
-      }
+      GApplyOp plan(std::move(outer), std::vector<int>{0}, "g", pgq(gs, "g"),
+                    mode, dop);
+      const std::vector<Row> got = RunBatchPath(&plan, bs);
+      tutil::ExpectSameSequence(got, expected,
+                                std::string(PartitionModeName(mode)) +
+                                    " dop=" + std::to_string(dop) +
+                                    " batch_size=" + std::to_string(bs));
     }
   }
 }
@@ -316,9 +540,7 @@ TEST(RowBatchTest, CapacityContract) {
   EXPECT_TRUE(b.empty());
   for (int i = 0; i < 4; ++i) b.Add({Value::Int(i)});
   EXPECT_TRUE(b.full());
-  // Soft capacity: Add past capacity() is allowed (indivisible chunks).
-  b.Add({Value::Int(4)});
-  EXPECT_EQ(b.size(), 5u);
+  EXPECT_EQ(b.size(), 4u);
   b.Clear();
   EXPECT_TRUE(b.empty());
   EXPECT_EQ(b.capacity(), 4u);
@@ -334,12 +556,9 @@ TEST(BatchCountersTest, BatchesProducedAndFillTracked) {
   ExecContext::Counters counters;
   const std::vector<Row> got = RunBatchPath(&scan, 32, &counters);
   EXPECT_EQ(got.size(), 100u);
-  // 100 rows at batch 32 → 4 batches (32+32+32+4).
+  // 100 rows at batch 32 → 4 batches (32+32+32+4), average fill 25.
   EXPECT_EQ(counters.batches_produced, 4u);
   EXPECT_EQ(counters.batch_rows_produced, 100u);
-  EXPECT_EQ(scan.batch_stats().batches, 4u);
-  EXPECT_EQ(scan.batch_stats().rows, 100u);
-  EXPECT_NEAR(scan.batch_stats().AverageFill(), 25.0, 1e-9);
 }
 
 TEST(BatchExprTest, EvalBatchMatchesEvalForFastAndSlowPaths) {
@@ -474,12 +693,6 @@ class ColumnarStorageTest : public ::testing::Test {
             got, expected,
             label + " dop=" + std::to_string(dop) +
                 " batch=" + std::to_string(batch));
-        // The row path over the same columnar plan must agree too.
-        if (dop == 1) {
-          PhysOpPtr row_drive = ColumnarPlan(preds);
-          tutil::ExpectSameSequence(RunRowPath(row_drive.get()), expected,
-                                    label + " row-drive");
-        }
       }
     }
   }
@@ -677,12 +890,12 @@ TEST(ColumnarStorageEdgeTest, PruningInsideExchangeMorselDriver) {
 
 std::vector<Row> DrainScan(TableScanOp* scan, ExecContext* ctx) {
   std::vector<Row> rows;
+  RowBatch batch(ctx->batch_size());
   while (true) {
-    Row row;
-    Result<bool> more = scan->Next(ctx, &row);
+    Result<bool> more = scan->NextBatch(ctx, &batch);
     EXPECT_TRUE(more.ok());
     if (!more.ok() || !*more) break;
-    rows.push_back(std::move(row));
+    for (Row& row : batch.rows()) rows.push_back(std::move(row));
   }
   return rows;
 }

@@ -3,8 +3,10 @@
 #include <string>
 #include <utility>
 
+#include "src/engine/database.h"
 #include "src/sql/lexer.h"
 #include "src/sql/parser.h"
+#include "tests/test_util.h"
 
 namespace gapply::sql {
 namespace {
@@ -206,6 +208,60 @@ TEST(ParserTest, SetStatementValueForms) {
   auto other = TryParseSet("select 1 from t");
   ASSERT_TRUE(other.ok());
   EXPECT_FALSE(other->has_value());
+}
+
+// `depth` open parentheses around `inner`, closed again.
+std::string Parenthesized(const std::string& inner, int depth) {
+  return std::string(static_cast<size_t>(depth), '(') + inner +
+         std::string(static_cast<size_t>(depth), ')');
+}
+
+// `prefix` repeated `count` times, then `inner`.
+std::string Prefixed(const std::string& prefix, int count,
+                     const std::string& inner) {
+  std::string out;
+  for (int i = 0; i < count; ++i) out += prefix;
+  return out + inner;
+}
+
+TEST(ParserTest, DeepNestingIsRejectedNotFatal) {
+  for (const std::string& where :
+       {Parenthesized("v > 1", 5000), Prefixed("not ", 5000, "v > 1"),
+        Prefixed("- ", 5000, "v > 1")}) {
+    auto q = Parse("select v from t where " + where);
+    ASSERT_FALSE(q.ok());
+    EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument)
+        << q.status().ToString();
+  }
+  // Nested subqueries count too.
+  std::string nested = "select v from t";
+  for (int i = 0; i < 5000; ++i) {
+    nested = "select v from t where exists (" + nested + ")";
+  }
+  auto q = Parse(nested);
+  ASSERT_FALSE(q.ok());
+  EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ParserTest, ModeratelyDeepPredicatesParseAndRun) {
+  Database db;
+  ASSERT_TRUE(db.catalog()
+                  ->AddTable(tutil::MakeTable(
+                      "t", Schema({{"v", TypeId::kInt64, "t"}}),
+                      {{Value::Int(1)}, {Value::Int(2)}, {Value::Int(3)}}))
+                  .ok());
+  for (const std::string& where :
+       {Parenthesized("v > 1", 200), Prefixed("not ", 200, "v > 1"),
+        Prefixed("- - ", 100, "v > 1")}) {
+    Result<QueryResult> r = db.Query("select v from t where " + where);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->rows.size(), 2u);
+  }
+  // The session path refuses the too-deep form with a Status as well.
+  Result<QueryResult> deep =
+      db.Query("select v from t where " + Parenthesized("v > 1", 5000));
+  ASSERT_FALSE(deep.ok());
+  EXPECT_EQ(deep.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace
