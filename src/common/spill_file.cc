@@ -237,4 +237,24 @@ Result<bool> SpillReader::ReadIndexedRow(uint64_t* index, Row* out) {
   return ReadRow(out);
 }
 
+size_t SpillPartitionOf(size_t key_hash, int level) {
+  return HashCombine(key_hash, 0x9e3779b9u * static_cast<size_t>(level + 1)) %
+         kSpillFanout;
+}
+
+Result<std::vector<std::unique_ptr<SpillWriter>>> OpenSpillFanout(
+    SpillManager* spill) {
+  std::vector<std::unique_ptr<SpillWriter>> writers(kSpillFanout);
+  for (auto& w : writers) {
+    ASSIGN_OR_RETURN(std::string path, spill->NewFilePath());
+    ASSIGN_OR_RETURN(w, SpillWriter::Open(path));
+  }
+  return writers;
+}
+
+void RemoveSpillFile(const std::string& path) {
+  std::error_code ec;
+  std::filesystem::remove(path, ec);
+}
+
 }  // namespace gapply

@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "src/common/result.h"
 #include "src/common/status.h"
@@ -107,6 +108,25 @@ class SpillReader {
   std::string path_;
   std::ifstream in_;
 };
+
+/// Grace partitioning geometry shared by HashJoin, HashGroupBy and GApply:
+/// spill files per level, and the recursion depth at which a partition is
+/// processed in memory regardless of the budget (an all-equal-key input
+/// cannot be split by any hash).
+constexpr size_t kSpillFanout = 8;
+constexpr int kMaxSpillDepth = 4;
+
+/// The level-`level` spill partition of a key hash. The salt changes per
+/// level, so a partition that overflows level L redistributes at level
+/// L+1 instead of landing in one sub-partition.
+size_t SpillPartitionOf(size_t key_hash, int level);
+
+/// Opens kSpillFanout writers on fresh paths under `spill`.
+Result<std::vector<std::unique_ptr<SpillWriter>>> OpenSpillFanout(
+    SpillManager* spill);
+
+/// Deletes a spill file; a missing file is not an error.
+void RemoveSpillFile(const std::string& path);
 
 }  // namespace gapply
 

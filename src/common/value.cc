@@ -1,8 +1,8 @@
 #include "src/common/value.h"
 
+#include <charconv>
 #include <cmath>
 #include <functional>
-#include <sstream>
 
 namespace gapply {
 
@@ -123,22 +123,34 @@ size_t Value::Hash() const {
 }
 
 std::string Value::ToString() const {
+  std::string out;
+  AppendTo(&out);
+  return out;
+}
+
+void Value::AppendTo(std::string* out) const {
+  char buf[32];
+  std::to_chars_result r{};
   switch (type()) {
     case TypeId::kNull:
-      return "NULL";
+      out->append("NULL");
+      return;
     case TypeId::kBool:
-      return bool_val() ? "true" : "false";
+      out->append(bool_val() ? "true" : "false");
+      return;
     case TypeId::kInt64:
-      return std::to_string(int_val());
-    case TypeId::kDouble: {
-      std::ostringstream oss;
-      oss << double_val();
-      return oss.str();
-    }
+      r = std::to_chars(buf, buf + sizeof(buf), int_val());
+      break;
+    case TypeId::kDouble:
+      // Same text as `std::ostream << double` at its default precision.
+      r = std::to_chars(buf, buf + sizeof(buf), double_val(),
+                        std::chars_format::general, 6);
+      break;
     case TypeId::kString:
-      return str_val();
+      out->append(str_val());
+      return;
   }
-  return "?";
+  out->append(buf, r.ptr);
 }
 
 size_t RowHash::operator()(const Row& row) const {

@@ -70,8 +70,12 @@ class Value {
   size_t Hash() const;
 
   /// Rendering used by result printers and the XML tagger.
-  /// NULL renders as "NULL"; strings are not quoted.
+  /// NULL renders as "NULL"; strings are not quoted; doubles render as
+  /// printf's "%g" (six significant digits).
   std::string ToString() const;
+
+  /// Appends ToString() to `out` without building a temporary.
+  void AppendTo(std::string* out) const;
 
  private:
   using Payload =

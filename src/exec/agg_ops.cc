@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <filesystem>
 #include <functional>
-#include <system_error>
+#include <optional>
 
+#include "src/common/hash_table.h"
+#include "src/common/spill_file.h"
 #include "src/common/thread_pool.h"
 
 namespace gapply {
@@ -19,21 +20,99 @@ Row ExtractKey(const Row& row, const std::vector<int>& cols) {
   return key;
 }
 
-// Grace spill geometry (mirrors HashJoinOp's): partitions per level and
-// the recursion cap, past which a partition aggregates in memory
-// regardless of the budget.
-constexpr size_t kSpillFanout = 8;
-constexpr int kMaxSpillDepth = 4;
+/// Hash group-by state over the shared flat table: groups in
+/// first-appearance order, each with one stored key, its accumulators and
+/// the input position of its first row. Input rows are hashed and
+/// compared in place; a key row is copied once per group, never per row.
+class GroupTable {
+ public:
+  GroupTable(const std::vector<int>& key_columns,
+             const std::vector<AggregateDesc>& aggs)
+      : key_columns_(key_columns), aggs_(aggs) {}
 
-size_t PartitionOf(const Row& key, int level) {
-  return HashCombine(RowHash{}(key),
-                     0x9e3779b9u * static_cast<size_t>(level + 1)) %
-         kSpillFanout;
-}
+  size_t size() const { return keys_.size(); }
 
-void RemoveFile(const std::string& path) {
-  std::error_code ec;
-  std::filesystem::remove(path, ec);
+  /// Accumulates `row`, input position `pos`, into its group.
+  Status Add(const Row& row, uint64_t pos, const EvalContext& eval) {
+    const auto [g, inserted] = index_.FindOrInsert(
+        HashRowColumns(row, key_columns_), [&](uint32_t e) {
+          const Row& key = keys_[e];
+          for (size_t i = 0; i < key.size(); ++i) {
+            if (!row[static_cast<size_t>(key_columns_[i])].Equals(key[i])) {
+              return false;
+            }
+          }
+          return true;
+        });
+    if (inserted) {
+      keys_.push_back(ExtractKey(row, key_columns_));
+      accs_.push_back(MakeAccumulators(aggs_));
+      first_pos_.push_back(pos);
+    }
+    return AccumulateRow(aggs_, accs_[g], row, eval);
+  }
+
+  /// Folds `other`'s groups in (exact aggregates only): a new key moves
+  /// over, an existing one merges accumulators and keeps the smaller first
+  /// position.
+  Status MergeFrom(GroupTable* other) {
+    for (uint32_t g = 0; g < other->size(); ++g) {
+      const auto [e, inserted] = index_.FindOrInsert(
+          other->index_.hash(g),
+          [&](uint32_t c) { return RowsEqual(keys_[c], other->keys_[g]); });
+      if (inserted) {
+        keys_.push_back(std::move(other->keys_[g]));
+        accs_.push_back(std::move(other->accs_[g]));
+        first_pos_.push_back(other->first_pos_[g]);
+        continue;
+      }
+      for (size_t a = 0; a < accs_[e].size(); ++a) {
+        RETURN_NOT_OK(accs_[e][a]->Merge(*other->accs_[g][a]));
+      }
+      first_pos_[e] = std::min(first_pos_[e], other->first_pos_[g]);
+    }
+    return Status::OK();
+  }
+
+  /// Appends every group's output row (key columns, then aggregates) in
+  /// first-appearance order, moving the keys out.
+  void FinishAll(std::vector<Row>* out) {
+    out->reserve(out->size() + size());
+    for (size_t g = 0; g < size(); ++g) out->push_back(Finish(g));
+  }
+  /// Same, each row paired with its group's first input position.
+  void FinishAll(std::vector<std::pair<uint64_t, Row>>* out) {
+    out->reserve(out->size() + size());
+    for (size_t g = 0; g < size(); ++g) {
+      out->emplace_back(first_pos_[g], Finish(g));
+    }
+  }
+
+ private:
+  Row Finish(size_t g) {
+    Row out = std::move(keys_[g]);
+    for (const auto& acc : accs_[g]) out.push_back(acc->Finish());
+    return out;
+  }
+
+  const std::vector<int>& key_columns_;
+  const std::vector<AggregateDesc>& aggs_;
+  HashTable index_;
+  std::vector<Row> keys_;
+  std::vector<std::vector<std::unique_ptr<AggAccumulator>>> accs_;
+  std::vector<uint64_t> first_pos_;
+};
+
+/// Moves (first position, row) pairs into `out` ordered by position.
+void EmitByFirstPos(std::vector<std::pair<uint64_t, Row>>* ordered,
+                    std::vector<Row>* out) {
+  std::sort(ordered->begin(), ordered->end(),
+            [](const std::pair<uint64_t, Row>& a,
+               const std::pair<uint64_t, Row>& b) {
+              return a.first < b.first;
+            });
+  out->reserve(ordered->size());
+  for (auto& entry : *ordered) out->push_back(std::move(entry.second));
 }
 
 std::string AggList(const std::vector<AggregateDesc>& aggs) {
@@ -95,34 +174,18 @@ Status HashGroupByOp::OpenImpl(ExecContext* ctx) {
     return AggregateBuffered(ctx, input);
   }
 
-  // Key → accumulator set; groups_order keeps first-appearance order.
-  std::unordered_map<Row, size_t, RowHash, RowEq> index;
-  std::vector<Row> keys;
-  std::vector<std::vector<std::unique_ptr<AggAccumulator>>> groups;
-
+  GroupTable groups(key_columns_, aggs_);
+  uint64_t pos = 0;
   RowBatch batch(ctx->batch_size());
   while (true) {
     ASSIGN_OR_RETURN(bool has, child_->NextBatch(ctx, &batch));
     if (!has) break;
     for (const Row& row : batch.rows()) {
-      Row key = ExtractKey(row, key_columns_);
-      auto [it, inserted] = index.try_emplace(key, groups.size());
-      if (inserted) {
-        keys.push_back(std::move(key));
-        groups.push_back(MakeAccumulators(aggs_));
-      }
-      RETURN_NOT_OK(
-          AccumulateRow(aggs_, groups[it->second], row, *ctx->eval()));
+      RETURN_NOT_OK(groups.Add(row, pos++, *ctx->eval()));
     }
   }
   RETURN_NOT_OK(child_->Close(ctx));
-
-  output_.reserve(groups.size());
-  for (size_t g = 0; g < groups.size(); ++g) {
-    Row out = keys[g];
-    for (const auto& acc : groups[g]) out.push_back(acc->Finish());
-    output_.push_back(std::move(out));
-  }
+  groups.FinishAll(&output_);
   return Status::OK();
 }
 
@@ -164,15 +227,6 @@ Status HashGroupByOp::OpenBudgeted(ExecContext* ctx) {
   return st;
 }
 
-Status HashGroupByOp::FinishPart(ExecContext* ctx, SpillWriter* writer) {
-  RETURN_NOT_OK(writer->Finish());
-  ctx->counters().spill_bytes += writer->bytes_written();
-  ctx->counters().spill_partitions += 1;
-  profile_.spill_bytes += writer->bytes_written();
-  profile_.spill_partitions += 1;
-  return Status::OK();
-}
-
 Status HashGroupByOp::SpillPartitionAndAggregate(ExecContext* ctx,
                                                  std::vector<Row>* buffered,
                                                  RowBatch* pending,
@@ -181,15 +235,12 @@ Status HashGroupByOp::SpillPartitionAndAggregate(ExecContext* ctx,
   // position: the buffered prefix first, then the batch the trigger
   // interrupted, then the rest of the child streamed straight through.
   // Unlike the join there is nothing to drop — NULL keys form groups.
-  std::vector<std::unique_ptr<SpillWriter>> writers(kSpillFanout);
-  for (auto& w : writers) {
-    ASSIGN_OR_RETURN(std::string path, ctx->spill()->NewFilePath());
-    ASSIGN_OR_RETURN(w, SpillWriter::Open(path));
-  }
+  ASSIGN_OR_RETURN(std::vector<std::unique_ptr<SpillWriter>> writers,
+                   OpenSpillFanout(ctx->spill()));
   uint64_t row_idx = 0;
   const auto route = [&](const Row& row) -> Status {
-    const Row key = ExtractKey(row, key_columns_);
-    return writers[PartitionOf(key, 0)]->WriteIndexedRow(row_idx++, row);
+    const size_t part = SpillPartitionOf(HashRowColumns(row, key_columns_), 0);
+    return writers[part]->WriteIndexedRow(row_idx++, row);
   };
   for (const Row& row : *buffered) RETURN_NOT_OK(route(row));
   buffered->clear();
@@ -204,11 +255,8 @@ Status HashGroupByOp::SpillPartitionAndAggregate(ExecContext* ctx,
     for (const Row& row : pending->rows()) RETURN_NOT_OK(route(row));
   }
   RETURN_NOT_OK(child_->Close(ctx));
-  std::vector<std::string> paths(kSpillFanout);
-  for (size_t p = 0; p < kSpillFanout; ++p) {
-    RETURN_NOT_OK(FinishPart(ctx, writers[p].get()));
-    paths[p] = writers[p]->path();
-  }
+  ASSIGN_OR_RETURN(std::vector<std::string> paths,
+                   FinishSpillFiles(ctx, writers));
   writers.clear();
 
   // Aggregate each partition, then restore the serial first-appearance
@@ -217,15 +265,7 @@ Status HashGroupByOp::SpillPartitionAndAggregate(ExecContext* ctx,
   for (size_t p = 0; p < kSpillFanout; ++p) {
     RETURN_NOT_OK(AggregatePartition(ctx, paths[p], 0, &ordered));
   }
-  std::sort(ordered.begin(), ordered.end(),
-            [](const std::pair<uint64_t, Row>& a,
-               const std::pair<uint64_t, Row>& b) {
-              return a.first < b.first;
-            });
-  output_.reserve(ordered.size());
-  for (auto& [first_pos, row] : ordered) {
-    output_.push_back(std::move(row));
-  }
+  EmitByFirstPos(&ordered, &output_);
   return Status::OK();
 }
 
@@ -256,14 +296,12 @@ Status HashGroupByOp::AggregatePartition(
   }
 
   if (overflow) {
-    std::vector<std::unique_ptr<SpillWriter>> writers(kSpillFanout);
-    for (auto& w : writers) {
-      ASSIGN_OR_RETURN(std::string sub_path, ctx->spill()->NewFilePath());
-      ASSIGN_OR_RETURN(w, SpillWriter::Open(sub_path));
-    }
+    ASSIGN_OR_RETURN(std::vector<std::unique_ptr<SpillWriter>> writers,
+                     OpenSpillFanout(ctx->spill()));
     const auto route = [&](uint64_t i, const Row& r) -> Status {
-      const Row key = ExtractKey(r, key_columns_);
-      return writers[PartitionOf(key, level + 1)]->WriteIndexedRow(i, r);
+      const size_t part =
+          SpillPartitionOf(HashRowColumns(r, key_columns_), level + 1);
+      return writers[part]->WriteIndexedRow(i, r);
     };
     for (const auto& [i, r] : rows) RETURN_NOT_OK(route(i, r));
     rows.clear();
@@ -275,12 +313,9 @@ Status HashGroupByOp::AggregatePartition(
       RETURN_NOT_OK(route(idx, row));
     }
     reader.reset();
-    RemoveFile(path);
-    std::vector<std::string> sub_paths(kSpillFanout);
-    for (size_t p = 0; p < kSpillFanout; ++p) {
-      RETURN_NOT_OK(FinishPart(ctx, writers[p].get()));
-      sub_paths[p] = writers[p]->path();
-    }
+    RemoveSpillFile(path);
+    ASSIGN_OR_RETURN(std::vector<std::string> sub_paths,
+                     FinishSpillFiles(ctx, writers));
     writers.clear();
     for (size_t p = 0; p < kSpillFanout; ++p) {
       RETURN_NOT_OK(AggregatePartition(ctx, sub_paths[p], level + 1,
@@ -294,51 +329,22 @@ Status HashGroupByOp::AggregatePartition(
 
   // In-memory aggregation in file order (= global input order for this
   // partition's rows), tracking each group's first tagged position.
-  std::unordered_map<Row, size_t, RowHash, RowEq> index;
-  std::vector<Row> keys;
-  std::vector<std::vector<std::unique_ptr<AggAccumulator>>> groups;
-  std::vector<uint64_t> first_pos;
+  GroupTable groups(key_columns_, aggs_);
   for (const auto& [i, r] : rows) {
-    Row key = ExtractKey(r, key_columns_);
-    auto [it, inserted] = index.try_emplace(key, groups.size());
-    if (inserted) {
-      keys.push_back(std::move(key));
-      groups.push_back(MakeAccumulators(aggs_));
-      first_pos.push_back(i);
-    }
-    RETURN_NOT_OK(
-        AccumulateRow(aggs_, groups[it->second], r, *ctx->eval()));
+    RETURN_NOT_OK(groups.Add(r, i, *ctx->eval()));
   }
-  for (size_t g = 0; g < groups.size(); ++g) {
-    Row out = std::move(keys[g]);
-    for (const auto& acc : groups[g]) out.push_back(acc->Finish());
-    ordered->emplace_back(first_pos[g], std::move(out));
-  }
-  RemoveFile(path);
+  groups.FinishAll(ordered);
+  RemoveSpillFile(path);
   return Status::OK();
 }
 
 Status HashGroupByOp::AggregateBuffered(ExecContext* ctx,
                                         const std::vector<Row>& input) {
-  std::unordered_map<Row, size_t, RowHash, RowEq> index;
-  std::vector<Row> keys;
-  std::vector<std::vector<std::unique_ptr<AggAccumulator>>> groups;
-  for (const Row& row : input) {
-    Row key = ExtractKey(row, key_columns_);
-    auto [it, inserted] = index.try_emplace(key, groups.size());
-    if (inserted) {
-      keys.push_back(std::move(key));
-      groups.push_back(MakeAccumulators(aggs_));
-    }
-    RETURN_NOT_OK(
-        AccumulateRow(aggs_, groups[it->second], row, *ctx->eval()));
+  GroupTable groups(key_columns_, aggs_);
+  for (size_t i = 0; i < input.size(); ++i) {
+    RETURN_NOT_OK(groups.Add(input[i], i, *ctx->eval()));
   }
-  output_.reserve(groups.size());
-  for (size_t g = 0; g < groups.size(); ++g) {
-    Row out = keys[g];
-    for (const auto& acc : groups[g]) out.push_back(acc->Finish());
-    output_.push_back(std::move(out));
-  }
+  groups.FinishAll(&output_);
   return Status::OK();
 }
 
@@ -354,11 +360,8 @@ Status HashGroupByOp::AggregateParallel(ExecContext* ctx,
   // per group, the global row index of its first appearance in that
   // worker's morsels.
   struct Partial {
-    std::unordered_map<Row, size_t, RowHash, RowEq> index;
-    std::vector<Row> keys;
-    std::vector<std::vector<std::unique_ptr<AggAccumulator>>> groups;
-    std::vector<uint64_t> first_pos;
     std::vector<AggregateDesc> aggs;
+    std::optional<GroupTable> groups;  // over aggs; set once partials exist
     ExecContext wctx;
     Status error = Status::OK();
     uint64_t error_pos = 0;
@@ -367,6 +370,7 @@ Status HashGroupByOp::AggregateParallel(ExecContext* ctx,
   std::vector<Partial> partials(dop);
   for (Partial& p : partials) {
     p.aggs = CloneAggregates(aggs_);
+    p.groups.emplace(key_columns_, p.aggs);
     p.wctx = ctx->ForkForWorker();
   }
 
@@ -387,16 +391,7 @@ Status HashGroupByOp::AggregateParallel(ExecContext* ctx,
         const size_t begin = m * kMorselRows;
         const size_t end = std::min(n, begin + kMorselRows);
         for (size_t i = begin; i < end; ++i) {
-          const Row& row = input[i];
-          Row key = ExtractKey(row, key_columns_);
-          auto [it, inserted] = p.index.try_emplace(key, p.groups.size());
-          if (inserted) {
-            p.keys.push_back(std::move(key));
-            p.groups.push_back(MakeAccumulators(p.aggs));
-            p.first_pos.push_back(i);
-          }
-          Status st = AccumulateRow(p.aggs, p.groups[it->second], row,
-                                           *p.wctx.eval());
+          Status st = p.groups->Add(input[i], i, *p.wctx.eval());
           if (!st.ok()) {
             p.error = std::move(st);
             p.error_pos = i;
@@ -425,40 +420,11 @@ Status HashGroupByOp::AggregateParallel(ExecContext* ctx,
   // Merge the partials (exact, so merge order is irrelevant), keeping the
   // minimum global first-appearance position per group, then emit in that
   // order — exactly the serial first-appearance group order.
-  struct Merged {
-    size_t partial;
-    size_t group;
-    uint64_t first_pos;
-  };
-  std::unordered_map<Row, size_t, RowHash, RowEq> index;
-  std::vector<Merged> merged;
-  for (size_t w = 0; w < partials.size(); ++w) {
-    Partial& p = partials[w];
-    for (size_t g = 0; g < p.keys.size(); ++g) {
-      auto [it, inserted] = index.try_emplace(p.keys[g], merged.size());
-      if (inserted) {
-        merged.push_back({w, g, p.first_pos[g]});
-        continue;
-      }
-      Merged& m = merged[it->second];
-      Partial& owner = partials[m.partial];
-      for (size_t a = 0; a < aggs_.size(); ++a) {
-        RETURN_NOT_OK(owner.groups[m.group][a]->Merge(*p.groups[g][a]));
-      }
-      m.first_pos = std::min(m.first_pos, p.first_pos[g]);
-    }
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const Merged& a, const Merged& b) {
-              return a.first_pos < b.first_pos;
-            });
-  output_.reserve(merged.size());
-  for (const Merged& m : merged) {
-    Partial& p = partials[m.partial];
-    Row out = std::move(p.keys[m.group]);
-    for (const auto& acc : p.groups[m.group]) out.push_back(acc->Finish());
-    output_.push_back(std::move(out));
-  }
+  GroupTable merged(key_columns_, aggs_);
+  for (Partial& p : partials) RETURN_NOT_OK(merged.MergeFrom(&*p.groups));
+  std::vector<std::pair<uint64_t, Row>> ordered;
+  merged.FinishAll(&ordered);
+  EmitByFirstPos(&ordered, &output_);
   return Status::OK();
 }
 
@@ -624,7 +590,8 @@ DistinctOp::DistinctOp(PhysOpPtr child)
     : PhysOp(child->output_schema()), child_(std::move(child)) {}
 
 Status DistinctOp::OpenImpl(ExecContext* ctx) {
-  seen_.clear();
+  seen_.Clear();
+  seen_rows_ = {};
   child_batch_.Clear();
   return child_->Open(ctx);
 }
@@ -638,9 +605,12 @@ Result<bool> DistinctOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
     ASSIGN_OR_RETURN(bool has, child_->NextBatch(ctx, &child_batch_));
     if (!has) return false;
     for (Row& row : child_batch_.rows()) {
-      // try_emplace copies the row into the key slot, so moving the
-      // original afterwards is safe.
-      if (seen_.try_emplace(row, true).second) out->Add(std::move(row));
+      const bool first = seen_.FindOrInsert(RowHash{}(row), [&](uint32_t e) {
+        return RowsEqual(seen_rows_[e], row);
+      }).second;
+      if (!first) continue;
+      seen_rows_.push_back(row);  // the stored copy; the original moves on
+      out->Add(std::move(row));
     }
   }
   RecordBatch(ctx, out->size());
@@ -648,7 +618,8 @@ Result<bool> DistinctOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
 }
 
 Status DistinctOp::CloseImpl(ExecContext* ctx) {
-  seen_.clear();
+  seen_.Clear();
+  seen_rows_ = {};
   return child_->Close(ctx);
 }
 

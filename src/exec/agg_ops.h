@@ -3,12 +3,11 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "src/common/hash_table.h"
 #include "src/common/memory_tracker.h"
-#include "src/common/spill_file.h"
 #include "src/exec/physical_op.h"
 #include "src/expr/aggregate.h"
 
@@ -18,7 +17,9 @@ namespace gapply {
 /// key columns first, then one column per aggregate.
 ///
 /// Output group order is first-appearance order in the input (deterministic
-/// for a deterministic child).
+/// for a deterministic child). Groups live in the shared flat `HashTable`
+/// (DESIGN.md §18): input rows are hashed and compared in place, and one
+/// key row is stored per group.
 ///
 /// With `parallelism` > 1, an input of at least `kParallelAggMinRows` rows,
 /// and aggregates whose partial merge is exact (`AggregateMergeIsExact`),
@@ -83,8 +84,6 @@ class HashGroupByOp : public PhysOp {
   Status AggregatePartition(ExecContext* ctx, const std::string& path,
                             int level,
                             std::vector<std::pair<uint64_t, Row>>* ordered);
-  /// Finishes a spill file and books its bytes into counters + profile.
-  Status FinishPart(ExecContext* ctx, SpillWriter* writer);
 
   PhysOpPtr child_;
   std::vector<int> key_columns_;
@@ -169,7 +168,8 @@ class DistinctOp : public PhysOp {
 
  private:
   PhysOpPtr child_;
-  std::unordered_map<Row, bool, RowHash, RowEq> seen_;
+  HashTable seen_;              // entry e = seen_rows_[e]
+  std::vector<Row> seen_rows_;  // first occurrences, in arrival order
   RowBatch child_batch_;
 };
 

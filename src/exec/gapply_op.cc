@@ -3,14 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <filesystem>
 #include <functional>
 #include <iterator>
 #include <limits>
-#include <system_error>
 #include <unordered_map>
 #include <utility>
 
+#include "src/common/hash_table.h"
 #include "src/common/thread_pool.h"
 #include "src/exec/filter_project_ops.h"
 #include "src/exec/lifted_ops.h"
@@ -48,66 +47,10 @@ uint64_t NowNs() {
 /// execution still covers many groups.
 constexpr size_t kLiftedUnitsPerWorker = 4;
 
-/// Open-addressing gid index for hash partitioning: slots hold gid + 1
-/// (0 = empty), probed linearly from a Fibonacci-mixed key hash, and the
-/// table doubles at half load by re-inserting the stored hashes. No
-/// allocation per group and no rehash per input batch.
-class GidIndex {
- public:
-  GidIndex() : slots_(1024, 0), shift_(64 - 10) {}
-
-  /// Returns the gid whose key `matches` (called with candidate gids of
-  /// equal hash), or inserts `next_gid` and returns it.
-  template <typename Matches>
-  size_t FindOrInsert(size_t hash, size_t next_gid, Matches matches) {
-    size_t i = Slot(hash);
-    while (slots_[i] != 0) {
-      const size_t gid = slots_[i] - 1;
-      if (hashes_[gid] == hash && matches(gid)) return gid;
-      i = (i + 1) & (slots_.size() - 1);
-    }
-    slots_[i] = static_cast<uint32_t>(next_gid + 1);
-    hashes_.push_back(hash);
-    if (hashes_.size() * 2 > slots_.size()) Grow();
-    return next_gid;
-  }
-
- private:
-  size_t Slot(size_t hash) const {
-    return static_cast<size_t>((static_cast<uint64_t>(hash) *
-                                0x9e3779b97f4a7c15ull) >>
-                               shift_);
-  }
-
-  void Grow() {
-    slots_.assign(slots_.size() * 2, 0);
-    --shift_;
-    for (size_t gid = 0; gid < hashes_.size(); ++gid) {
-      size_t i = Slot(hashes_[gid]);
-      while (slots_[i] != 0) i = (i + 1) & (slots_.size() - 1);
-      slots_[i] = static_cast<uint32_t>(gid + 1);
-    }
-  }
-
-  std::vector<uint32_t> slots_;
-  std::vector<size_t> hashes_;  // by gid
-  int shift_;
-};
-
-// Grace spill geometry (mirrors HashJoinOp's). Partitioning is by gid, so
-// every group's members land in exactly one file per level.
-constexpr size_t kSpillFanout = 8;
-constexpr int kMaxSpillDepth = 4;
-
+// Spill partitioning is by gid, so every group's members land in exactly
+// one file per level.
 size_t PartitionOfGid(uint64_t gid, int level) {
-  return HashCombine(std::hash<uint64_t>{}(gid),
-                     0x9e3779b9u * static_cast<size_t>(level + 1)) %
-         kSpillFanout;
-}
-
-void RemoveFile(const std::string& path) {
-  std::error_code ec;
-  std::filesystem::remove(path, ec);
+  return SpillPartitionOf(std::hash<uint64_t>{}(gid), level);
 }
 
 }  // namespace
@@ -196,10 +139,11 @@ Status GApplyOp::Partition(ExecContext* ctx) {
 Status GApplyOp::PartitionByHash(ExecContext* ctx, RowBatch* batch) {
   // Pass 1 assigns gids straight off the outer child, batch at a time: key
   // hashes are precomputed per batch, then each row is matched against the
-  // gid index by comparing its grouping columns in place with those of its
-  // group's first row — no key is materialized until a spill needs one.
+  // shared flat table (gid = entry id) by comparing its grouping columns in
+  // place with those of its group's first row — no key is materialized
+  // until a spill needs one.
   const bool budgeted = mem_.tracker() != nullptr;
-  GidIndex index;
+  HashTable index;
   std::vector<Row> input;
   std::vector<uint32_t> gids;
   std::vector<size_t> counts;
@@ -229,10 +173,9 @@ Status GApplyOp::PartitionByHash(ExecContext* ctx, RowBatch* batch) {
           !mem_.TryGrow(ApproxRowBytes(r) + sizeof(uint32_t))) {
         RETURN_NOT_OK(StartMemberSpill(ctx, &input, &gids, first_row));
       }
-      const size_t gid = index.FindOrInsert(
-          hashes[i], num_groups_,
-          [&](size_t cand) { return row_matches_group(r, cand); });
-      if (gid == num_groups_) {
+      const auto [gid, inserted] = index.FindOrInsert(
+          hashes[i], [&](uint32_t cand) { return row_matches_group(r, cand); });
+      if (inserted) {
         ++num_groups_;
         if (spilled_) {
           group_keys_.push_back(ExtractKey(r, grouping_columns_));
@@ -252,11 +195,7 @@ Status GApplyOp::PartitionByHash(ExecContext* ctx, RowBatch* batch) {
     }
   }
   if (spilled_) {
-    spill_paths_.resize(spill_writers_.size());
-    for (size_t p = 0; p < spill_writers_.size(); ++p) {
-      RETURN_NOT_OK(FinishPart(ctx, spill_writers_[p].get()));
-      spill_paths_[p] = spill_writers_[p]->path();
-    }
+    ASSIGN_OR_RETURN(spill_paths_, FinishSpillFiles(ctx, spill_writers_));
     spill_writers_.clear();
     return Status::OK();
   }
@@ -469,11 +408,7 @@ Status GApplyOp::ExecuteUnitsParallel(ExecContext* ctx) {
 Status GApplyOp::StartMemberSpill(ExecContext* ctx, std::vector<Row>* input,
                                   std::vector<uint32_t>* gids,
                                   const std::vector<size_t>& first_row) {
-  spill_writers_.resize(kSpillFanout);
-  for (auto& w : spill_writers_) {
-    ASSIGN_OR_RETURN(std::string path, ctx->spill()->NewFilePath());
-    ASSIGN_OR_RETURN(w, SpillWriter::Open(path));
-  }
+  ASSIGN_OR_RETURN(spill_writers_, OpenSpillFanout(ctx->spill()));
   // Group keys stay in memory; the member rows they were read from go.
   for (size_t pos : first_row) {
     group_keys_.push_back(ExtractKey((*input)[pos], grouping_columns_));
@@ -490,15 +425,6 @@ Status GApplyOp::StartMemberSpill(ExecContext* ctx, std::vector<Row>* input,
   *gids = std::vector<uint32_t>();
   mem_.ReleaseAll();
   spilled_ = true;
-  return Status::OK();
-}
-
-Status GApplyOp::FinishPart(ExecContext* ctx, SpillWriter* writer) {
-  RETURN_NOT_OK(writer->Finish());
-  ctx->counters().spill_bytes += writer->bytes_written();
-  ctx->counters().spill_partitions += 1;
-  profile_.spill_bytes += writer->bytes_written();
-  profile_.spill_partitions += 1;
   return Status::OK();
 }
 
@@ -530,11 +456,8 @@ Status GApplyOp::ExecuteSpilledPartition(ExecContext* ctx,
   }
 
   if (overflow) {
-    std::vector<std::unique_ptr<SpillWriter>> writers(kSpillFanout);
-    for (auto& w : writers) {
-      ASSIGN_OR_RETURN(std::string sub_path, ctx->spill()->NewFilePath());
-      ASSIGN_OR_RETURN(w, SpillWriter::Open(sub_path));
-    }
+    ASSIGN_OR_RETURN(std::vector<std::unique_ptr<SpillWriter>> writers,
+                     OpenSpillFanout(ctx->spill()));
     const auto route = [&](uint64_t g, const Row& r) -> Status {
       return writers[PartitionOfGid(g, level + 1)]->WriteIndexedRow(g, r);
     };
@@ -548,12 +471,9 @@ Status GApplyOp::ExecuteSpilledPartition(ExecContext* ctx,
       RETURN_NOT_OK(route(gid, row));
     }
     reader.reset();
-    RemoveFile(path);
-    std::vector<std::string> sub_paths(kSpillFanout);
-    for (size_t p = 0; p < kSpillFanout; ++p) {
-      RETURN_NOT_OK(FinishPart(ctx, writers[p].get()));
-      sub_paths[p] = writers[p]->path();
-    }
+    RemoveSpillFile(path);
+    ASSIGN_OR_RETURN(std::vector<std::string> sub_paths,
+                     FinishSpillFiles(ctx, writers));
     writers.clear();
     for (size_t p = 0; p < kSpillFanout; ++p) {
       RETURN_NOT_OK(ExecuteSpilledPartition(ctx, sub_paths[p], level + 1));
@@ -586,7 +506,7 @@ Status GApplyOp::ExecuteSpilledPartition(ExecContext* ctx,
     RETURN_NOT_OK(
         ExecuteBound(pgq_.get(), ctx, binding, gid, &unit_outputs_[gid]));
   }
-  RemoveFile(path);
+  RemoveSpillFile(path);
   return Status::OK();
 }
 
@@ -718,7 +638,7 @@ Status GApplyOp::CloseImpl(ExecContext* ctx) {
   unit_bounds_.clear();
   unit_outputs_.clear();
   spill_writers_.clear();
-  for (const std::string& path : spill_paths_) RemoveFile(path);
+  for (const std::string& path : spill_paths_) RemoveSpillFile(path);
   spill_paths_.clear();
   spilled_ = false;
   mem_.ReleaseAll();

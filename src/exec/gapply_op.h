@@ -133,8 +133,6 @@ class GApplyOp : public PhysOp {
   /// runs the per-group PGQ per group into unit_outputs_.
   Status ExecuteSpilledPartition(ExecContext* ctx, const std::string& path,
                                  int level);
-  /// Finishes a spill file and books its bytes into counters + profile.
-  Status FinishPart(ExecContext* ctx, SpillWriter* writer);
 
   PhysOpPtr outer_;
   std::vector<int> grouping_columns_;

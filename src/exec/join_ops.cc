@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <filesystem>
-#include <system_error>
 
 #include "src/common/thread_pool.h"
 #include "src/exec/exchange_op.h"
@@ -21,40 +19,16 @@ void ConcatRows(const Row& left, const Row& right, Row* out) {
   out->insert(out->end(), right.begin(), right.end());
 }
 
-// Extracts the key columns from a row. Under SQL equi-join semantics
-// (null_safe = false) returns false if any key is NULL — NULL never
-// matches. Under IS NOT DISTINCT FROM semantics (null_safe = true) NULL
-// keys are kept; Value::Hash/Equals already treat NULL == NULL as equal,
-// so the hash table matches them without further work.
-bool ExtractKey(const Row& row, const std::vector<int>& cols, bool null_safe,
-                Row* key) {
-  key->clear();
-  key->reserve(cols.size());
-  for (int c : cols) {
-    const Value& v = row[static_cast<size_t>(c)];
-    if (v.is_null() && !null_safe) return false;
-    key->push_back(v);
+// True iff a's `a_cols` equal b's `b_cols` pairwise (Value::Equals).
+bool KeysEqual(const Row& a, const std::vector<int>& a_cols, const Row& b,
+               const std::vector<int>& b_cols) {
+  for (size_t k = 0; k < a_cols.size(); ++k) {
+    if (!a[static_cast<size_t>(a_cols[k])].Equals(
+            b[static_cast<size_t>(b_cols[k])])) {
+      return false;
+    }
   }
   return true;
-}
-
-// Grace spill geometry: partitions per level and the recursion cap. At
-// the cap a partition is joined in memory regardless of the budget (an
-// all-equal-key build cannot be split by any hash).
-constexpr size_t kSpillFanout = 8;
-constexpr int kMaxSpillDepth = 4;
-
-// Level-salted partition assignment, so a partition that overflows level L
-// redistributes at level L+1 instead of landing in one sub-partition.
-size_t PartitionOf(const Row& key, int level) {
-  return HashCombine(RowHash{}(key),
-                     0x9e3779b9u * static_cast<size_t>(level + 1)) %
-         kSpillFanout;
-}
-
-void RemoveFile(const std::string& path) {
-  std::error_code ec;
-  std::filesystem::remove(path, ec);
 }
 
 std::string KeyList(const Schema& schema, const std::vector<int>& cols) {
@@ -81,32 +55,56 @@ HashJoinOp::HashJoinOp(PhysOpPtr left, PhysOpPtr right,
       parallelism_(std::max<size_t>(1, parallelism)),
       null_safe_(null_safe) {}
 
+bool HashJoinOp::Keyless(const Row& row,
+                         const std::vector<int>& keys) const {
+  if (null_safe_) return false;
+  for (int c : keys) {
+    if (row[static_cast<size_t>(c)].is_null()) return true;
+  }
+  return false;
+}
+
+void HashJoinOp::Insert(BuildTable* t, const Row& row, size_t hash) const {
+  t->table.InsertRow(hash, [&](uint32_t first) {
+    return KeysEqual(row, right_keys_, *t->rows[first], right_keys_);
+  });
+  t->rows.push_back(&row);
+}
+
+uint32_t HashJoinOp::FirstMatch(const BuildTable& t, const Row& probe,
+                                size_t hash) const {
+  const uint32_t entry = t.table.Find(hash, [&](uint32_t e) {
+    return KeysEqual(probe, left_keys_, *t.rows[t.table.FirstRow(e)],
+                     right_keys_);
+  });
+  return entry == HashTable::kNone ? HashTable::kNone
+                                   : t.table.FirstRow(entry);
+}
+
 void HashJoinOp::BuildParallel(ExecContext* ctx) {
-  // Phase 1: workers claim fixed-size chunks of the build rows and route
-  // each row (by key hash) into a per-(chunk, shard) index list. Storing
-  // the lists per chunk keeps a shard's rows in global build order once the
-  // chunks are walked in order.
+  // Phase 1: workers claim fixed-size chunks of the build rows, hash each
+  // row's key once and route it to shard hash % nshards (keyless rows to
+  // none).
   constexpr size_t kChunkRows = 8192;
   const size_t n = build_rows_.size();
   const size_t num_chunks = (n + kChunkRows - 1) / kChunkRows;
   const size_t nshards = parallelism_;
-  std::vector<std::vector<std::vector<uint32_t>>> routed(
-      num_chunks, std::vector<std::vector<uint32_t>>(nshards));
+  std::vector<size_t> hashes(n);
+  std::vector<uint32_t> shard_of(n);
 
   std::atomic<size_t> next_chunk{0};
-  const auto route_chunks = [&] {
-    Row key;
+  const auto hash_chunks = [&] {
     while (true) {
       const size_t c = next_chunk.fetch_add(1, std::memory_order_relaxed);
       if (c >= num_chunks) return;
-      const size_t begin = c * kChunkRows;
-      const size_t end = std::min(n, begin + kChunkRows);
-      for (size_t i = begin; i < end; ++i) {
-        if (!ExtractKey(build_rows_[i], right_keys_, null_safe_, &key)) {
+      const size_t end = std::min(n, (c + 1) * kChunkRows);
+      for (size_t i = c * kChunkRows; i < end; ++i) {
+        if (Keyless(build_rows_[i], right_keys_)) {
+          shard_of[i] = HashTable::kNone;
           continue;
         }
-        routed[c][RowHash{}(key) % nshards].push_back(
-            static_cast<uint32_t>(i));
+        hashes[i] = HashRowColumns(build_rows_[i], right_keys_);
+        shard_of[i] = static_cast<uint32_t>(hashes[i] % nshards);
       }
     }
   };
@@ -114,45 +112,29 @@ void HashJoinOp::BuildParallel(ExecContext* ctx) {
   const size_t dop = std::min(parallelism_, num_chunks);
   std::vector<std::function<void()>> tasks;
   tasks.reserve(dop);
-  for (size_t w = 0; w < dop; ++w) tasks.push_back(route_chunks);
+  for (size_t w = 0; w < dop; ++w) tasks.push_back(hash_chunks);
   RunTaskGroup(ctx->thread_pool(), std::move(tasks));
 
-  // Phase 2: one worker per shard inserts that shard's rows in chunk order,
-  // reproducing the serial per-key insertion sequence.
-  shard_tables_.resize(nshards);
+  // Phase 2: one worker per shard inserts that shard's rows in global row
+  // order, reproducing the serial per-key insertion sequence.
+  tables_.resize(nshards);
   std::atomic<size_t> next_shard{0};
   const auto build_shards = [&] {
-    Row key;
     while (true) {
       const size_t s = next_shard.fetch_add(1, std::memory_order_relaxed);
       if (s >= nshards) return;
-      HashTable& shard = shard_tables_[s];
-      size_t rows = 0;
-      for (size_t c = 0; c < num_chunks; ++c) rows += routed[c][s].size();
-      shard.reserve(rows);
-      for (size_t c = 0; c < num_chunks; ++c) {
-        for (uint32_t i : routed[c][s]) {
-          ExtractKey(build_rows_[i], right_keys_, null_safe_, &key);
-          shard.emplace(key, &build_rows_[i]);
-        }
+      for (size_t i = 0; i < n; ++i) {
+        if (shard_of[i] == s) Insert(&tables_[s], build_rows_[i], hashes[i]);
       }
     }
   };
   tasks.clear();
-  for (size_t w = 0; w < std::min(parallelism_, nshards); ++w) {
-    tasks.push_back(build_shards);
-  }
+  for (size_t w = 0; w < nshards; ++w) tasks.push_back(build_shards);
   RunTaskGroup(ctx->thread_pool(), std::move(tasks));
 }
 
-const HashJoinOp::HashTable& HashJoinOp::TableFor(const Row& key) const {
-  if (shard_tables_.empty()) return table_;
-  return shard_tables_[RowHash{}(key) % shard_tables_.size()];
-}
-
 Status HashJoinOp::OpenImpl(ExecContext* ctx) {
-  table_.clear();
-  shard_tables_.clear();
+  tables_.clear();
   build_rows_.clear();
   probe_.Reset();
   have_matches_ = false;
@@ -212,28 +194,21 @@ Status HashJoinOp::OpenImpl(ExecContext* ctx) {
     profile_.peak_memory =
         std::max<uint64_t>(profile_.peak_memory, mem_.peak());
   }
-  // Stable addresses now that build_rows_ stopped growing? vector may have
-  // reallocated during the loop, so index after the fact.
+  if (build_rows_.size() >= HashTable::kNone) {
+    return Status::NotImplemented("hash join build of 2^32 rows or more");
+  }
+  // Index only now that build_rows_ stopped growing (the vector may have
+  // reallocated during the loop).
   if (parallelism_ > 1 && build_rows_.size() >= kParallelBuildMinRows) {
     BuildParallel(ctx);
   } else {
-    table_.reserve(build_rows_.size());
-    Row key;
+    tables_.resize(1);
     for (const Row& build_row : build_rows_) {
-      if (!ExtractKey(build_row, right_keys_, null_safe_, &key)) continue;
-      table_.emplace(key, &build_row);
+      if (Keyless(build_row, right_keys_)) continue;
+      Insert(&tables_[0], build_row, HashRowColumns(build_row, right_keys_));
     }
   }
   return left_->Open(ctx);
-}
-
-Status HashJoinOp::FinishPart(ExecContext* ctx, SpillWriter* writer) {
-  RETURN_NOT_OK(writer->Finish());
-  ctx->counters().spill_bytes += writer->bytes_written();
-  ctx->counters().spill_partitions += 1;
-  profile_.spill_bytes += writer->bytes_written();
-  profile_.spill_partitions += 1;
-  return Status::OK();
 }
 
 Status HashJoinOp::SpillBuildAndJoin(ExecContext* ctx, RowBatch* pending,
@@ -243,15 +218,12 @@ Status HashJoinOp::SpillBuildAndJoin(ExecContext* ctx, RowBatch* pending,
   // of the right child streamed straight through. Keyless rows (NULL key
   // under equi-join semantics) can never match and are dropped here, just
   // as the in-memory build skips them at insertion.
-  std::vector<std::unique_ptr<SpillWriter>> writers(kSpillFanout);
-  for (auto& w : writers) {
-    ASSIGN_OR_RETURN(std::string path, ctx->spill()->NewFilePath());
-    ASSIGN_OR_RETURN(w, SpillWriter::Open(path));
-  }
-  Row key;
+  ASSIGN_OR_RETURN(std::vector<std::unique_ptr<SpillWriter>> writers,
+                   OpenSpillFanout(ctx->spill()));
   const auto route_build = [&](const Row& row) -> Status {
-    if (!ExtractKey(row, right_keys_, null_safe_, &key)) return Status::OK();
-    return writers[PartitionOf(key, 0)]->WriteRow(row);
+    if (Keyless(row, right_keys_)) return Status::OK();
+    const size_t part = SpillPartitionOf(HashRowColumns(row, right_keys_), 0);
+    return writers[part]->WriteRow(row);
   };
   for (const Row& row : build_rows_) RETURN_NOT_OK(route_build(row));
   build_rows_.clear();
@@ -266,19 +238,13 @@ Status HashJoinOp::SpillBuildAndJoin(ExecContext* ctx, RowBatch* pending,
     for (const Row& row : pending->rows()) RETURN_NOT_OK(route_build(row));
   }
   RETURN_NOT_OK(right_->Close(ctx));
-  std::vector<std::string> build_paths(kSpillFanout);
-  for (size_t p = 0; p < kSpillFanout; ++p) {
-    RETURN_NOT_OK(FinishPart(ctx, writers[p].get()));
-    build_paths[p] = writers[p]->path();
-  }
+  ASSIGN_OR_RETURN(std::vector<std::string> build_paths,
+                   FinishSpillFiles(ctx, writers));
 
   // 2. Partition the probe side, each row tagged with its global probe
   // index so step 4 can merge the per-partition outputs back into the
   // exact in-memory probe order.
-  for (auto& w : writers) {
-    ASSIGN_OR_RETURN(std::string path, ctx->spill()->NewFilePath());
-    ASSIGN_OR_RETURN(w, SpillWriter::Open(path));
-  }
+  ASSIGN_OR_RETURN(writers, OpenSpillFanout(ctx->spill()));
   RETURN_NOT_OK(left_->Open(ctx));
   uint64_t probe_idx = 0;
   while (true) {
@@ -286,16 +252,13 @@ Status HashJoinOp::SpillBuildAndJoin(ExecContext* ctx, RowBatch* pending,
     if (!has) break;
     for (const Row& row : pending->rows()) {
       const uint64_t idx = probe_idx++;
-      if (!ExtractKey(row, left_keys_, null_safe_, &key)) continue;
-      RETURN_NOT_OK(
-          writers[PartitionOf(key, 0)]->WriteIndexedRow(idx, row));
+      if (Keyless(row, left_keys_)) continue;
+      const size_t part = SpillPartitionOf(HashRowColumns(row, left_keys_), 0);
+      RETURN_NOT_OK(writers[part]->WriteIndexedRow(idx, row));
     }
   }
-  std::vector<std::string> probe_paths(kSpillFanout);
-  for (size_t p = 0; p < kSpillFanout; ++p) {
-    RETURN_NOT_OK(FinishPart(ctx, writers[p].get()));
-    probe_paths[p] = writers[p]->path();
-  }
+  ASSIGN_OR_RETURN(std::vector<std::string> probe_paths,
+                   FinishSpillFiles(ctx, writers));
   writers.clear();
 
   // 3. Join every partition pair into index-tagged output runs.
@@ -346,22 +309,19 @@ Status HashJoinOp::JoinPartition(ExecContext* ctx,
     profile_.peak_memory =
         std::max<uint64_t>(profile_.peak_memory, part_mem.peak());
     RETURN_NOT_OK(JoinLoadedPartition(ctx, build, probe_path));
-    RemoveFile(build_path);
-    RemoveFile(probe_path);
+    RemoveSpillFile(build_path);
+    RemoveSpillFile(probe_path);
     return Status::OK();
   }
 
   // Repartition the build side (the loaded prefix, the row that tripped
   // the budget, then the rest of the file) at level + 1.
-  std::vector<std::unique_ptr<SpillWriter>> writers(kSpillFanout);
-  for (auto& w : writers) {
-    ASSIGN_OR_RETURN(std::string path, ctx->spill()->NewFilePath());
-    ASSIGN_OR_RETURN(w, SpillWriter::Open(path));
-  }
-  Row key;
+  ASSIGN_OR_RETURN(std::vector<std::unique_ptr<SpillWriter>> writers,
+                   OpenSpillFanout(ctx->spill()));
   const auto route_build = [&](const Row& r) -> Status {
-    ExtractKey(r, right_keys_, null_safe_, &key);
-    return writers[PartitionOf(key, level + 1)]->WriteRow(r);
+    const size_t part =
+        SpillPartitionOf(HashRowColumns(r, right_keys_), level + 1);
+    return writers[part]->WriteRow(r);
   };
   for (const Row& r : build) RETURN_NOT_OK(route_build(r));
   build.clear();
@@ -373,36 +333,27 @@ Status HashJoinOp::JoinPartition(ExecContext* ctx,
     RETURN_NOT_OK(route_build(row));
   }
   build_reader.reset();
-  std::vector<std::string> build_paths(kSpillFanout);
-  for (size_t p = 0; p < kSpillFanout; ++p) {
-    RETURN_NOT_OK(FinishPart(ctx, writers[p].get()));
-    build_paths[p] = writers[p]->path();
-  }
+  ASSIGN_OR_RETURN(std::vector<std::string> build_paths,
+                   FinishSpillFiles(ctx, writers));
 
   // Repartition the probe side with the same salt.
-  for (auto& w : writers) {
-    ASSIGN_OR_RETURN(std::string path, ctx->spill()->NewFilePath());
-    ASSIGN_OR_RETURN(w, SpillWriter::Open(path));
-  }
+  ASSIGN_OR_RETURN(writers, OpenSpillFanout(ctx->spill()));
   ASSIGN_OR_RETURN(std::unique_ptr<SpillReader> probe_reader,
                    SpillReader::Open(probe_path));
   uint64_t idx = 0;
   while (true) {
     ASSIGN_OR_RETURN(bool has, probe_reader->ReadIndexedRow(&idx, &row));
     if (!has) break;
-    ExtractKey(row, left_keys_, null_safe_, &key);
-    RETURN_NOT_OK(
-        writers[PartitionOf(key, level + 1)]->WriteIndexedRow(idx, row));
+    const size_t part =
+        SpillPartitionOf(HashRowColumns(row, left_keys_), level + 1);
+    RETURN_NOT_OK(writers[part]->WriteIndexedRow(idx, row));
   }
   probe_reader.reset();
-  std::vector<std::string> probe_paths(kSpillFanout);
-  for (size_t p = 0; p < kSpillFanout; ++p) {
-    RETURN_NOT_OK(FinishPart(ctx, writers[p].get()));
-    probe_paths[p] = writers[p]->path();
-  }
+  ASSIGN_OR_RETURN(std::vector<std::string> probe_paths,
+                   FinishSpillFiles(ctx, writers));
   writers.clear();
-  RemoveFile(build_path);
-  RemoveFile(probe_path);
+  RemoveSpillFile(build_path);
+  RemoveSpillFile(probe_path);
 
   for (size_t p = 0; p < kSpillFanout; ++p) {
     RETURN_NOT_OK(
@@ -416,13 +367,11 @@ Status HashJoinOp::JoinLoadedPartition(ExecContext* ctx,
                                        const std::string& probe_path) {
   // Per-key insertion order equals the serial build's (the partition file
   // preserves build arrival order and every key lives in exactly one
-  // partition), so equal_range enumerates matches in the same order.
-  HashTable table;
-  table.reserve(build.size());
-  Row key;
+  // partition), so matches chain in the same order. Keyless rows were
+  // dropped when the sides were partitioned.
+  BuildTable table;
   for (const Row& build_row : build) {
-    if (!ExtractKey(build_row, right_keys_, null_safe_, &key)) continue;
-    table.emplace(key, &build_row);
+    Insert(&table, build_row, HashRowColumns(build_row, right_keys_));
   }
 
   ASSIGN_OR_RETURN(std::unique_ptr<SpillReader> probe,
@@ -436,10 +385,10 @@ Status HashJoinOp::JoinLoadedPartition(ExecContext* ctx,
   while (true) {
     ASSIGN_OR_RETURN(bool has, probe->ReadIndexedRow(&idx, &probe_row));
     if (!has) break;
-    if (!ExtractKey(probe_row, left_keys_, null_safe_, &key)) continue;
-    auto [it, end] = table.equal_range(key);
-    for (; it != end; ++it) {
-      ConcatRows(probe_row, *it->second, &joined);
+    for (uint32_t r = FirstMatch(table, probe_row,
+                                 HashRowColumns(probe_row, left_keys_));
+         r != HashTable::kNone; r = table.table.NextRow(r)) {
+      ConcatRows(probe_row, *table.rows[r], &joined);
       if (residual_ != nullptr) {
         ASSIGN_OR_RETURN(bool pass,
                          EvalPredicate(*residual_, joined, *ctx->eval()));
@@ -449,11 +398,11 @@ Status HashJoinOp::JoinLoadedPartition(ExecContext* ctx,
     }
   }
   const bool keep = out_writer->rows_written() > 0;
-  RETURN_NOT_OK(FinishPart(ctx, out_writer.get()));
+  RETURN_NOT_OK(FinishSpillFile(ctx, out_writer.get()));
   if (keep) {
     output_runs_.push_back(out_path);
   } else {
-    RemoveFile(out_path);
+    RemoveSpillFile(out_path);
   }
   return Status::OK();
 }
@@ -489,23 +438,24 @@ Result<bool> HashJoinOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
     RecordBatch(ctx, out->size());
     return true;
   }
-  Row key;
   Row joined;
   while (!out->full()) {
     ASSIGN_OR_RETURN(const Row* left_row,
                      probe_.Peek(ctx, left_.get(), out->capacity()));
     if (left_row == nullptr) break;
     if (!have_matches_) {
-      if (!ExtractKey(*left_row, left_keys_, null_safe_, &key)) {
+      if (Keyless(*left_row, left_keys_)) {
         probe_.Advance();
         continue;
       }
-      matches_ = TableFor(key).equal_range(key);
+      const size_t hash = HashRowColumns(*left_row, left_keys_);
+      match_table_ = &tables_[hash % tables_.size()];
+      match_row_ = FirstMatch(*match_table_, *left_row, hash);
       have_matches_ = true;
     }
-    for (; matches_.first != matches_.second && !out->full();
-         ++matches_.first) {
-      ConcatRows(*left_row, *matches_.first->second, &joined);
+    for (; match_row_ != HashTable::kNone && !out->full();
+         match_row_ = match_table_->table.NextRow(match_row_)) {
+      ConcatRows(*left_row, *match_table_->rows[match_row_], &joined);
       if (residual_ != nullptr) {
         ASSIGN_OR_RETURN(bool pass,
                          EvalPredicate(*residual_, joined, *ctx->eval()));
@@ -513,7 +463,7 @@ Result<bool> HashJoinOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
       }
       out->Add(std::move(joined));
     }
-    if (matches_.first != matches_.second) break;  // resume mid-row
+    if (match_row_ != HashTable::kNone) break;  // resume mid-row
     have_matches_ = false;
     probe_.Advance();
   }
@@ -523,13 +473,12 @@ Result<bool> HashJoinOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
 }
 
 Status HashJoinOp::CloseImpl(ExecContext* ctx) {
-  table_.clear();
-  shard_tables_.clear();
+  tables_.clear();
   build_rows_.clear();
   probe_.Reset();
   have_matches_ = false;
   run_heads_.clear();
-  for (const std::string& path : output_runs_) RemoveFile(path);
+  for (const std::string& path : output_runs_) RemoveSpillFile(path);
   output_runs_.clear();
   spilled_ = false;
   mem_.ReleaseAll();

@@ -3,9 +3,9 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "src/common/hash_table.h"
 #include "src/common/memory_tracker.h"
 #include "src/common/spill_file.h"
 #include "src/exec/physical_op.h"
@@ -25,13 +25,16 @@ namespace gapply {
 /// keys may be NULL. An optional residual predicate over the concatenated
 /// row filters matches further.
 ///
-/// With `parallelism` > 1 and a build side of at least
+/// The build side lives in flat `HashTable`s (DESIGN.md §18): each key's
+/// hash is computed once per row, in place, and rows of equal key chain
+/// newest first, so a probe row's matches come out in reverse build order
+/// (the order the earlier `std::unordered_multimap` table produced). With `parallelism` > 1 and a build side of at least
 /// `kParallelBuildMinRows` rows, the build phase is parallel and
-/// hash-partitioned: build rows are split into chunks, workers route each
-/// chunk's rows to key-hash shards, then one worker per shard inserts its
-/// shard's rows in global chunk order. Because the per-key insertion
-/// sequence equals the serial build's, `equal_range` enumerates matches in
-/// the same order, so probe output stays bit-for-bit identical to DOP 1.
+/// hash-partitioned: workers hash fixed-size chunks of the build rows,
+/// then one worker per shard inserts its shard's rows (hash % shards) in
+/// global row order into its own table. Because the per-key insertion
+/// sequence equals the serial build's, probe output stays bit-for-bit
+/// identical to DOP 1.
 ///
 /// Under a memory budget (DESIGN.md §16), a build side that exceeds the
 /// query's MemoryTracker budget switches the operator to a Grace-style
@@ -68,12 +71,24 @@ class HashJoinOp : public PhysOp {
   void set_parallelism(size_t dop) { parallelism_ = dop == 0 ? 1 : dop; }
 
  private:
-  using HashTable = std::unordered_multimap<Row, const Row*, RowHash, RowEq>;
+  /// A flat table over a set of build rows: the whole build side, one
+  /// hash shard of it, or one Grace leaf partition. The table's row ids
+  /// index `rows`, which is in build order.
+  struct BuildTable {
+    HashTable table;
+    std::vector<const Row*> rows;
+  };
 
-  /// Hash-partitioned parallel build over build_rows_ into shard_tables_.
+  /// Hash-partitioned parallel build over build_rows_ into tables_.
   void BuildParallel(ExecContext* ctx);
-  /// The table holding `key`: the single serial table, or the key's shard.
-  const HashTable& TableFor(const Row& key) const;
+  /// Adds a build row (its key hash precomputed) to `t`.
+  void Insert(BuildTable* t, const Row& row, size_t hash) const;
+  /// The row id of `probe`'s first match in `t`, or HashTable::kNone.
+  uint32_t FirstMatch(const BuildTable& t, const Row& probe,
+                      size_t hash) const;
+  /// True iff the join is not null-safe and some column of `keys` is NULL
+  /// in `row`: such a row never matches.
+  bool Keyless(const Row& row, const std::vector<int>& keys) const;
 
   /// Grace spill path, entered from OpenImpl when buffering the build side
   /// trips the budget: partitions both sides, joins every partition, and
@@ -91,8 +106,6 @@ class HashJoinOp : public PhysOp {
   /// appending the index-tagged output run to output_runs_.
   Status JoinLoadedPartition(ExecContext* ctx, const std::vector<Row>& build,
                              const std::string& probe_path);
-  /// Finishes a spill file and books its bytes into counters + profile.
-  Status FinishPart(ExecContext* ctx, SpillWriter* writer);
   /// Pops the globally next joined row (smallest probe index) off the runs.
   Result<bool> SpillNext(Row* out);
 
@@ -104,16 +117,18 @@ class HashJoinOp : public PhysOp {
   size_t parallelism_ = 1;
   bool null_safe_ = false;
 
-  HashTable table_;
-  std::vector<HashTable> shard_tables_;  // non-empty iff built in parallel
+  // One table when built serially, one per shard (hash % size) when built
+  // in parallel.
+  std::vector<BuildTable> tables_;
   std::vector<Row> build_rows_;
 
   // Probe cursor: the current probe row and (while have_matches_) its
-  // unvisited matches. It survives across NextBatch calls, so one probe
-  // row's matches may span several batches.
+  // next unvisited match, a row id of match_table_. It survives across
+  // NextBatch calls, so one probe row's matches may span several batches.
   ChildCursor probe_;
   bool have_matches_ = false;
-  std::pair<HashTable::const_iterator, HashTable::const_iterator> matches_;
+  const BuildTable* match_table_ = nullptr;
+  uint32_t match_row_ = HashTable::kNone;
 
   // Grace spill state; inert until a budget refusal flips spilled_.
   bool spilled_ = false;

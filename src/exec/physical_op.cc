@@ -5,6 +5,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "src/common/spill_file.h"
 #include "src/common/string_util.h"
 
 namespace gapply {
@@ -105,6 +106,26 @@ Status PhysOp::ProfiledClose(ExecContext* ctx) {
   profile_.close_ns += ProfileNowNs() - t0;
   consumers.pop_back();
   return st;
+}
+
+Status PhysOp::FinishSpillFile(ExecContext* ctx, SpillWriter* writer) {
+  RETURN_NOT_OK(writer->Finish());
+  ctx->counters().spill_bytes += writer->bytes_written();
+  ctx->counters().spill_partitions += 1;
+  profile_.spill_bytes += writer->bytes_written();
+  profile_.spill_partitions += 1;
+  return Status::OK();
+}
+
+Result<std::vector<std::string>> PhysOp::FinishSpillFiles(
+    ExecContext* ctx,
+    const std::vector<std::unique_ptr<SpillWriter>>& writers) {
+  std::vector<std::string> paths;
+  for (const auto& w : writers) {
+    RETURN_NOT_OK(FinishSpillFile(ctx, w.get()));
+    paths.push_back(w->path());
+  }
+  return paths;
 }
 
 std::string PhysOp::DebugString(int indent) const {

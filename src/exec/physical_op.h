@@ -12,6 +12,8 @@
 
 namespace gapply {
 
+class SpillWriter;
+
 /// Per-operator runtime profile, collected by the non-virtual PhysOp entry
 /// points while `ExecContext::profiling()` is on. All time fields are
 /// *cumulative* (inclusive of children): the scoped timer around OpenImpl /
@@ -166,6 +168,14 @@ class PhysOp {
     ctx->counters().batches_produced++;
     ctx->counters().batch_rows_produced += rows;
   }
+
+  /// Finishes a spill file and books its bytes into the context counters
+  /// and this operator's profile.
+  Status FinishSpillFile(ExecContext* ctx, SpillWriter* writer);
+  /// FinishSpillFile on every writer; returns their paths in order.
+  Result<std::vector<std::string>> FinishSpillFiles(
+      ExecContext* ctx,
+      const std::vector<std::unique_ptr<SpillWriter>>& writers);
 
   Schema schema_;
   OpRuntimeProfile profile_;

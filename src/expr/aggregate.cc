@@ -1,17 +1,10 @@
 #include "src/expr/aggregate.h"
 
-#include <unordered_set>
+#include "src/common/hash_table.h"
 
 namespace gapply {
 
 namespace {
-
-struct ValueHashFn {
-  size_t operator()(const Value& v) const { return v.Hash(); }
-};
-struct ValueEqFn {
-  bool operator()(const Value& a, const Value& b) const { return a.Equals(b); }
-};
 
 class CountStarAccumulator : public AggAccumulator {
  public:
@@ -130,14 +123,19 @@ class DistinctAccumulator : public AggAccumulator {
       : inner_(std::move(inner)) {}
 
   Status Add(const Value& v) override {
-    if (!seen_.insert(v).second) return Status::OK();
+    const bool first = seen_.FindOrInsert(v.Hash(), [&](uint32_t e) {
+      return values_[e].Equals(v);
+    }).second;
+    if (!first) return Status::OK();
+    values_.push_back(v);
     return inner_->Add(v);
   }
   Value Finish() const override { return inner_->Finish(); }
 
  private:
   std::unique_ptr<AggAccumulator> inner_;
-  std::unordered_set<Value, ValueHashFn, ValueEqFn> seen_;
+  HashTable seen_;             // entry e = values_[e]
+  std::vector<Value> values_;  // distinct values, in arrival order
 };
 
 }  // namespace

@@ -231,7 +231,10 @@ ExprPtr ColumnRefExpr::Clone() const {
 }
 
 std::string ColumnRefExpr::ToString() const {
-  return name_.empty() ? "$" + std::to_string(index_) : name_;
+  if (!name_.empty()) return name_;
+  std::string out = "$";
+  out += std::to_string(index_);
+  return out;
 }
 
 bool ColumnRefExpr::StructurallyEquals(const Expr& other) const {
@@ -286,8 +289,16 @@ ExprPtr CorrelatedColumnRefExpr::Clone() const {
 }
 
 std::string CorrelatedColumnRefExpr::ToString() const {
-  return "outer(" + std::to_string(depth_) + ")." +
-         (name_.empty() ? "$" + std::to_string(index_) : name_);
+  std::string out = "outer(";
+  out += std::to_string(depth_);
+  out += ").";
+  if (name_.empty()) {
+    out += '$';
+    out += std::to_string(index_);
+  } else {
+    out += name_;
+  }
+  return out;
 }
 
 bool CorrelatedColumnRefExpr::StructurallyEquals(const Expr& other) const {
@@ -325,10 +336,19 @@ ExprPtr UnaryExpr::Clone() const {
 }
 
 std::string UnaryExpr::ToString() const {
+  std::string out;
   if (op_ == UnaryOp::kIsNull || op_ == UnaryOp::kIsNotNull) {
-    return "(" + child_->ToString() + " " + UnaryOpName(op_) + ")";
+    out = "(";
+    out += child_->ToString();
+    out += ' ';
+    out += UnaryOpName(op_);
+  } else {
+    out = UnaryOpName(op_);
+    out += '(';
+    out += child_->ToString();
   }
-  return std::string(UnaryOpName(op_)) + "(" + child_->ToString() + ")";
+  out += ')';
+  return out;
 }
 
 bool UnaryExpr::StructurallyEquals(const Expr& other) const {
@@ -393,8 +413,14 @@ ExprPtr BinaryExpr::Clone() const {
 }
 
 std::string BinaryExpr::ToString() const {
-  return "(" + left_->ToString() + " " + BinaryOpName(op_) + " " +
-         right_->ToString() + ")";
+  std::string out = "(";
+  out += left_->ToString();
+  out += ' ';
+  out += BinaryOpName(op_);
+  out += ' ';
+  out += right_->ToString();
+  out += ')';
+  return out;
 }
 
 bool BinaryExpr::StructurallyEquals(const Expr& other) const {

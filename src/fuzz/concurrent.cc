@@ -30,15 +30,18 @@ std::vector<std::string> GenerateSchedule(const FuzzDataset& dataset,
       schedule.push_back(std::move(q.sql));
     } else if (roll < 55) {
       GeneratedQuery q = GenerateQuery(dataset, rng);
-      const std::string name = "p" + std::to_string(rng->UniformInt(0, 2));
+      std::string name = "p";
+      name += std::to_string(rng->UniformInt(0, 2));
       features->push_back("concurrent-prepare");
       schedule.push_back("prepare " + name + " as " + q.sql);
     } else if (roll < 75) {
-      const std::string name = "p" + std::to_string(rng->UniformInt(0, 2));
+      std::string name = "p";
+      name += std::to_string(rng->UniformInt(0, 2));
       features->push_back("concurrent-execute");
       schedule.push_back("execute " + name);
     } else if (roll < 80) {
-      const std::string name = "p" + std::to_string(rng->UniformInt(0, 2));
+      std::string name = "p";
+      name += std::to_string(rng->UniformInt(0, 2));
       features->push_back("concurrent-deallocate");
       schedule.push_back("deallocate " + name);
     } else if (roll < 85) {

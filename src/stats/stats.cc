@@ -1,13 +1,41 @@
 #include "src/stats/stats.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <cmath>
 
 #include "src/common/string_util.h"
 #include "src/exec/filter_project_ops.h"
 #include "src/storage/columnar.h"
 
 namespace gapply {
+
+namespace {
+
+/// Distinct values of a sorted array: one plus the adjacent-unequal pairs.
+template <typename T>
+int64_t CountDistinctSorted(const std::vector<T>& sorted) {
+  int64_t ndv = sorted.empty() ? 0 : 1;
+  for (size_t i = 1; i < sorted.size(); ++i) {
+    if (sorted[i] != sorted[i - 1]) ++ndv;
+  }
+  return ndv;
+}
+
+/// Equi-depth bucket upper bounds over a sorted, non-empty array.
+template <typename T>
+std::vector<double> HistogramBounds(const std::vector<T>& sorted,
+                                    int buckets) {
+  std::vector<double> bounds;
+  const size_t n = sorted.size();
+  for (int b = 1; b <= buckets; ++b) {
+    size_t idx = n * static_cast<size_t>(b) / static_cast<size_t>(buckets);
+    if (idx == 0) idx = 1;
+    bounds.push_back(static_cast<double>(sorted[idx - 1]));
+  }
+  return bounds;
+}
+
+}  // namespace
 
 double ColumnStats::FractionBelow(double v) const {
   if (min.is_null() || max.is_null()) return 0.0;
@@ -78,9 +106,15 @@ Status StatsManager::Analyze(const Table& table) {
       }
     }
 
+    // Numeric NDV and histogram both come from one sort of the non-NULL
+    // values: NDV counts adjacent-unequal values.
     const size_t nrows = cv.size();
-    std::vector<double> numeric_values;
-    bool numeric = false;
+    const auto summarize = [&](const auto& sorted) {
+      col.ndv += CountDistinctSorted(sorted);
+      if (!sorted.empty() && histogram_buckets_ > 1) {
+        col.histogram_bounds = HistogramBounds(sorted, histogram_buckets_);
+      }
+    };
     switch (cv.type()) {
       case TypeId::kString:
         col.ndv = static_cast<int64_t>(cv.dict_size());
@@ -94,43 +128,36 @@ Status StatsManager::Analyze(const Table& table) {
         break;
       }
       case TypeId::kInt64: {
-        numeric = true;
-        std::unordered_set<int64_t> distinct;
-        numeric_values.reserve(nrows);
+        std::vector<int64_t> values;
+        values.reserve(nrows);
         for (size_t i = 0; i < nrows; ++i) {
-          if (cv.IsNull(i)) continue;
-          distinct.insert(cv.ints()[i]);
-          numeric_values.push_back(static_cast<double>(cv.ints()[i]));
+          if (!cv.IsNull(i)) values.push_back(cv.ints()[i]);
         }
-        col.ndv = static_cast<int64_t>(distinct.size());
+        std::sort(values.begin(), values.end());
+        summarize(values);
         break;
       }
       case TypeId::kDouble: {
-        numeric = true;
-        std::unordered_set<double> distinct;
-        numeric_values.reserve(nrows);
+        std::vector<double> values;
+        values.reserve(nrows);
         for (size_t i = 0; i < nrows; ++i) {
-          if (cv.IsNull(i)) continue;
-          distinct.insert(cv.doubles()[i]);
-          numeric_values.push_back(cv.doubles()[i]);
+          if (!cv.IsNull(i)) values.push_back(cv.doubles()[i]);
         }
-        col.ndv = static_cast<int64_t>(distinct.size());
+        // NaN breaks std::sort's strict weak order, so NaNs leave the array
+        // first. Each counts as its own distinct value (NaN != NaN); none
+        // enters the histogram.
+        const auto nans =
+            std::partition(values.begin(), values.end(),
+                           [](double d) { return !std::isnan(d); });
+        col.ndv = values.end() - nans;
+        values.erase(nans, values.end());
+        std::sort(values.begin(), values.end());
+        summarize(values);
         break;
       }
       case TypeId::kNull:
         col.ndv = 0;
         break;
-    }
-    if (numeric && !numeric_values.empty() && histogram_buckets_ > 1) {
-      std::sort(numeric_values.begin(), numeric_values.end());
-      col.histogram_bounds.clear();
-      const size_t n = numeric_values.size();
-      for (int b = 1; b <= histogram_buckets_; ++b) {
-        size_t idx = n * static_cast<size_t>(b) /
-                         static_cast<size_t>(histogram_buckets_);
-        if (idx == 0) idx = 1;
-        col.histogram_bounds.push_back(numeric_values[idx - 1]);
-      }
     }
   }
   stats_[ToLower(table.name())] = std::move(stats);

@@ -126,9 +126,10 @@ Value ColumnVector::GetValue(size_t i) const {
 }
 
 std::string ScanPredicate::ToString(const Schema& schema) const {
-  std::string lit = literal.type() == TypeId::kString
-                        ? "'" + literal.ToString() + "'"
-                        : literal.ToString();
+  std::string lit;
+  if (literal.type() == TypeId::kString) lit += '\'';
+  literal.AppendTo(&lit);
+  if (literal.type() == TypeId::kString) lit += '\'';
   return schema.column(static_cast<size_t>(column)).name + " " +
          CmpOpSpelling(op) + " " + lit;
 }

@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/result.h"
@@ -15,12 +16,19 @@ namespace gapply::xml {
 /// row stream one tuple at a time and emits XML text.
 ///
 /// Space is bounded by the depth of the view tree (the stack of currently
-/// open elements), never by the document size — which is exactly why the
-/// input must arrive clustered by element (the paper's reason for the ORDER
-/// BY / GApply clustering guarantee).
+/// open elements) plus one output chunk, never by the document size —
+/// which is exactly why the input must arrive clustered by element (the
+/// paper's reason for the ORDER BY / GApply clustering guarantee).
+///
+/// Text is written into one growable buffer: every tag line, with its
+/// indent, is precomputed per view node, and values are rendered and
+/// escaped in place. The buffer goes to the sink in chunks of at least
+/// `kChunkBytes` and once more at `Finish`.
 class Tagger {
  public:
-  /// `sink` receives output fragments as they are produced.
+  static constexpr size_t kChunkBytes = 64 * 1024;
+
+  /// `sink` receives the document in consecutive chunks.
   Tagger(const SouqPlan& plan, std::function<void(const std::string&)> sink);
 
   /// Starts the document (<root> tag).
@@ -33,24 +41,39 @@ class Tagger {
   Status Finish();
 
  private:
+  /// Everything Feed writes for a node that does not depend on the row.
+  struct NodeText {
+    std::vector<int> chain;  // ancestors top-down, ending with the node
+    std::string open;        // indented "<name>\n"
+    std::string close;       // indented "</name>\n"
+    std::vector<std::string> payload_open;   // indented "<payload>"
+    std::vector<std::string> payload_close;  // "</payload>\n"
+  };
   struct OpenElement {
-    int node_id;
+    int node_id = -1;
     std::vector<Value> keys;
   };
 
-  void Emit(const std::string& text) { sink_(text); }
-  void Indent(size_t depth);
   void CloseTo(size_t keep);
+  void Flush();
 
   std::vector<SouqNodeMeta> nodes_;
+  std::vector<NodeText> text_;  // by node id
   std::function<void(const std::string&)> sink_;
+  std::string buf_;
+  // open_[0, depth_) are the open elements; entries past depth_ keep their
+  // key vectors' storage for reuse.
   std::vector<OpenElement> open_;
+  size_t depth_ = 0;
   std::string root_element_;
   bool begun_ = false;
 };
 
 /// Escapes &, <, > for XML text content.
 std::string EscapeXml(const std::string& text);
+
+/// Appends `text` to `out`, escaped as EscapeXml does.
+void AppendEscapedXml(std::string_view text, std::string* out);
 
 }  // namespace gapply::xml
 

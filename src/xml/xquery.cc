@@ -5,8 +5,11 @@ namespace gapply::xml {
 namespace {
 
 std::string LiteralSql(const Value& v) {
-  if (v.type() == TypeId::kString) return "'" + v.ToString() + "'";
-  return v.ToString();
+  if (v.type() != TypeId::kString) return v.ToString();
+  std::string out = "'";
+  v.AppendTo(&out);
+  out += '\'';
+  return out;
 }
 
 std::string AggSql(AggKind kind, const std::string& column) {
@@ -46,8 +49,7 @@ SlotLayout LayoutSlots(const FlwrQuery& query) {
 }
 
 // Select-list for item `i`: NULLs everywhere except the item's own slots.
-std::string PaddedSelectList(const FlwrQuery& query, const SlotLayout& layout,
-                             size_t item_index,
+std::string PaddedSelectList(const FlwrQuery& query, size_t item_index,
                              const std::string& own_slots) {
   std::string out;
   int emitted = 0;
@@ -143,7 +145,7 @@ Result<std::string> TranslateToGApplySql(const FlwrQuery& query,
                        AggSql(item.agg, item.agg_column) + " from g)";
         break;
     }
-    branches.push_back("select " + PaddedSelectList(query, layout, i, own) +
+    branches.push_back("select " + PaddedSelectList(query, i, own) +
                        " from g" + branch_where);
   }
   return "select gapply(" + Join(branches, " union all ") + ")" + tail;
@@ -221,13 +223,13 @@ Result<std::string> TranslateToOuterUnionSql(const FlwrQuery& query,
       case FlwrReturnItem::Kind::kChildColumns:
         own = Join(item.columns, ", ");
         branch = "select " + view.parent_key + ", " +
-                 PaddedSelectList(query, layout, i, own) + " from " +
+                 PaddedSelectList(query, i, own) + " from " +
                  view.child_from + with_where("");
         break;
       case FlwrReturnItem::Kind::kAggregate:
         own = AggSql(item.agg, item.agg_column);
         branch = "select " + view.parent_key + ", " +
-                 PaddedSelectList(query, layout, i, own) + " from " +
+                 PaddedSelectList(query, i, own) + " from " +
                  view.child_from + with_where("") + " group by " +
                  view.parent_key;
         break;
@@ -244,7 +246,7 @@ Result<std::string> TranslateToOuterUnionSql(const FlwrQuery& query,
             AggSql(item.agg, item.agg_column) + " from " + view.child_from +
             with_where(view.parent_key + " = x0." + view.parent_key) + ")";
         branch = "select " + view.parent_key + ", " +
-                 PaddedSelectList(query, layout, i, own) + " from " +
+                 PaddedSelectList(query, i, own) + " from " +
                  aliased_from("x0") + with_where(corr) + " group by " +
                  view.parent_key;
         break;

@@ -239,7 +239,8 @@ Outcome RunStatement(Session* session, const std::string& sql) {
 /// EXECUTE / DEALLOCATE — including deliberate errors (EXECUTE before
 /// PREPARE) that must reproduce identically in the serial replay.
 std::vector<std::string> MakeSchedule(int s) {
-  const std::string name = "p" + std::to_string(s % 2);
+  std::string name = "p";
+  name += std::to_string(s % 2);
   std::vector<std::string> schedule;
   schedule.push_back("execute " + name);  // error: not prepared yet
   schedule.push_back("set parallelism = " + std::to_string(1 + s % 4));

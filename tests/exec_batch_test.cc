@@ -109,11 +109,13 @@ Row CountSumAvg(const std::vector<Row>& rows) {
     }
     dsum += D(row);
   }
-  return {Value::Int(static_cast<int64_t>(rows.size())),
-          any_v ? Value::Int(sum) : Value::Null(),
-          rows.empty()
-              ? Value::Null()
-              : Value::Double(dsum / static_cast<double>(rows.size()))};
+  Row out;
+  out.push_back(Value::Int(static_cast<int64_t>(rows.size())));
+  out.push_back(any_v ? Value::Int(sum) : Value::Null());
+  out.push_back(rows.empty()
+                    ? Value::Null()
+                    : Value::Double(dsum / static_cast<double>(rows.size())));
+  return out;
 }
 
 // Rows grouped on k, groups in first-appearance order, each group's rows

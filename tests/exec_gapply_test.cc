@@ -385,7 +385,9 @@ class LiftedGApplyTest : public ::testing::Test {
                                        : Value::Int(rng.UniformInt(0, 2)));
       row.push_back(Value::Int(rng.UniformInt(0, 100)));
       row.push_back(Value::Double(rng.UniformDouble(0.0, 10.0)));
-      row.push_back(Value::Str("s" + std::to_string(rng.UniformInt(0, 9))));
+      std::string str = "s";
+      str += std::to_string(rng.UniformInt(0, 9));
+      row.push_back(Value::Str(std::move(str)));
       rows.push_back(std::move(row));
     }
     ASSERT_TRUE(

@@ -262,7 +262,8 @@ TEST(LruCacheConcurrencyTest, EvictionUnderConcurrentAccessStaysConsistent) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&cache, t] {
       for (int i = 0; i < kOpsPerThread; ++i) {
-        const std::string key = "k" + std::to_string((t * 7 + i) % 64);
+        std::string key = "k";
+        key += std::to_string((t * 7 + i) % 64);
         if (i % 3 == 0) {
           cache.Put(key, i);
         } else {

@@ -281,8 +281,7 @@ TEST_F(RuleTest, GApplyToGroupByGroupbyVariant) {
 
 // Builds the paper's §4.2 exists query: suppliers supplying some part with
 // p_retailprice > cutoff, returning whole groups.
-LogicalOpPtr ExistsSelectionPlan(RuleTest* t, PlanBuilder outer,
-                                 double cutoff) {
+LogicalOpPtr ExistsSelectionPlan(PlanBuilder outer, double cutoff) {
   const Schema gs = outer.schema();
   auto probe = PlanBuilder::GroupScan("g", gs)
                    .Select([&](const Schema& s) {
@@ -297,7 +296,7 @@ LogicalOpPtr ExistsSelectionPlan(RuleTest* t, PlanBuilder outer,
 }
 
 TEST_F(RuleTest, GroupSelectionExistsFiresWhenForced) {
-  auto plan = ExistsSelectionPlan(this, PartsuppPart(), 1090.0);
+  auto plan = ExistsSelectionPlan(PartsuppPart(), 1090.0);
   ASSERT_NE(plan, nullptr);
   Optimizer::Options o = Only(&Optimizer::Options::group_selection_exists);
   o.cost_gate = false;
@@ -314,7 +313,7 @@ TEST_F(RuleTest, GroupSelectionExistsFiresWhenForced) {
 TEST_F(RuleTest, GroupSelectionExistsCostGateRejectsUnselectivePredicate) {
   // Nearly every supplier has a part above 900 (min retail price ≈ 901):
   // reconstructing groups via an extra join cannot win.
-  auto plan = ExistsSelectionPlan(this, PartsuppPart(), 100.0);
+  auto plan = ExistsSelectionPlan(PartsuppPart(), 100.0);
   ASSERT_NE(plan, nullptr);
   Optimizer::Options o = Only(&Optimizer::Options::group_selection_exists);
   o.cost_gate = true;

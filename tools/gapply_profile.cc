@@ -9,7 +9,7 @@
 //                  [SQL ...]
 //
 // Examples:
-//   gapply_profile "select gapply(select count(*) from g) \
+//   gapply_profile "select gapply(select count(*) from g)
 //                   from partsupp group by ps_suppkey : g"
 //   gapply_profile --json --parallelism=8 "select * from region"
 
