@@ -29,9 +29,7 @@ std::atomic<uint64_t> g_spill_dir_seq{0};
 
 size_t ApproxRowBytes(const Row& row) {
   size_t bytes = sizeof(Row) + row.size() * sizeof(Value);
-  for (const Value& v : row) {
-    if (v.type() == TypeId::kString) bytes += v.str_val().capacity();
-  }
+  for (const Value& v : row) bytes += v.heap_bytes();
   return bytes;
 }
 
@@ -121,7 +119,7 @@ void SpillWriter::AppendValue(const Value& v) {
     case TypeId::kString: {
       const uint8_t tag = kTagString;
       Append(&tag, 1);
-      const std::string& s = v.str_val();
+      const std::string_view s = v.str_val();
       const uint32_t len = static_cast<uint32_t>(s.size());
       Append(&len, sizeof(len));
       Append(s.data(), s.size());
@@ -204,7 +202,7 @@ Status SpillReader::ReadValue(Value* out) {
       if (!ReadExact(&len, sizeof(len))) break;
       std::string s(len, '\0');
       if (len > 0 && !ReadExact(s.data(), len)) break;
-      *out = Value::Str(std::move(s));
+      *out = Value::Str(s);
       return Status::OK();
     }
     default:

@@ -3,6 +3,8 @@
 #include <charconv>
 #include <cmath>
 #include <functional>
+#include <limits>
+#include <stdexcept>
 
 namespace gapply {
 
@@ -26,20 +28,30 @@ bool IsNumeric(TypeId type) {
   return type == TypeId::kInt64 || type == TypeId::kDouble;
 }
 
-TypeId Value::type() const {
-  switch (data_.index()) {
-    case 0:
-      return TypeId::kNull;
-    case 1:
-      return TypeId::kBool;
-    case 2:
-      return TypeId::kInt64;
-    case 3:
-      return TypeId::kDouble;
-    case 4:
-      return TypeId::kString;
+Value Value::Str(std::string_view v) {
+  Value r;
+  if (v.size() <= kInlineCapacity) {
+    if (!v.empty()) std::memcpy(r.rep_.bytes, v.data(), v.size());
+    r.rep_.tag = static_cast<uint8_t>(kInlineStr | (v.size() << kLenShift));
+    return r;
   }
-  return TypeId::kNull;
+  if (v.size() > std::numeric_limits<uint32_t>::max()) {
+    throw std::length_error("Value::Str: string longer than 4 GiB");
+  }
+  char* heap = new char[v.size()];
+  std::memcpy(heap, v.data(), v.size());
+  const uint32_t size = static_cast<uint32_t>(v.size());
+  std::memcpy(r.rep_.bytes, &heap, sizeof(heap));
+  std::memcpy(r.rep_.bytes + sizeof(heap), &size, sizeof(size));
+  r.rep_.tag = kHeapStr;
+  return r;
+}
+
+void Value::CopyHeap() {
+  const std::string_view s = str_val();
+  char* heap = new char[s.size()];
+  std::memcpy(heap, s.data(), s.size());
+  std::memcpy(rep_.bytes, &heap, sizeof(heap));
 }
 
 double Value::AsDouble() const {
@@ -101,7 +113,14 @@ bool Value::Equals(const Value& other) const {
     return AsDouble() == other.AsDouble();
   }
   if (ta != tb) return false;
-  return data_ == other.data_;
+  if (ta == TypeId::kBool) return bool_val() == other.bool_val();
+  // Canonical strings: inline and out-of-line never hold equal bytes, and
+  // an inline string's unused payload bytes are zero.
+  if (rep_.tag != other.rep_.tag) return false;
+  if (rep_.tag != kHeapStr) {
+    return std::memcmp(rep_.bytes, other.rep_.bytes, kInlineCapacity) == 0;
+  }
+  return str_val() == other.str_val();
 }
 
 size_t Value::Hash() const {
@@ -117,7 +136,7 @@ size_t Value::Hash() const {
     case TypeId::kDouble:
       return std::hash<double>()(double_val());
     case TypeId::kString:
-      return std::hash<std::string>()(str_val());
+      return std::hash<std::string_view>()(str_val());
   }
   return 0;
 }

@@ -2,8 +2,9 @@
 #define GAPPLY_COMMON_VALUE_H_
 
 #include <cstdint>
+#include <cstring>
 #include <string>
-#include <variant>
+#include <string_view>
 #include <vector>
 
 #include "src/common/result.h"
@@ -35,24 +36,71 @@ bool IsNumeric(TypeId type);
 ///  - `Equals`/`Hash` implement *grouping* semantics: NULL equals NULL, so
 ///    values can key hash tables for GROUP BY / DISTINCT / GApply
 ///    partitioning.
+///
+/// Layout (DESIGN.md §19): 16 bytes, a 15-byte payload plus a tag byte.
+/// Strings of up to kInlineCapacity bytes live in the payload, with their
+/// length in the tag; longer strings own an exact-size heap buffer that a
+/// copy duplicates. The representation is canonical: every payload byte a
+/// value does not use is zero, and a string is out of line iff it is longer
+/// than kInlineCapacity. A moved-from Value is NULL.
 class Value {
  public:
+  /// Longest string stored without a heap allocation (libstdc++'s SSO
+  /// capacity, so no string that fit std::string's buffer allocates here).
+  static constexpr size_t kInlineCapacity = 15;
+
   /// Constructs NULL.
-  Value() : data_(std::monostate{}) {}
+  Value() = default;
+  ~Value() {
+    if (rep_.tag == kHeapStr) FreeHeap();
+  }
+  Value(const Value& other) : rep_(other.rep_) {
+    if (rep_.tag == kHeapStr) CopyHeap();
+  }
+  Value(Value&& other) noexcept : rep_(other.rep_) { other.rep_ = Rep{}; }
+  Value& operator=(const Value& other) {
+    if (this != &other) *this = Value(other);
+    return *this;
+  }
+  Value& operator=(Value&& other) noexcept {
+    if (this != &other) {
+      if (rep_.tag == kHeapStr) FreeHeap();
+      rep_ = other.rep_;
+      other.rep_ = Rep{};
+    }
+    return *this;
+  }
 
   static Value Null() { return Value(); }
-  static Value Bool(bool v) { return Value(Payload(v)); }
-  static Value Int(int64_t v) { return Value(Payload(v)); }
-  static Value Double(double v) { return Value(Payload(v)); }
-  static Value Str(std::string v) { return Value(Payload(std::move(v))); }
+  static Value Bool(bool v) { return Word(kBool, v); }
+  static Value Int(int64_t v) { return Word(kInt, v); }
+  static Value Double(double v) { return Word(kDouble, v); }
+  static Value Str(std::string_view v);
 
-  TypeId type() const;
-  bool is_null() const { return std::holds_alternative<std::monostate>(data_); }
+  TypeId type() const {
+    return rep_.tag < kHeapStr ? static_cast<TypeId>(rep_.tag)
+                               : TypeId::kString;
+  }
+  bool is_null() const { return rep_.tag == kNull; }
 
-  bool bool_val() const { return std::get<bool>(data_); }
-  int64_t int_val() const { return std::get<int64_t>(data_); }
-  double double_val() const { return std::get<double>(data_); }
-  const std::string& str_val() const { return std::get<std::string>(data_); }
+  bool bool_val() const { return rep_.bytes[0] != 0; }
+  int64_t int_val() const { return Load<int64_t>(0); }
+  double double_val() const { return Load<double>(0); }
+  /// The string's bytes. Valid until this Value is modified or destroyed;
+  /// an inline string's view points into the Value itself, so it also ends
+  /// when the Value moves.
+  std::string_view str_val() const {
+    if (rep_.tag == kHeapStr) {
+      return {Load<const char*>(0), Load<uint32_t>(sizeof(char*))};
+    }
+    return {rep_.bytes, static_cast<size_t>(rep_.tag >> kLenShift)};
+  }
+
+  /// Bytes this value owns outside its 16-byte slot: an out-of-line
+  /// string's length, else 0.
+  size_t heap_bytes() const {
+    return rep_.tag == kHeapStr ? Load<uint32_t>(sizeof(char*)) : 0;
+  }
 
   /// Numeric value widened to double. Requires a numeric or bool type.
   double AsDouble() const;
@@ -66,7 +114,8 @@ class Value {
   /// Int and double with the same numeric value are equal (2 == 2.0).
   bool Equals(const Value& other) const;
 
-  /// Hash consistent with Equals.
+  /// Hash consistent with Equals. A string hashes as
+  /// std::hash<std::string> of its bytes.
   size_t Hash() const;
 
   /// Rendering used by result printers and the XML tagger.
@@ -78,13 +127,44 @@ class Value {
   void AppendTo(std::string* out) const;
 
  private:
-  using Payload =
-      std::variant<std::monostate, bool, int64_t, double, std::string>;
+  // Tag values. The first four equal their TypeId; an inline string keeps
+  // its length in the tag's high nibble.
+  static constexpr uint8_t kNull = 0;
+  static constexpr uint8_t kBool = 1;
+  static constexpr uint8_t kInt = 2;
+  static constexpr uint8_t kDouble = 3;
+  static constexpr uint8_t kHeapStr = 4;  // bytes: owned char*, uint32 size
+  static constexpr uint8_t kInlineStr = 5;
+  static constexpr int kLenShift = 4;
 
-  explicit Value(Payload data) : data_(std::move(data)) {}
+  struct Rep {
+    alignas(8) char bytes[kInlineCapacity] = {};
+    uint8_t tag = kNull;
+  };
 
-  Payload data_;
+  template <typename T>
+  static Value Word(uint8_t tag, T v) {
+    Value r;
+    std::memcpy(r.rep_.bytes, &v, sizeof(v));
+    r.rep_.tag = tag;
+    return r;
+  }
+  template <typename T>
+  T Load(size_t offset) const {
+    T v{};
+    std::memcpy(&v, rep_.bytes + offset, sizeof(v));
+    return v;
+  }
+
+  // Replaces the borrowed heap pointer copied from another Value with an
+  // owned copy of its bytes.
+  void CopyHeap();
+  void FreeHeap() { delete[] Load<char*>(0); }
+
+  Rep rep_;
 };
+
+static_assert(sizeof(Value) == 16, "Value must stay one 16-byte slot");
 
 /// A tuple of values. Schemas (src/storage/schema.h) give columns names and
 /// types; rows are positional.

@@ -197,7 +197,7 @@ uint16_t ExprProgram::AllocConst(const Value& v) {
       r.f64[0] = v.double_val();
       break;
     case TypeId::kString:
-      r.str_store = v.str_val();
+      r.str_store.assign(v.str_val());  // viewed from BindScratch
       break;
     default:
       break;
@@ -572,7 +572,7 @@ void ExprProgram::BindScratch(size_t n) {
       if (r.null.empty()) r.null.resize(1);
       // (Re)point at str_store every bind: the Register may have moved
       // since the last execution, and small strings move their bytes.
-      r.str.assign(1, &r.str_store);
+      r.str.assign(1, r.str_store);
       r.pi = r.i64.data();
       r.pd = r.f64.data();
       r.ps = r.str.data();
@@ -644,7 +644,7 @@ Status ExprProgram::Run(const RowBatch* batch, const EvalContext* ctx,
               df[i] = v.double_val();
               break;
             case TypeId::kString:
-              d.str[i] = &v.str_val();  // borrowed; batch outlives the run
+              d.str[i] = v.str_val();  // borrowed; batch outlives the run
               break;
             default:
               return Status::Internal("bytecode: bad load type");
@@ -690,7 +690,9 @@ Status ExprProgram::Run(const RowBatch* batch, const EvalContext* ctx,
             d.f64[0] = v.double_val();
             break;
           case TypeId::kString:
-            d.str_store = v.str_val();
+            // Re-point the view: assigning may move or resize the bytes.
+            d.str_store.assign(v.str_val());
+            d.str[0] = d.str_store;
             break;
           default:
             return Status::Internal("bytecode: bad load type");
@@ -777,7 +779,7 @@ Status ExprProgram::Run(const RowBatch* batch, const EvalContext* ctx,
         break;
       case OpCode::kCmpS:
         GAPPLY_VM_BIN(ps, d.i64.data(),
-                      CmpHolds(in.cmp, Rel3(x->compare(*y), 0)) ? 1 : 0);
+                      CmpHolds(in.cmp, Rel3(x.compare(y), 0)) ? 1 : 0);
         break;
 
 #undef GAPPLY_VM_BIN
@@ -961,7 +963,7 @@ Status ExprProgram::EvalBatch(const RowBatch& batch, const EvalContext& ctx,
         out->push_back(Value::Double(r.pd[i * r.stride]));
         break;
       case TypeId::kString:
-        out->push_back(Value::Str(*r.ps[i * r.stride]));
+        out->push_back(Value::Str(r.ps[i * r.stride]));
         break;
       default:
         return Status::Internal("bytecode: bad result type");

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/result.h"
@@ -160,13 +161,13 @@ class ExprProgram {
 
     std::vector<int64_t> i64;
     std::vector<double> f64;
-    std::vector<const std::string*> str;
+    std::vector<std::string_view> str;
     std::vector<uint8_t> null;
     std::string str_store;  // backing for scalar string values
 
     const int64_t* pi = nullptr;
     const double* pd = nullptr;
-    const std::string* const* ps = nullptr;
+    const std::string_view* ps = nullptr;
     const uint32_t* pc = nullptr;
     const uint8_t* pn = nullptr;
     size_t stride = 1;

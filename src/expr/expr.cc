@@ -189,8 +189,11 @@ ExprPtr LiteralExpr::Clone() const {
 }
 
 std::string LiteralExpr::ToString() const {
-  if (value_.type() == TypeId::kString) return "'" + value_.str_val() + "'";
-  return value_.ToString();
+  if (value_.type() != TypeId::kString) return value_.ToString();
+  std::string out = "'";
+  out += value_.str_val();
+  out += '\'';
+  return out;
 }
 
 bool LiteralExpr::StructurallyEquals(const Expr& other) const {

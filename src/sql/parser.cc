@@ -94,10 +94,32 @@ class Parser {
     int* depth_;
   };
 
+  // Operator chains (`a or b or ...`, `a + b + ...`) and FROM lists loop
+  // instead of recursing, but each link adds a level to the left-deep tree
+  // that every later pass (binder, optimizer, evaluators, destructors)
+  // walks recursively. No tree is deeper than the nesting depth plus the
+  // statement's chain links so far, so bounding that sum bounds those walks;
+  // in effect a statement holds at most kMaxTreeDepth links in all. The
+  // bound leaves stack headroom for those walks in sanitizer builds too,
+  // whose frames are several times larger.
+  static constexpr int kMaxTreeDepth = 1024;
+
   Status CheckNesting() const {
-    if (depth_ <= kMaxNestingDepth) return Status::OK();
-    return Error("nesting exceeds " + std::to_string(kMaxNestingDepth) +
-                 " levels");
+    if (depth_ > kMaxNestingDepth) {
+      return Error("nesting exceeds " + std::to_string(kMaxNestingDepth) +
+                   " levels");
+    }
+    if (depth_ + chain_links_ > kMaxTreeDepth) {
+      return Error("expression tree exceeds " +
+                   std::to_string(kMaxTreeDepth) + " levels");
+    }
+    return Status::OK();
+  }
+
+  // Counts one link of an operator chain or FROM list.
+  Status AddChainLink() {
+    ++chain_links_;
+    return CheckNesting();
   }
 
   Status Error(const std::string& message) const {
@@ -199,6 +221,7 @@ class Parser {
       }
       stmt->from.push_back(std::move(ref));
       if (!AcceptSymbol(",")) break;
+      RETURN_NOT_OK(AddChainLink());
     }
 
     if (AcceptKeyword("where")) {
@@ -229,6 +252,7 @@ class Parser {
   Result<SqlExprPtr> ParseOr() {
     ASSIGN_OR_RETURN(SqlExprPtr left, ParseAnd());
     while (AcceptKeyword("or")) {
+      RETURN_NOT_OK(AddChainLink());
       ASSIGN_OR_RETURN(SqlExprPtr right, ParseAnd());
       left = MakeBinary(BinaryOp::kOr, std::move(left), std::move(right));
     }
@@ -238,6 +262,7 @@ class Parser {
   Result<SqlExprPtr> ParseAnd() {
     ASSIGN_OR_RETURN(SqlExprPtr left, ParseNot());
     while (AcceptKeyword("and")) {
+      RETURN_NOT_OK(AddChainLink());
       ASSIGN_OR_RETURN(SqlExprPtr right, ParseNot());
       left = MakeBinary(BinaryOp::kAnd, std::move(left), std::move(right));
     }
@@ -293,9 +318,11 @@ class Parser {
     ASSIGN_OR_RETURN(SqlExprPtr left, ParseMultiplicative());
     while (true) {
       if (AcceptSymbol("+")) {
+        RETURN_NOT_OK(AddChainLink());
         ASSIGN_OR_RETURN(SqlExprPtr right, ParseMultiplicative());
         left = MakeBinary(BinaryOp::kAdd, std::move(left), std::move(right));
       } else if (AcceptSymbol("-")) {
+        RETURN_NOT_OK(AddChainLink());
         ASSIGN_OR_RETURN(SqlExprPtr right, ParseMultiplicative());
         left = MakeBinary(BinaryOp::kSubtract, std::move(left),
                           std::move(right));
@@ -309,14 +336,17 @@ class Parser {
     ASSIGN_OR_RETURN(SqlExprPtr left, ParseUnary());
     while (true) {
       if (AcceptSymbol("*")) {
+        RETURN_NOT_OK(AddChainLink());
         ASSIGN_OR_RETURN(SqlExprPtr right, ParseUnary());
         left = MakeBinary(BinaryOp::kMultiply, std::move(left),
                           std::move(right));
       } else if (AcceptSymbol("/")) {
+        RETURN_NOT_OK(AddChainLink());
         ASSIGN_OR_RETURN(SqlExprPtr right, ParseUnary());
         left = MakeBinary(BinaryOp::kDivide, std::move(left),
                           std::move(right));
       } else if (AcceptSymbol("%")) {
+        RETURN_NOT_OK(AddChainLink());
         ASSIGN_OR_RETURN(SqlExprPtr right, ParseUnary());
         left = MakeBinary(BinaryOp::kModulo, std::move(left),
                           std::move(right));
@@ -442,6 +472,7 @@ class Parser {
   std::vector<Token> tokens_;
   size_t pos_ = 0;
   int depth_ = 0;
+  int chain_links_ = 0;
 };
 
 }  // namespace

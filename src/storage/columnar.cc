@@ -96,9 +96,12 @@ void ColumnVector::Append(const Value& v) {
         codes_.push_back(0);
         break;
       }
-      auto [it, inserted] = interned_.try_emplace(
-          v.str_val(), static_cast<uint32_t>(dict_.size()));
-      if (inserted) dict_.push_back(v.str_val());
+      const std::string_view s = v.str_val();
+      auto it = interned_.find(s);
+      if (it == interned_.end()) {
+        it = interned_.emplace(s, static_cast<uint32_t>(dict_.size())).first;
+        dict_.emplace_back(s);
+      }
       codes_.push_back(it->second);
       break;
     }
@@ -108,7 +111,7 @@ void ColumnVector::Append(const Value& v) {
   }
 }
 
-int64_t ColumnVector::FindCode(const std::string& s) const {
+int64_t ColumnVector::FindCode(std::string_view s) const {
   auto it = interned_.find(s);
   return it == interned_.end() ? -1 : static_cast<int64_t>(it->second);
 }

@@ -2,7 +2,9 @@
 #define GAPPLY_STORAGE_COLUMNAR_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -50,7 +52,7 @@ class ColumnVector {
 
   /// Dictionary code of `s`, or a negative value when `s` never appeared
   /// (no row of this column can equal it).
-  int64_t FindCode(const std::string& s) const;
+  int64_t FindCode(std::string_view s) const;
 
   /// Rematerializes row `i` as a Value (NULL-aware; strings copy out of the
   /// dictionary).
@@ -62,8 +64,18 @@ class ColumnVector {
   std::vector<int64_t> ints_;      // int64 + bool columns
   std::vector<double> doubles_;    // double columns
   std::vector<uint32_t> codes_;    // string columns: index into dict_
+  // Transparent hash so a string_view probes interned_ without building a
+  // std::string.
+  struct StringViewHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>()(s);
+    }
+  };
+
   std::vector<std::string> dict_;
-  std::unordered_map<std::string, uint32_t> interned_;
+  std::unordered_map<std::string, uint32_t, StringViewHash, std::equal_to<>>
+      interned_;
 };
 
 /// Per-column, per-morsel statistics maintained incrementally on append.

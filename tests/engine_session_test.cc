@@ -204,7 +204,7 @@ TEST_F(EngineSessionTest, ExplainAnalyzeOfPreparedStatement) {
   ASSIGN_OR_FAIL(QueryResult report, session.Query("explain analyze execute q"));
   ASSERT_FALSE(report.rows.empty());
   std::string text;
-  for (const Row& row : report.rows) text += row[0].str_val() + "\n";
+  for (const Row& row : report.rows) text += std::string(row[0].str_val()) + "\n";
   EXPECT_NE(text.find("result rows: 1"), std::string::npos) << text;
   EXPECT_NE(text.find("plan cache:"), std::string::npos) << text;
 }

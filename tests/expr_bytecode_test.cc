@@ -440,6 +440,55 @@ TEST_F(ExprEngineDatabaseTest, RejectsUnknownEngine) {
   EXPECT_NE(r.status().ToString().find("expr_engine"), std::string::npos);
 }
 
+// A correlated string reference loads the outer value into the register's
+// own string and views it. The view must follow each outer row: the
+// outer strings alternate among lengths 0, 15, 16 and 40 (inline, at the
+// inline limit, just past it, and well past it), so a view left over from
+// an earlier row has the wrong bytes or the wrong length.
+TEST(ExprEngineCorrelatedStringTest, ExistsInnerMatchesInterpreter) {
+  auto text = [](size_t len, char c) {
+    std::string s(len, c);
+    for (size_t i = 0; i < len; i += 3) s[i] = static_cast<char>(c + 1);
+    return s;
+  };
+  const size_t kLengths[] = {0, 15, 16, 40};
+  std::vector<Row> outer_rows;
+  std::vector<Row> inner_rows;
+  for (int k = 0; k < 24; ++k) {
+    const std::string s =
+        text(kLengths[k % 4], static_cast<char>('a' + (k / 4) % 3));
+    outer_rows.push_back({Value::Int(k), Value::Str(s)});
+    // Every third row has an equal inner string; every row has a longer
+    // one sharing its prefix.
+    if (k % 3 == 0) inner_rows.push_back({Value::Str(s)});
+    inner_rows.push_back({Value::Str(s + "~")});
+  }
+  Database db;
+  ASSERT_TRUE(db.catalog()
+                  ->AddTable(MakeTable("o",
+                                       Schema({{"ok", TypeId::kInt64, "o"},
+                                               {"os", TypeId::kString, "o"}}),
+                                       outer_rows))
+                  .ok());
+  ASSERT_TRUE(db.catalog()
+                  ->AddTable(MakeTable(
+                      "i", Schema({{"iv", TypeId::kString, "i"}}), inner_rows))
+                  .ok());
+  const std::vector<std::string> queries = {
+      "select ok from o where exists (select iv from i where iv = os)",
+      "select ok from o where not exists (select iv from i where iv = os)",
+      "select ok, (select count(*) from i where iv < os) from o",
+  };
+  for (const std::string& sql : queries) {
+    ASSERT_TRUE(db.Query("set expr_engine = interpret").ok());
+    ASSIGN_OR_FAIL(QueryResult interp, db.Query(sql));
+    ASSERT_TRUE(db.Query("set expr_engine = bytecode").ok());
+    ASSIGN_OR_FAIL(QueryResult bytecode, db.Query(sql));
+    EXPECT_FALSE(interp.rows.empty()) << sql;
+    EXPECT_TRUE(SameRowSequence(interp.rows, bytecode.rows)) << sql;
+  }
+}
+
 TEST(FoldConstantsTest, FoldsPureConstantSubtrees) {
   Schema s = GroupedSchema();
   // 1 + 2 < v  becomes  3 < v.

@@ -224,15 +224,30 @@ std::string Prefixed(const std::string& prefix, int count,
   return out + inner;
 }
 
+// `terms` copies of `term` joined by `op`: a left-deep operator chain. The
+// parser loops over it, but the binder, optimizer and evaluators walk the
+// tree it builds recursively, so each link counts toward the depth bound.
+std::string Chain(const std::string& term, const std::string& op, int terms) {
+  std::string out = term;
+  for (int i = 1; i < terms; ++i) out += op + term;
+  return out;
+}
+
 TEST(ParserTest, DeepNestingIsRejectedNotFatal) {
   for (const std::string& where :
        {Parenthesized("v > 1", 5000), Prefixed("not ", 5000, "v > 1"),
-        Prefixed("- ", 5000, "v > 1")}) {
+        Prefixed("- ", 5000, "v > 1"), "v < " + Chain("1", "+", 50000),
+        "v < " + Chain("1", "*", 50000), Chain("v > 1", " or ", 50000),
+        Chain("v > 1", " and ", 50000)}) {
     auto q = Parse("select v from t where " + where);
     ASSERT_FALSE(q.ok());
     EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument)
         << q.status().ToString();
   }
+  // So do FROM lists, which bind to a left-deep join tree.
+  auto from = Parse("select v from " + Chain("t", ", ", 50000));
+  ASSERT_FALSE(from.ok());
+  EXPECT_EQ(from.status().code(), StatusCode::kInvalidArgument);
   // Nested subqueries count too.
   std::string nested = "select v from t";
   for (int i = 0; i < 5000; ++i) {
@@ -252,16 +267,18 @@ TEST(ParserTest, ModeratelyDeepPredicatesParseAndRun) {
                   .ok());
   for (const std::string& where :
        {Parenthesized("v > 1", 200), Prefixed("not ", 200, "v > 1"),
-        Prefixed("- - ", 100, "v > 1")}) {
+        Prefixed("- - ", 100, "v > 1"), Chain("v > 1", " or ", 1000)}) {
     Result<QueryResult> r = db.Query("select v from t where " + where);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_EQ(r->rows.size(), 2u);
   }
-  // The session path refuses the too-deep form with a Status as well.
-  Result<QueryResult> deep =
-      db.Query("select v from t where " + Parenthesized("v > 1", 5000));
-  ASSERT_FALSE(deep.ok());
-  EXPECT_EQ(deep.status().code(), StatusCode::kInvalidArgument);
+  // The session path refuses the too-deep forms with a Status as well.
+  for (const std::string& where :
+       {Parenthesized("v > 1", 5000), "v < " + Chain("1", "+", 50000)}) {
+    Result<QueryResult> deep = db.Query("select v from t where " + where);
+    ASSERT_FALSE(deep.ok());
+    EXPECT_EQ(deep.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 }  // namespace

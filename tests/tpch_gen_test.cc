@@ -84,7 +84,7 @@ TEST(TpchGenTest, BrandDomainAndSizes) {
   Catalog catalog;
   ASSERT_TRUE(tpch::Generate(tpch::TpchConfig{0.001, 7}, &catalog).ok());
   for (const Row& row : catalog.FindTable("part")->rows()) {
-    const std::string& brand = row[3].str_val();
+    const std::string brand(row[3].str_val());
     ASSERT_EQ(brand.substr(0, 6), "Brand#");
     const int v = std::stoi(brand.substr(6));
     EXPECT_GE(v, 11);
