@@ -1,18 +1,19 @@
-// Expression-engine sweep (DESIGN.md §14): register bytecode vs. the
-// tree-walking interpreter over identical plans, three expression classes
-// at batch sizes {1, 256, 1024}:
+// Expression sweep (DESIGN.md §14): the register bytecode that Filter and
+// Project run vs. the row interpreter (Expr::Eval per row) over the same
+// scan batches, three expression classes at batch sizes {1, 256, 1024}:
 //
-//   1. arith_heavy — Project with deep arithmetic trees (the interpreter's
-//      general batch path materializes a std::vector<Value> per operator
-//      node; the VM runs each operator over a dense register instead)
+//   1. arith_heavy — Project with deep arithmetic trees (the row
+//      interpreter recurses per node and boxes every intermediate Value;
+//      the VM runs each operator over a dense register instead)
 //   2. pred_heavy  — Filter with a comparison/Kleene-logic predicate
 //   3. string_pred — Filter over string comparisons
 //
-// Every bytecode run is validated bit-for-bit against the interpreter run
-// (same plan, same order — the engine's determinism bar). Results go to
-// stdout and BENCH_expr.json; the headline criterion is arith_heavy at
-// batch 1024 >= 1.3x over the interpreter, enforced outside smoke mode.
+// Every bytecode run is validated bit-for-bit against the row-interpreter
+// run (same rows, same order). Results go to stdout and BENCH_expr.json;
+// the headline criterion is arith_heavy at batch 1024 >= 1.3x over the row
+// interpreter, enforced outside smoke mode.
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,7 +22,6 @@
 #include "src/common/rng.h"
 #include "src/exec/filter_project_ops.h"
 #include "src/exec/scan_ops.h"
-#include "src/expr/bytecode.h"
 #include "src/expr/expr.h"
 
 namespace gapply::bench {
@@ -36,71 +36,132 @@ struct JsonRecord {
   size_t batch_size = 0;
   size_t rows = 0;
   double ms = 0;
-  double speedup_vs_interpret = 0;
+  double speedup_vs_row_eval = 0;
 };
 
 std::vector<JsonRecord> g_records;
 bool g_criterion_met = true;
 
-using PlanBuilder = std::function<PhysOpPtr(ExprEngine)>;
+/// One bench workload: a Filter (one predicate) or a Project over a scan of
+/// `table`. `exprs` builds the bound expressions against the scan schema.
+struct Workload {
+  std::string name;
+  const Table* table = nullptr;
+  bool filter = false;
+  std::function<std::vector<ExprPtr>(const Schema&)> exprs;
+};
 
 struct RunResult {
   double ms = 0;
   std::vector<Row> rows;
 };
 
-RunResult TimeRuns(const PlanBuilder& make, ExprEngine engine, int reps,
-                   size_t batch_size) {
+/// The bytecode plan: scan -> Filter or Project.
+PhysOpPtr MakePlan(const Workload& w) {
+  auto scan = std::make_unique<TableScanOp>(w.table);
+  std::vector<ExprPtr> exprs = w.exprs(scan->output_schema());
+  if (w.filter) {
+    return std::make_unique<FilterOp>(std::move(scan), std::move(exprs[0]));
+  }
+  std::vector<std::string> names(exprs.size(), "e");
+  for (size_t i = 0; i < names.size(); ++i) names[i] += std::to_string(i);
+  Result<PhysOpPtr> p =
+      ProjectOp::Make(std::move(scan), std::move(exprs), std::move(names));
+  if (!p.ok()) std::exit(1);
+  return std::move(*p);
+}
+
+void Fail(const Status& st) {
+  std::fprintf(stderr, "bench run failed: %s\n", st.ToString().c_str());
+  std::exit(1);
+}
+
+/// One run of the row interpreter on the scan's batches: EvalPredicate per
+/// row for a Filter, Expr::Eval per row and expression for a Project.
+std::vector<Row> RowEvalOnce(const Workload& w, size_t batch_size) {
+  TableScanOp scan(w.table);
+  const std::vector<ExprPtr> exprs = w.exprs(scan.output_schema());
+  const EvalContext eval;
+  ExecContext ctx;
+  ctx.set_batch_size(batch_size);
+  RowBatch batch(batch_size);
+  std::vector<Row> out;
+  if (Status st = scan.Open(&ctx); !st.ok()) Fail(st);
+  while (true) {
+    Result<bool> has = scan.NextBatch(&ctx, &batch);
+    if (!has.ok()) Fail(has.status());
+    if (!*has) break;
+    for (Row& row : batch.rows()) {
+      if (w.filter) {
+        Result<bool> keep = EvalPredicate(*exprs[0], row, eval);
+        if (!keep.ok()) Fail(keep.status());
+        if (*keep) out.push_back(std::move(row));
+        continue;
+      }
+      Row projected;
+      projected.reserve(exprs.size());
+      for (const ExprPtr& e : exprs) {
+        Result<Value> v = e->Eval(row, eval);
+        if (!v.ok()) Fail(v.status());
+        projected.push_back(std::move(*v));
+      }
+      out.push_back(std::move(projected));
+    }
+  }
+  if (Status st = scan.Close(&ctx); !st.ok()) Fail(st);
+  return out;
+}
+
+/// Best of `reps` timed runs after one warmup.
+RunResult TimeRuns(const std::function<std::vector<Row>()>& run, int reps) {
   RunResult result;
   double best = 1e300;
   for (int i = 0; i <= reps; ++i) {
-    PhysOpPtr op = make(engine);
-    ExecContext ctx;
-    ctx.set_batch_size(batch_size);
     const auto start = std::chrono::steady_clock::now();
-    Result<QueryResult> r = ExecuteToVector(op.get(), &ctx);
+    std::vector<Row> rows = run();
     const auto end = std::chrono::steady_clock::now();
-    if (!r.ok()) {
-      std::fprintf(stderr, "bench plan failed: %s\n",
-                   r.status().ToString().c_str());
-      std::exit(1);
-    }
     const double ms =
         std::chrono::duration<double, std::milli>(end - start).count();
     if (i > 0 && ms < best) best = ms;  // skip warmup
-    result.rows = std::move(r->rows);
+    result.rows = std::move(rows);
   }
   result.ms = best;
   return result;
 }
 
-void RunSweep(const std::string& workload, const PlanBuilder& make,
-              int reps) {
-  std::printf("%s:\n", workload.c_str());
+void RunSweep(const Workload& w, int reps) {
+  std::printf("%s:\n", w.name.c_str());
   for (size_t bs : kBatchSizes) {
-    const RunResult interp =
-        TimeRuns(make, ExprEngine::kInterpret, reps, bs);
-    const RunResult bytecode =
-        TimeRuns(make, ExprEngine::kBytecode, reps, bs);
-    if (!SameRowSequence(interp.rows, bytecode.rows)) {
+    const RunResult row_eval =
+        TimeRuns([&] { return RowEvalOnce(w, bs); }, reps);
+    const RunResult bytecode = TimeRuns(
+        [&] {
+          PhysOpPtr op = MakePlan(w);
+          ExecContext ctx;
+          ctx.set_batch_size(bs);
+          Result<QueryResult> r = ExecuteToVector(op.get(), &ctx);
+          if (!r.ok()) Fail(r.status());
+          return std::move(r->rows);
+        },
+        reps);
+    if (!SameRowSequence(row_eval.rows, bytecode.rows)) {
       std::fprintf(stderr,
                    "BENCH INVALID: %s batch_size=%zu: bytecode diverges "
-                   "from the interpreter (%zu vs %zu rows)\n",
-                   workload.c_str(), bs, bytecode.rows.size(),
-                   interp.rows.size());
+                   "from the row interpreter (%zu vs %zu rows)\n",
+                   w.name.c_str(), bs, bytecode.rows.size(),
+                   row_eval.rows.size());
       std::exit(1);
     }
-    const double speedup = interp.ms / bytecode.ms;
-    g_records.push_back({workload, "interpret", bs, interp.rows.size(),
-                         interp.ms, 1.0});
-    g_records.push_back({workload, "bytecode", bs, bytecode.rows.size(),
+    const double speedup = row_eval.ms / bytecode.ms;
+    g_records.push_back({w.name, "row_eval", bs, row_eval.rows.size(),
+                         row_eval.ms, 1.0});
+    g_records.push_back({w.name, "bytecode", bs, bytecode.rows.size(),
                          bytecode.ms, speedup});
     std::printf(
-        "  batch %-5zu interpret %9.3f ms   bytecode %9.3f ms   "
+        "  batch %-5zu row_eval %9.3f ms   bytecode %9.3f ms   "
         "speedup %5.2fx\n",
-        bs, interp.ms, bytecode.ms, speedup);
-    if (workload == "arith_heavy" && bs == 1024 &&
-        speedup < kArithCriterion) {
+        bs, row_eval.ms, bytecode.ms, speedup);
+    if (w.name == "arith_heavy" && bs == 1024 && speedup < kArithCriterion) {
       std::fprintf(stderr,
                    "CRITERION MISSED: arith_heavy at batch 1024 is %.2fx, "
                    "required >= %.2fx\n",
@@ -143,17 +204,14 @@ std::unique_ptr<Table> MakeStringTable(size_t rows) {
   return table;
 }
 
-// Project with two deep arithmetic trees: ~10 operator nodes per row on
-// the interpreter, each allocating an intermediate Value vector on the
-// general batch path.
-PhysOpPtr MakeArithHeavy(const Table* table, ExprEngine engine) {
-  auto scan = std::make_unique<TableScanOp>(table);
-  const Schema s = scan->output_schema();
+// Project with two deep arithmetic trees: ~10 operator nodes per row.
+std::vector<ExprPtr> ArithHeavy(const Schema& s) {
   auto node = [&](BinaryOp op, ExprPtr l, ExprPtr r) {
     return Binary(op, std::move(l), std::move(r));
   };
+  std::vector<ExprPtr> exprs;
   // ((v + 7) * 3 - k) * (v - 2) + v / 3
-  ExprPtr ints = node(
+  exprs.push_back(node(
       BinaryOp::kAdd,
       node(BinaryOp::kMultiply,
            node(BinaryOp::kSubtract,
@@ -162,50 +220,37 @@ PhysOpPtr MakeArithHeavy(const Table* table, ExprEngine engine) {
                      Lit(int64_t{3})),
                 Col(s, "k")),
            node(BinaryOp::kSubtract, Col(s, "v"), Lit(int64_t{2}))),
-      node(BinaryOp::kDivide, Col(s, "v"), Lit(int64_t{3})));
+      node(BinaryOp::kDivide, Col(s, "v"), Lit(int64_t{3}))));
   // (d * 0.5 + d) * (d - 1.0)
-  ExprPtr doubles =
+  exprs.push_back(
       node(BinaryOp::kMultiply,
            node(BinaryOp::kAdd,
                 node(BinaryOp::kMultiply, Col(s, "d"), Lit(0.5)),
                 Col(s, "d")),
-           node(BinaryOp::kSubtract, Col(s, "d"), Lit(1.0)));
-  std::vector<ExprPtr> exprs;
-  exprs.push_back(std::move(ints));
-  exprs.push_back(std::move(doubles));
-  Result<PhysOpPtr> p =
-      ProjectOp::Make(std::move(scan), std::move(exprs), {"i", "x"});
-  if (!p.ok()) std::exit(1);
-  static_cast<ProjectOp*>(p->get())->set_expr_engine(engine);
-  return std::move(*p);
+           node(BinaryOp::kSubtract, Col(s, "d"), Lit(1.0))));
+  return exprs;
 }
 
-// Filter with a comparison/Kleene predicate:
+// A comparison/Kleene predicate:
 // (v > 250 and v < 900) or k = 5 or (d >= 10.0 and not (v = 400)).
-PhysOpPtr MakePredHeavy(const Table* table, ExprEngine engine) {
-  auto scan = std::make_unique<TableScanOp>(table);
-  const Schema s = scan->output_schema();
-  ExprPtr pred =
+std::vector<ExprPtr> PredHeavy(const Schema& s) {
+  std::vector<ExprPtr> exprs;
+  exprs.push_back(
       Or(Or(And(Gt(Col(s, "v"), Lit(int64_t{250})),
                 Lt(Col(s, "v"), Lit(int64_t{900}))),
             Eq(Col(s, "k"), Lit(int64_t{5}))),
          And(Ge(Col(s, "d"), Lit(10.0)),
-             Unary(UnaryOp::kNot, Eq(Col(s, "v"), Lit(int64_t{400})))));
-  auto filter = std::make_unique<FilterOp>(std::move(scan), std::move(pred));
-  filter->set_expr_engine(engine);
-  return filter;
+             Unary(UnaryOp::kNot, Eq(Col(s, "v"), Lit(int64_t{400}))))));
+  return exprs;
 }
 
-// Filter over string comparisons: 'f' <= name < 't' and name != "maple_7".
-PhysOpPtr MakeStringPred(const Table* table, ExprEngine engine) {
-  auto scan = std::make_unique<TableScanOp>(table);
-  const Schema s = scan->output_schema();
-  ExprPtr pred = And(
-      And(Ge(Col(s, "name"), Lit("f")), Lt(Col(s, "name"), Lit("t"))),
-      Binary(BinaryOp::kNe, Col(s, "name"), Lit("maple_7")));
-  auto filter = std::make_unique<FilterOp>(std::move(scan), std::move(pred));
-  filter->set_expr_engine(engine);
-  return filter;
+// String comparisons: 'f' <= name < 't' and name != "maple_7".
+std::vector<ExprPtr> StringPred(const Schema& s) {
+  std::vector<ExprPtr> exprs;
+  exprs.push_back(
+      And(And(Ge(Col(s, "name"), Lit("f")), Lt(Col(s, "name"), Lit("t"))),
+          Binary(BinaryOp::kNe, Col(s, "name"), Lit("maple_7"))));
+  return exprs;
 }
 
 void WriteJson(int reps) {
@@ -228,9 +273,9 @@ void WriteJson(int reps) {
     std::fprintf(f,
                  "    {\"workload\": \"%s\", \"engine\": \"%s\", "
                  "\"batch_size\": %zu, \"rows\": %zu, \"ms\": %.4f, "
-                 "\"speedup_vs_interpret\": %.4f}%s\n",
+                 "\"speedup_vs_row_eval\": %.4f}%s\n",
                  r.workload.c_str(), r.engine.c_str(), r.batch_size, r.rows,
-                 r.ms, r.speedup_vs_interpret,
+                 r.ms, r.speedup_vs_row_eval,
                  i + 1 == g_records.size() ? "" : ",");
   }
   std::fprintf(f, "  ],\n%s\n}\n", ProfilesJsonMember().c_str());
@@ -242,35 +287,22 @@ void Run() {
   const int reps = Reps();
   const size_t numeric_rows = SmokeMode() ? 20000 : 200000;
   const size_t string_rows = SmokeMode() ? 10000 : 100000;
-  std::printf("Expression-engine sweep (reps=%d, rows=%zu)\n\n", reps,
+  std::printf("Expression sweep (reps=%d, rows=%zu)\n\n", reps,
               numeric_rows);
 
   auto numeric = MakeNumericTable(numeric_rows);
-  RunSweep("arith_heavy",
-           [&](ExprEngine e) { return MakeArithHeavy(numeric.get(), e); },
-           reps);
-  RunSweep("pred_heavy",
-           [&](ExprEngine e) { return MakePredHeavy(numeric.get(), e); },
-           reps);
   auto strings = MakeStringTable(string_rows);
-  RunSweep("string_pred",
-           [&](ExprEngine e) { return MakeStringPred(strings.get(), e); },
-           reps);
+  const Workload arith{"arith_heavy", numeric.get(), false, ArithHeavy};
+  RunSweep(arith, reps);
+  RunSweep({"pred_heavy", numeric.get(), true, PredHeavy}, reps);
+  RunSweep({"string_pred", strings.get(), true, StringPred}, reps);
 
-  // Per-operator profiles at the headline batch size, one per engine, so
-  // the JSON records the expr_engine annotation end to end.
-  {
-    PhysOpPtr op = MakeArithHeavy(numeric.get(), ExprEngine::kBytecode);
-    ExecContext ctx;
-    ctx.set_batch_size(1024);
-    RecordPhysProfile(op.get(), &ctx, "arith_heavy_bytecode_b1024");
-  }
-  {
-    PhysOpPtr op = MakeArithHeavy(numeric.get(), ExprEngine::kInterpret);
-    ExecContext ctx;
-    ctx.set_batch_size(1024);
-    RecordPhysProfile(op.get(), &ctx, "arith_heavy_interpret_b1024");
-  }
+  // Per-operator profile at the headline batch size, so the JSON records
+  // the compiled instruction count end to end.
+  PhysOpPtr op = MakePlan(arith);
+  ExecContext ctx;
+  ctx.set_batch_size(1024);
+  RecordPhysProfile(op.get(), &ctx, "arith_heavy_bytecode_b1024");
 
   WriteJson(reps);
   if (!g_criterion_met && !SmokeMode()) std::exit(1);

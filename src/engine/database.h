@@ -139,12 +139,6 @@ class Database {
   void set_default_columnar_storage(bool on) {
     default_session_->set_default_columnar_storage(on);
   }
-  ExprEngine default_expr_engine() const {
-    return default_session_->default_expr_engine();
-  }
-  void set_default_expr_engine(ExprEngine engine) {
-    default_session_->set_default_expr_engine(engine);
-  }
   size_t default_memory_budget() const {
     return default_session_->default_memory_budget();
   }

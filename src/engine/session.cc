@@ -88,16 +88,6 @@ Status Session::ApplySetStatement(const sql::SetStatement& stmt) {
         "SET storage: value must be columnar or row, got " +
         (stmt.word.empty() ? std::to_string(stmt.value) : stmt.word));
   }
-  if (stmt.name == "expr_engine") {
-    ExprEngine engine = ExprEngine::kAuto;
-    if (!stmt.word.empty() && ParseExprEngine(stmt.word, &engine)) {
-      set_default_expr_engine(engine);
-      return Status::OK();
-    }
-    return Status::InvalidArgument(
-        "SET expr_engine: value must be bytecode, interpret, or auto, got " +
-        (stmt.word.empty() ? std::to_string(stmt.value) : stmt.word));
-  }
   if (!stmt.word.empty()) {
     // Every remaining knob takes an integer or on/off value.
     return Status::InvalidArgument("SET " + stmt.name +
@@ -153,19 +143,15 @@ LoweringOptions Session::ResolveLowering(const QueryOptions& options) const {
   if (!lowering.columnar_storage.has_value()) {
     lowering.columnar_storage = default_columnar_storage_;
   }
-  if (lowering.expr_engine == ExprEngine::kAuto) {
-    lowering.expr_engine = default_expr_engine_;
-  }
   return lowering;
 }
 
 std::string Session::CacheFingerprint(const QueryOptions& options) const {
   // Every knob that changes what plan we would build (optimizer toggles)
-  // or how a hit would be lowered (requested DOP, storage, expression
-  // engine, partitioning) goes in; execution-only knobs (batch_size,
-  // profile) stay out. The *requested* parallelism is fingerprinted, not
-  // the admission grant: grants vary moment to moment and never change
-  // results (DESIGN.md §15).
+  // or how a hit would be lowered (requested DOP, storage, partitioning)
+  // goes in; execution-only knobs (batch_size, profile) stay out. The
+  // *requested* parallelism is fingerprinted, not the admission grant:
+  // grants vary moment to moment and never change results (DESIGN.md §15).
   const LoweringOptions lowering = ResolveLowering(options);
   std::string fp;
   fp += "gp" + std::to_string(lowering.gapply_parallelism);
@@ -174,7 +160,6 @@ std::string Session::CacheFingerprint(const QueryOptions& options) const {
   fp += ";xm" + std::to_string(lowering.exchange_morsel_rows);
   fp += ";st";
   fp += lowering.columnar_storage.value_or(true) ? '1' : '0';
-  fp += ";ee" + std::to_string(static_cast<int>(lowering.expr_engine));
   fp += ";pm";
   fp += lowering.force_partition_mode.has_value()
             ? std::to_string(static_cast<int>(*lowering.force_partition_mode))

@@ -106,9 +106,9 @@ struct QueryStats {
 ///
 /// Session options (`SET`, all per-session): `parallelism` (GApply +
 /// Exchange DOP; 0 = all hardware threads), `batch_size`, `profile`,
-/// `storage = columnar|row`, `expr_engine = bytecode|interpret|auto`,
-/// `plan_cache = on|off`, and `memory_budget` (bytes per query for the
-/// blocking operators; `unlimited` turns governance off).
+/// `storage = columnar|row`, `plan_cache = on|off`, and `memory_budget`
+/// (bytes per query for the blocking operators; `unlimited` turns
+/// governance off).
 ///
 /// Queries executed through a Session are admission-controlled: the
 /// requested DOP is clamped to the concurrency tokens granted by the
@@ -188,11 +188,6 @@ class Session {
     default_columnar_storage_ = on;
   }
 
-  ExprEngine default_expr_engine() const { return default_expr_engine_; }
-  void set_default_expr_engine(ExprEngine engine) {
-    default_expr_engine_ = engine;
-  }
-
   bool plan_cache_enabled() const { return plan_cache_enabled_; }
   void set_plan_cache_enabled(bool on) { plan_cache_enabled_ = on; }
 
@@ -266,7 +261,6 @@ class Session {
   size_t default_batch_size_ = RowBatch::kDefaultCapacity;
   bool default_profile_ = false;
   bool default_columnar_storage_ = true;
-  ExprEngine default_expr_engine_ = ExprEngine::kAuto;
   bool plan_cache_enabled_ = true;
   size_t default_memory_budget_ = 0;
   std::map<std::string, std::string> prepared_;  // name -> normalized SQL

@@ -13,22 +13,10 @@ FilterOp::FilterOp(PhysOpPtr child, ExprPtr predicate)
 
 Status FilterOp::OpenImpl(ExecContext* ctx) {
   child_batch_.Clear();
-  if (!engine_resolved_) {
-    engine_resolved_ = true;
-    if (ResolveExprEngine(expr_engine_) == ExprEngine::kBytecode) {
-      Result<std::unique_ptr<ExprProgram>> program =
-          ExprProgram::CompilePredicate(*predicate_);
-      if (program.ok()) {
-        program_ = std::move(*program);
-      } else {
-        fallback_reason_ = program.status().message();
-      }
-    }
+  if (program_ == nullptr) {
+    ASSIGN_OR_RETURN(program_, ExprProgram::CompilePredicate(*predicate_));
   }
-  profile_.expr_engine = program_ != nullptr ? "bytecode" : "interpret";
-  profile_.expr_instructions =
-      program_ != nullptr ? program_->num_instructions() : 0;
-  profile_.expr_fallback = fallback_reason_;
+  profile_.expr_instructions = program_->num_instructions();
   return child_->Open(ctx);
 }
 
@@ -43,13 +31,8 @@ Result<bool> FilterOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
   while (out->empty()) {
     ASSIGN_OR_RETURN(bool has, child_->NextBatch(ctx, &child_batch_));
     if (!has) return false;
-    if (program_ != nullptr) {
-      RETURN_NOT_OK(program_->EvalPredicateBatch(child_batch_, *ctx->eval(),
-                                                 &keep_));
-    } else {
-      RETURN_NOT_OK(EvalPredicateBatch(*predicate_, child_batch_,
-                                       *ctx->eval(), &keep_));
-    }
+    RETURN_NOT_OK(
+        program_->EvalPredicateBatch(child_batch_, *ctx->eval(), &keep_));
     for (size_t i = 0; i < child_batch_.size(); ++i) {
       if (keep_[i]) out->Add(std::move(child_batch_[i]));
     }
@@ -65,9 +48,7 @@ std::string FilterOp::DebugName() const {
 }
 
 PhysOpPtr FilterOp::Clone() const {
-  auto clone = std::make_unique<FilterOp>(child_->Clone(), predicate_->Clone());
-  clone->expr_engine_ = expr_engine_;  // worker clones compile their own
-  return clone;
+  return std::make_unique<FilterOp>(child_->Clone(), predicate_->Clone());
 }
 
 ProjectOp::ProjectOp(Schema schema, PhysOpPtr child,
@@ -91,34 +72,19 @@ Result<PhysOpPtr> ProjectOp::Make(PhysOpPtr child, std::vector<ExprPtr> exprs,
 
 Status ProjectOp::OpenImpl(ExecContext* ctx) {
   child_batch_.Clear();
-  if (!engine_resolved_) {
-    engine_resolved_ = true;
-    if (ResolveExprEngine(expr_engine_) == ExprEngine::kBytecode) {
-      programs_.resize(exprs_.size());
-      for (size_t e = 0; e < exprs_.size(); ++e) {
-        Result<std::unique_ptr<ExprProgram>> program =
-            ExprProgram::Compile(*exprs_[e]);
-        if (program.ok()) {
-          programs_[e] = std::move(*program);
-        } else if (fallback_reason_.empty()) {
-          fallback_reason_ = program.status().message();
-        }
-      }
+  if (programs_.size() != exprs_.size()) {
+    std::vector<std::unique_ptr<ExprProgram>> programs;
+    for (const ExprPtr& e : exprs_) {
+      ASSIGN_OR_RETURN(std::unique_ptr<ExprProgram> program,
+                       ExprProgram::Compile(*e));
+      programs.push_back(std::move(program));
     }
+    programs_ = std::move(programs);
   }
-  size_t compiled = 0;
-  uint64_t instructions = 0;
+  profile_.expr_instructions = 0;
   for (const auto& p : programs_) {
-    if (p != nullptr) {
-      compiled++;
-      instructions += p->num_instructions();
-    }
+    profile_.expr_instructions += p->num_instructions();
   }
-  profile_.expr_engine = compiled == exprs_.size() && !exprs_.empty()
-                             ? "bytecode"
-                             : (compiled == 0 ? "interpret" : "mixed");
-  profile_.expr_instructions = instructions;
-  profile_.expr_fallback = fallback_reason_;
   return child_->Open(ctx);
 }
 
@@ -133,13 +99,8 @@ Result<bool> ProjectOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
   // back into rows.
   columns_.resize(exprs_.size());
   for (size_t e = 0; e < exprs_.size(); ++e) {
-    if (e < programs_.size() && programs_[e] != nullptr) {
-      RETURN_NOT_OK(programs_[e]->EvalBatch(child_batch_, *ctx->eval(),
-                                            &columns_[e]));
-    } else {
-      RETURN_NOT_OK(exprs_[e]->EvalBatch(child_batch_, *ctx->eval(),
-                                         &columns_[e]));
-    }
+    RETURN_NOT_OK(
+        programs_[e]->EvalBatch(child_batch_, *ctx->eval(), &columns_[e]));
   }
   for (size_t i = 0; i < child_batch_.size(); ++i) {
     Row row;
@@ -169,10 +130,8 @@ PhysOpPtr ProjectOp::Clone() const {
   std::vector<ExprPtr> exprs;
   exprs.reserve(exprs_.size());
   for (const ExprPtr& e : exprs_) exprs.push_back(e->Clone());
-  auto clone = std::unique_ptr<ProjectOp>(
-      new ProjectOp(schema_, child_->Clone(), std::move(exprs)));
-  clone->expr_engine_ = expr_engine_;  // worker clones compile their own
-  return clone;
+  // Worker clones compile their own programs.
+  return PhysOpPtr(new ProjectOp(schema_, child_->Clone(), std::move(exprs)));
 }
 
 int CompareForSort(const Value& a, const Value& b) {

@@ -15,16 +15,11 @@ namespace gapply {
 
 /// Emits input rows whose predicate evaluates to TRUE (NULL rejects).
 ///
-/// The predicate is evaluated with the configured expression engine
-/// (set_expr_engine, stamped by lowering): under bytecode it is compiled
-/// once at first Open into an ExprProgram producing keep flags
-/// column-at-a-time, falling back to the interpreter — with the compiler's
-/// reason recorded in the runtime profile — when a node is unsupported.
+/// The predicate is compiled once, at first Open, into an ExprProgram that
+/// produces keep flags column-at-a-time (DESIGN.md §14).
 class FilterOp : public PhysOp {
  public:
   FilterOp(PhysOpPtr child, ExprPtr predicate);
-
-  void set_expr_engine(ExprEngine engine) { expr_engine_ = engine; }
 
   Status OpenImpl(ExecContext* ctx) override;
   Result<bool> NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
@@ -37,12 +32,9 @@ class FilterOp : public PhysOp {
   PhysOpPtr child_;
   ExprPtr predicate_;
 
-  // Engine selection: resolved and compiled once at first Open (Apply /
-  // GApply re-open per group; the program is reusable as-is).
-  ExprEngine expr_engine_ = ExprEngine::kAuto;
-  bool engine_resolved_ = false;
+  // Compiled once at first Open (Apply / GApply re-open per group; the
+  // program is reusable as-is).
   std::unique_ptr<ExprProgram> program_;
-  std::string fallback_reason_;
 
   // Native batch path scratch: the current child batch and its selection
   // flags, reused across NextBatch calls.
@@ -50,20 +42,14 @@ class FilterOp : public PhysOp {
   std::vector<char> keep_;
 };
 
-/// Computes one output column per expression.
-///
-/// Engine selection is per expression: under bytecode each projection is
-/// compiled independently at first Open, so a single unsupported expression
-/// falls back alone ("mixed" in the profile) instead of dragging the whole
-/// operator to the interpreter.
+/// Computes one output column per expression, each compiled once at first
+/// Open into its own ExprProgram.
 class ProjectOp : public PhysOp {
  public:
   /// Builds the output schema from the expressions' static types and
   /// `names` (same length as `exprs`).
   static Result<PhysOpPtr> Make(PhysOpPtr child, std::vector<ExprPtr> exprs,
                                 std::vector<std::string> names);
-
-  void set_expr_engine(ExprEngine engine) { expr_engine_ = engine; }
 
   Status OpenImpl(ExecContext* ctx) override;
   Result<bool> NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
@@ -78,11 +64,8 @@ class ProjectOp : public PhysOp {
   PhysOpPtr child_;
   std::vector<ExprPtr> exprs_;
 
-  // Engine selection: one program per expression (nullptr = interpret).
-  ExprEngine expr_engine_ = ExprEngine::kAuto;
-  bool engine_resolved_ = false;
+  // One program per expression, compiled at first Open.
   std::vector<std::unique_ptr<ExprProgram>> programs_;
-  std::string fallback_reason_;
 
   // Native batch path scratch: child batch + one evaluated column per
   // projection expression.

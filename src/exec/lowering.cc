@@ -367,7 +367,6 @@ Result<LiftedPlan> LowerLifted(const LogicalOp& node, const std::string& var,
       RETURN_NOT_OK(pred->RemapColumns(child.columns));
       auto filter = std::make_unique<FilterOp>(std::move(child.op),
                                                std::move(pred));
-      filter->set_expr_engine(opts.expr_engine);
       return LiftedPlan{std::move(filter), std::move(child.columns)};
     }
     case LogicalOpType::kProject: {
@@ -396,7 +395,6 @@ Result<LiftedPlan> LowerLifted(const LogicalOp& node, const std::string& var,
       ASSIGN_OR_RETURN(PhysOpPtr op, ProjectOp::Make(std::move(child.op),
                                                      std::move(kept),
                                                      std::move(names)));
-      static_cast<ProjectOp*>(op.get())->set_expr_engine(opts.expr_engine);
       return LiftedPlan{std::move(op), std::move(landed)};
     }
     case LogicalOpType::kScalarAgg: {
@@ -505,7 +503,6 @@ Result<PhysOpPtr> LowerNode(const LogicalOp& node, const LoweringOptions& opts,
       const auto& scan = static_cast<const LogicalScan&>(node);
       auto op = std::make_unique<TableScanOp>(scan.table(), scan.alias());
       op->set_use_columnar(opts.columnar_storage.value_or(true));
-      op->set_expr_engine(opts.expr_engine);
       return PhysOpPtr(std::move(op));
     }
     case LogicalOpType::kGroupScan: {
@@ -542,14 +539,12 @@ Result<PhysOpPtr> LowerNode(const LogicalOp& node, const LoweringOptions& opts,
             if (residual.empty()) return child;  // Filter fully absorbed
             auto filter = std::make_unique<FilterOp>(
                 std::move(child), CombineConjuncts(std::move(residual)));
-            filter->set_expr_engine(opts.expr_engine);
             return PhysOpPtr(std::move(filter));
           }
         }
       }
       auto filter =
           std::make_unique<FilterOp>(std::move(child), std::move(pred));
-      filter->set_expr_engine(opts.expr_engine);
       return PhysOpPtr(std::move(filter));
     }
     case LogicalOpType::kProject: {
@@ -560,7 +555,6 @@ Result<PhysOpPtr> LowerNode(const LogicalOp& node, const LoweringOptions& opts,
       ASSIGN_OR_RETURN(PhysOpPtr op,
                        ProjectOp::Make(std::move(child), std::move(exprs),
                                        proj.names()));
-      static_cast<ProjectOp*>(op.get())->set_expr_engine(opts.expr_engine);
       return op;
     }
     case LogicalOpType::kJoin: {

@@ -4,7 +4,6 @@
 #include <optional>
 
 #include "src/exec/physical_op.h"
-#include "src/expr/bytecode.h"
 #include "src/optimizer/cost_model.h"
 #include "src/plan/logical_plan.h"
 
@@ -46,13 +45,6 @@ struct LoweringOptions {
   /// substitutes its session setting, `SET storage = columnar|row`);
   /// standalone LowerPlan calls resolve unset to columnar.
   std::optional<bool> columnar_storage;
-
-  /// Expression engine stamped on Filter / Project / predicate-bearing
-  /// TableScan (DESIGN.md §14). kAuto means "engine default" (Database
-  /// substitutes its session setting, `SET expr_engine = ...`); standalone
-  /// LowerPlan calls resolve kAuto at operator Open (environment variable
-  /// GAPPLY_EXPR_ENGINE, else bytecode).
-  ExprEngine expr_engine = ExprEngine::kAuto;
 
   /// When set, every lowered operator is stamped with the cost model's
   /// cardinality estimate for its logical source node

@@ -45,11 +45,8 @@ void OpRuntimeProfile::MergeFrom(const OpRuntimeProfile& other) {
   spill_bytes += other.spill_bytes;
   spill_partitions += other.spill_partitions;
   peak_memory = std::max(peak_memory, other.peak_memory);
-  // Worker clones compile the same expressions: the annotation is shared
-  // state, not a counter. Adopt it when this node has none (a template
-  // whose work all ran on clones) and keep the per-clone instruction count.
-  if (expr_engine.empty()) expr_engine = other.expr_engine;
-  if (expr_fallback.empty()) expr_fallback = other.expr_fallback;
+  // Worker clones compile the same expressions: keep the per-clone
+  // instruction count rather than summing it.
   expr_instructions = std::max(expr_instructions, other.expr_instructions);
   workers_merged += other.workers_merged == 0 ? 1 : other.workers_merged;
   for (const auto& phase : other.phases) {

@@ -45,16 +45,10 @@ struct OpRuntimeProfile {
   /// skipped off their zone maps vs. morsels actually read.
   uint64_t morsels_pruned = 0;
   uint64_t morsels_scanned = 0;
-  /// Expression-engine annotation (Filter / Project / predicate-bearing
-  /// TableScan): which engine evaluates this operator's expressions —
-  /// "bytecode", "interpret", or "mixed" (Project with some expressions
-  /// compiled and some declined). Empty for operators without expressions.
-  std::string expr_engine;
-  /// Total bytecode instructions across this operator's compiled programs.
+  /// Total bytecode instructions across this operator's compiled
+  /// expression programs (Filter / Project / predicate-bearing TableScan);
+  /// zero for operators without one.
   uint64_t expr_instructions = 0;
-  /// First unsupported node the compiler declined, when any expression fell
-  /// back to the interpreter (empty otherwise).
-  std::string expr_fallback;
   /// Out-of-core execution (DESIGN.md §16): bytes this operator wrote to
   /// spill files, spill partitions/runs it created, and the peak bytes it
   /// had reserved from the query's MemoryTracker. Zero when the operator

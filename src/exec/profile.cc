@@ -45,17 +45,11 @@ void RenderTo(const ProfileNode& node, const ProfileRenderOptions& options,
             " spill_partitions=" +
             std::to_string(node.profile.spill_partitions);
   }
-  // Expression-engine annotation: which evaluator the operator chose at
-  // Open, the compiled instruction count, and — on interpreter fallback —
-  // the first unsupported node. Deterministic, so always printed.
-  if (!node.profile.expr_engine.empty()) {
-    *out += " expr=" + node.profile.expr_engine;
-    if (node.profile.expr_instructions > 0) {
-      *out += "[" + std::to_string(node.profile.expr_instructions) + "]";
-    }
-    if (!node.profile.expr_fallback.empty()) {
-      *out += " expr_fallback=\"" + node.profile.expr_fallback + "\"";
-    }
+  // Compiled expression programs: the instruction count is deterministic,
+  // so it is always printed.
+  if (node.profile.expr_instructions > 0) {
+    *out += " expr=bytecode[" +
+            std::to_string(node.profile.expr_instructions) + "]";
   }
   if (options.show_timings) {
     *out += "  [total=" + FormatMs(node.profile.cumulative_ns()) +
@@ -143,13 +137,9 @@ JsonValue ProfileToJson(const ProfileNode& node) {
           JsonValue::Int(static_cast<int64_t>(node.profile.spill_partitions)));
   obj.Set("peak_memory",
           JsonValue::Int(static_cast<int64_t>(node.profile.peak_memory)));
-  if (!node.profile.expr_engine.empty()) {
-    obj.Set("expr_engine", JsonValue::Str(node.profile.expr_engine));
+  if (node.profile.expr_instructions > 0) {
     obj.Set("expr_instructions",
             JsonValue::Int(static_cast<int64_t>(node.profile.expr_instructions)));
-    if (!node.profile.expr_fallback.empty()) {
-      obj.Set("expr_fallback", JsonValue::Str(node.profile.expr_fallback));
-    }
   }
   obj.Set("total_ns",
           JsonValue::Int(static_cast<int64_t>(node.profile.cumulative_ns())));

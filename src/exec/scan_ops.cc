@@ -33,22 +33,11 @@ Status TableScanOp::OpenImpl(ExecContext*) {
   pos_ = 0;
   end_ = morsel_mode_ ? 0 : table_->num_rows();
   chunk_end_ = 0;
-  compiled_ = preds_.empty()
-                  ? std::vector<CompiledPredicate>{}
-                  : table_->columnar().CompilePredicates(preds_);
   scan_program_.reset();
   if (!preds_.empty()) {
-    if (ResolveExprEngine(expr_engine_) == ExprEngine::kBytecode) {
-      Result<std::unique_ptr<ExprProgram>> program =
-          ExprProgram::CompileScanPredicates(table_->columnar(), preds_);
-      if (program.ok()) scan_program_ = std::move(*program);
-      // A decline is impossible by construction (the translation is total
-      // over CompiledPredicate); if it ever happens, compiled_ carries on.
-    }
-    profile_.expr_engine =
-        scan_program_ != nullptr ? "bytecode" : "interpret";
-    profile_.expr_instructions =
-        scan_program_ != nullptr ? scan_program_->num_instructions() : 0;
+    ASSIGN_OR_RETURN(scan_program_, ExprProgram::CompileScanPredicates(
+                                        table_->columnar(), preds_));
+    profile_.expr_instructions = scan_program_->num_instructions();
   }
   return Status::OK();
 }
@@ -108,24 +97,12 @@ Result<bool> TableScanOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
     // batches; selective ones just loop within the call.
     const size_t stop =
         std::min(chunk_end_, pos_ + (out->capacity() - out->size()));
-    if (compiled_.empty()) {
-      for (size_t i = pos_; i < stop; ++i) {
-        Row row;
-        ct.MaterializeRow(i, &row);
-        out->Add(std::move(row));
-      }
-    } else {
-      selection_.clear();
-      if (scan_program_ != nullptr) {
-        RETURN_NOT_OK(scan_program_->FilterRange(pos_, stop, &selection_));
-      } else {
-        ct.FilterRange(pos_, stop, compiled_, &selection_);
-      }
-      for (const uint32_t i : selection_) {
-        Row row;
-        ct.MaterializeRow(i, &row);
-        out->Add(std::move(row));
-      }
+    selection_.clear();
+    RETURN_NOT_OK(scan_program_->FilterRange(pos_, stop, &selection_));
+    for (const uint32_t i : selection_) {
+      Row row;
+      ct.MaterializeRow(i, &row);
+      out->Add(std::move(row));
     }
     pos_ = stop;
   }
@@ -155,7 +132,6 @@ PhysOpPtr TableScanOp::Clone() const {
   auto clone = std::make_unique<TableScanOp>(table_, alias_);
   clone->preds_ = preds_;
   clone->use_columnar_ = use_columnar_;
-  clone->expr_engine_ = expr_engine_;  // worker clones compile their own
   return clone;
 }
 

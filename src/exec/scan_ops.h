@@ -49,7 +49,8 @@ class TableScanOp : public PhysOp {
 
   /// Conjuncts this scan evaluates itself (columnar path only; lowering
   /// pushes them only when the session storage mode is columnar). Compiled
-  /// onto the dense representation at Open. Accumulates — an unoptimized
+  /// at Open into a scan program over the dense representation
+  /// (ExprProgram::CompileScanPredicates). Accumulates — an unoptimized
   /// plan lowers stacked Selects one at a time, and each absorbed Filter
   /// must add its conjuncts to the ones already pushed, never replace them.
   void PushPredicates(std::vector<ScanPredicate> preds) {
@@ -65,14 +66,6 @@ class TableScanOp : public PhysOp {
   /// store cannot evaluate them), an empty set takes the row store.
   void set_use_columnar(bool on) { use_columnar_ = on; }
   bool use_columnar() const { return use_columnar_; }
-
-  /// Engine for the pushed-down predicate loop (stamped by lowering).
-  /// Under bytecode, Open compiles the conjuncts into an ExprProgram whose
-  /// FilterRange runs the dense-array selection loop; the interpreter path
-  /// keeps using ColumnarTable::FilterRange. Both are built from the same
-  /// CompilePredicates output, so the streams are identical by
-  /// construction.
-  void set_expr_engine(ExprEngine engine) { expr_engine_ = engine; }
 
   void EnableMorselMode() { morsel_mode_ = true; }
   bool morsel_mode() const { return morsel_mode_; }
@@ -93,10 +86,8 @@ class TableScanOp : public PhysOp {
   const Table* table_;
   std::string alias_;
   std::vector<ScanPredicate> preds_;
-  std::vector<CompiledPredicate> compiled_;  // built at Open from preds_
-  ExprEngine expr_engine_ = ExprEngine::kAuto;
-  std::unique_ptr<ExprProgram> scan_program_;  // bytecode twin of compiled_
-  std::vector<uint32_t> selection_;          // scratch for FilterRange
+  std::unique_ptr<ExprProgram> scan_program_;  // built at Open from preds_
+  std::vector<uint32_t> selection_;            // scratch for FilterRange
   size_t pos_ = 0;
   size_t end_ = 0;
   /// End of the storage-morsel chunk the cursor currently sits in;

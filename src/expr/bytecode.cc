@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 
 namespace gapply {
 
@@ -77,73 +77,44 @@ const char* CmpName(CmpOp op) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Engine selection
-// ---------------------------------------------------------------------------
-
-const char* ExprEngineName(ExprEngine engine) {
-  switch (engine) {
-    case ExprEngine::kAuto:
-      return "auto";
-    case ExprEngine::kInterpret:
-      return "interpret";
-    case ExprEngine::kBytecode:
-      return "bytecode";
-  }
-  return "?";
-}
-
-bool ParseExprEngine(const std::string& word, ExprEngine* out) {
-  if (word == "auto") {
-    *out = ExprEngine::kAuto;
-  } else if (word == "interpret") {
-    *out = ExprEngine::kInterpret;
-  } else if (word == "bytecode") {
-    *out = ExprEngine::kBytecode;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-ExprEngine ResolveExprEngine(ExprEngine engine) {
-  if (engine != ExprEngine::kAuto) return engine;
-  if (const char* env = std::getenv("GAPPLY_EXPR_ENGINE")) {
-    ExprEngine parsed = ExprEngine::kAuto;
-    if (ParseExprEngine(env, &parsed) && parsed != ExprEngine::kAuto) {
-      return parsed;
-    }
-  }
-  return ExprEngine::kBytecode;
-}
-
-// ---------------------------------------------------------------------------
 // Compiler
 // ---------------------------------------------------------------------------
 
 /// Post-order tree walker: child programs are emitted before the combining
-/// instruction, so runtime errors surface in the same order as the
-/// interpreter's general batch path (left subtree fully, then right, then
-/// the per-row combine).
+/// instruction (left subtree fully, then right, then the per-row combine),
+/// which fixes the order in which runtime errors surface. A node is typed
+/// when its children are typed and its operand types admit a typed
+/// instruction; otherwise it is boxed, and so is every node above it.
 class ExprProgram::Compiler {
  public:
   explicit Compiler(ExprProgram* p) : p_(p) {}
 
   Result<uint16_t> CompileNode(const Expr& e);
 
+  /// Boxes a typed register (no-op for a boxed one).
+  uint16_t Box(uint16_t reg);
+
  private:
   Result<uint16_t> CompileUnary(const UnaryExpr& e);
   Result<uint16_t> CompileBinary(const BinaryExpr& e);
+  /// Typed instruction for `e` over typed operands `a` and `b`; nullopt
+  /// when the operand types admit none.
+  std::optional<uint16_t> TypedBinary(const BinaryExpr& e, uint16_t a,
+                                      uint16_t b);
   /// Inserts an int→double cast unless the operand is already double or is
   /// the typed-NULL scalar (whose double view is valid as-is).
   uint16_t EnsureDouble(uint16_t reg, TypeId static_type);
 
-  void Emit(OpCode op, uint16_t dst, uint16_t a = 0, uint16_t b = 0) {
+  uint16_t Emit(OpCode op, uint16_t dst, uint16_t a = 0, uint16_t b = 0,
+                int32_t imm = 0) {
     Instr in;
     in.op = op;
     in.dst = dst;
     in.a = a;
     in.b = b;
+    in.imm = imm;
     p_->instrs_.push_back(in);
+    return dst;
   }
 
   ExprProgram* p_;
@@ -213,32 +184,21 @@ Result<uint16_t> ExprProgram::Compiler::CompileNode(const Expr& e) {
     case ExprKind::kLiteral:
       return p_->AllocConst(static_cast<const LiteralExpr&>(e).value());
     case ExprKind::kColumnRef: {
-      const auto& ref = static_cast<const ColumnRefExpr&>(e);
-      if (e.type() == TypeId::kNull) {
-        return Status::NotImplemented("NULL-typed column ref '" + ref.name() +
-                                      "'");
-      }
-      const uint16_t dst = p_->AllocRegister(RegTypeFor(e.type()), e.type());
-      Instr in;
-      in.op = OpCode::kLoadCol;
-      in.dst = dst;
-      in.imm = ref.index();
-      p_->instrs_.push_back(in);
-      return dst;
+      // A NULL-typed column may hold values of any type: load it boxed.
+      const RegType rt = e.type() == TypeId::kNull ? RegType::kBoxed
+                                                   : RegTypeFor(e.type());
+      const uint16_t dst = p_->AllocRegister(rt, e.type());
+      return Emit(OpCode::kLoadCol, dst, 0, 0,
+                  static_cast<const ColumnRefExpr&>(e).index());
     }
     case ExprKind::kCorrelatedColumnRef: {
       const auto& ref = static_cast<const CorrelatedColumnRefExpr&>(e);
-      if (e.type() == TypeId::kNull) {
-        return Status::NotImplemented("NULL-typed correlated column ref");
-      }
-      const uint16_t dst = p_->AllocRegister(RegTypeFor(e.type()), e.type());
+      const RegType rt = e.type() == TypeId::kNull ? RegType::kBoxed
+                                                   : RegTypeFor(e.type());
+      const uint16_t dst = p_->AllocRegister(rt, e.type());
       p_->regs_[dst].scalar = true;  // resolved once, broadcast stride-0
-      Instr in;
-      in.op = OpCode::kLoadOuter;
-      in.dst = dst;
-      in.imm = ref.depth();
-      in.imm2 = ref.index();
-      p_->instrs_.push_back(in);
+      Emit(OpCode::kLoadOuter, dst, 0, 0, ref.depth());
+      p_->instrs_.back().imm2 = ref.index();
       return dst;
     }
     case ExprKind::kUnary:
@@ -249,47 +209,47 @@ Result<uint16_t> ExprProgram::Compiler::CompileNode(const Expr& e) {
   return Status::Internal("bad ExprKind");
 }
 
+uint16_t ExprProgram::Compiler::Box(uint16_t reg) {
+  if (p_->boxed(reg)) return reg;
+  const uint16_t dst =
+      p_->AllocRegister(RegType::kBoxed, p_->regs_[reg].vtype);
+  return Emit(OpCode::kBox, dst, reg);
+}
+
 Result<uint16_t> ExprProgram::Compiler::CompileUnary(const UnaryExpr& e) {
+  ASSIGN_OR_RETURN(uint16_t a, CompileNode(e.child()));
   const TypeId ct = e.child().type();
-  switch (e.op()) {
-    case UnaryOp::kIsNull:
-    case UnaryOp::kIsNotNull: {
-      ASSIGN_OR_RETURN(uint16_t a, CompileNode(e.child()));
-      const uint16_t dst = p_->AllocRegister(RegType::kI64, TypeId::kBool);
-      Emit(e.op() == UnaryOp::kIsNull ? OpCode::kIsNull : OpCode::kIsNotNull,
-           dst, a);
-      return dst;
-    }
-    case UnaryOp::kNot: {
-      if (ct != TypeId::kBool && ct != TypeId::kNull) {
-        return Status::NotImplemented(std::string("'not' over ") +
-                                      TypeName(ct) + " operand");
-      }
-      ASSIGN_OR_RETURN(uint16_t a, CompileNode(e.child()));
-      const uint16_t dst = p_->AllocRegister(RegType::kI64, TypeId::kBool);
-      Emit(OpCode::kNot, dst, a);
-      return dst;
-    }
-    case UnaryOp::kNegate: {
-      if (ct != TypeId::kInt64 && ct != TypeId::kDouble) {
-        // Includes the typed-NULL child: the interpreter returns NULL, but
-        // a wrongly-typed *value* underneath would return its type error,
-        // so decline rather than constant-fold the distinction away.
-        return Status::NotImplemented(std::string("negate over ") +
-                                      TypeName(ct) + " operand");
-      }
-      ASSIGN_OR_RETURN(uint16_t a, CompileNode(e.child()));
-      if (ct == TypeId::kInt64) {
-        const uint16_t dst = p_->AllocRegister(RegType::kI64, TypeId::kInt64);
-        Emit(OpCode::kNegI, dst, a);
-        return dst;
-      }
-      const uint16_t dst = p_->AllocRegister(RegType::kF64, TypeId::kDouble);
-      Emit(OpCode::kNegD, dst, a);
-      return dst;
+  if (!p_->boxed(a)) {
+    switch (e.op()) {
+      case UnaryOp::kIsNull:
+      case UnaryOp::kIsNotNull:
+        return Emit(
+            e.op() == UnaryOp::kIsNull ? OpCode::kIsNull : OpCode::kIsNotNull,
+            p_->AllocRegister(RegType::kI64, TypeId::kBool), a);
+      case UnaryOp::kNot:
+        if (ct == TypeId::kBool || ct == TypeId::kNull) {
+          return Emit(OpCode::kNot,
+                      p_->AllocRegister(RegType::kI64, TypeId::kBool), a);
+        }
+        break;
+      case UnaryOp::kNegate:
+        // A typed-NULL child boxes too: it only ever negates to NULL, not
+        // worth a typed path.
+        if (ct == TypeId::kInt64) {
+          return Emit(OpCode::kNegI,
+                      p_->AllocRegister(RegType::kI64, TypeId::kInt64), a);
+        }
+        if (ct == TypeId::kDouble) {
+          return Emit(OpCode::kNegD,
+                      p_->AllocRegister(RegType::kF64, TypeId::kDouble), a);
+        }
+        break;
     }
   }
-  return Status::Internal("bad UnaryOp");
+  const uint16_t boxed_a = Box(a);
+  return Emit(OpCode::kUnaryBoxed,
+              p_->AllocRegister(RegType::kBoxed, e.type()), boxed_a, 0,
+              static_cast<int32_t>(e.op()));
 }
 
 uint16_t ExprProgram::Compiler::EnsureDouble(uint16_t reg,
@@ -298,11 +258,24 @@ uint16_t ExprProgram::Compiler::EnsureDouble(uint16_t reg,
     return reg;
   }
   const uint16_t dst = p_->AllocRegister(RegType::kF64, TypeId::kDouble);
-  Emit(OpCode::kCastIToD, dst, reg);
-  return dst;
+  return Emit(OpCode::kCastIToD, dst, reg);
 }
 
 Result<uint16_t> ExprProgram::Compiler::CompileBinary(const BinaryExpr& e) {
+  ASSIGN_OR_RETURN(uint16_t a, CompileNode(e.left()));
+  ASSIGN_OR_RETURN(uint16_t b, CompileNode(e.right()));
+  if (!p_->boxed(a) && !p_->boxed(b)) {
+    if (std::optional<uint16_t> typed = TypedBinary(e, a, b)) return *typed;
+  }
+  const uint16_t boxed_a = Box(a);
+  const uint16_t boxed_b = Box(b);
+  return Emit(OpCode::kBinaryBoxed,
+              p_->AllocRegister(RegType::kBoxed, e.type()), boxed_a, boxed_b,
+              static_cast<int32_t>(e.op()));
+}
+
+std::optional<uint16_t> ExprProgram::Compiler::TypedBinary(
+    const BinaryExpr& e, uint16_t a, uint16_t b) {
   const BinaryOp op = e.op();
   const TypeId lt = e.left().type();
   const TypeId rt = e.right().type();
@@ -315,18 +288,8 @@ Result<uint16_t> ExprProgram::Compiler::CompileBinary(const BinaryExpr& e) {
     case BinaryOp::kSubtract:
     case BinaryOp::kMultiply:
     case BinaryOp::kDivide: {
-      // Bool/string operands make the interpreter raise a type error that
-      // embeds nothing value-dependent, but NULL rows suppress it — the
-      // row-level outcome is value-dependent, so decline.
-      for (TypeId t : {lt, rt}) {
-        if (!num_or_null(t)) {
-          return Status::NotImplemented(std::string("arithmetic '") +
-                                        BinaryOpName(op) + "' over " +
-                                        TypeName(t) + " operand");
-        }
-      }
-      ASSIGN_OR_RETURN(uint16_t a, CompileNode(e.left()));
-      ASSIGN_OR_RETURN(uint16_t b, CompileNode(e.right()));
+      // Bool/string operands raise a type error on non-NULL rows only.
+      if (!num_or_null(lt) || !num_or_null(rt)) return std::nullopt;
       if (lt == TypeId::kNull && rt == TypeId::kNull) {
         // Children were still compiled: their effects (errors) must fire.
         return p_->AllocNullScalar(e.type());
@@ -374,19 +337,12 @@ Result<uint16_t> ExprProgram::Compiler::CompileBinary(const BinaryExpr& e) {
       return in.dst;
     }
 
-    case BinaryOp::kModulo: {
+    case BinaryOp::kModulo:
       for (TypeId t : {lt, rt}) {
-        if (t != TypeId::kInt64 && t != TypeId::kNull) {
-          return Status::NotImplemented(std::string("modulo over ") +
-                                        TypeName(t) + " operand");
-        }
+        if (t != TypeId::kInt64 && t != TypeId::kNull) return std::nullopt;
       }
-      ASSIGN_OR_RETURN(uint16_t a, CompileNode(e.left()));
-      ASSIGN_OR_RETURN(uint16_t b, CompileNode(e.right()));
-      const uint16_t dst = p_->AllocRegister(RegType::kI64, TypeId::kInt64);
-      Emit(OpCode::kModI, dst, a, b);
-      return dst;
-    }
+      return Emit(OpCode::kModI,
+                  p_->AllocRegister(RegType::kI64, TypeId::kInt64), a, b);
 
     case BinaryOp::kEq:
     case BinaryOp::kNe:
@@ -394,8 +350,6 @@ Result<uint16_t> ExprProgram::Compiler::CompileBinary(const BinaryExpr& e) {
     case BinaryOp::kLe:
     case BinaryOp::kGt:
     case BinaryOp::kGe: {
-      ASSIGN_OR_RETURN(uint16_t a, CompileNode(e.left()));
-      ASSIGN_OR_RETURN(uint16_t b, CompileNode(e.right()));
       if (lt == TypeId::kNull || rt == TypeId::kNull) {
         // CompareOp is NULL-first: the result is NULL before any type
         // check, whatever the other side is — but both children still ran.
@@ -422,8 +376,7 @@ Result<uint16_t> ExprProgram::Compiler::CompileBinary(const BinaryExpr& e) {
         in.a = a;
         in.b = b;
       } else {
-        return Status::NotImplemented(std::string("comparison between ") +
-                                      TypeName(lt) + " and " + TypeName(rt));
+        return std::nullopt;  // mismatched: a type error on non-NULL rows
       }
       in.cmp = CmpFromBinary(op);
       in.dst = p_->AllocRegister(RegType::kI64, TypeId::kBool);
@@ -432,22 +385,14 @@ Result<uint16_t> ExprProgram::Compiler::CompileBinary(const BinaryExpr& e) {
     }
 
     case BinaryOp::kAnd:
-    case BinaryOp::kOr: {
+    case BinaryOp::kOr:
       for (TypeId t : {lt, rt}) {
-        if (t != TypeId::kBool && t != TypeId::kNull) {
-          return Status::NotImplemented(std::string("boolean '") +
-                                        BinaryOpName(op) + "' over " +
-                                        TypeName(t) + " operand");
-        }
+        if (t != TypeId::kBool && t != TypeId::kNull) return std::nullopt;
       }
-      ASSIGN_OR_RETURN(uint16_t a, CompileNode(e.left()));
-      ASSIGN_OR_RETURN(uint16_t b, CompileNode(e.right()));
-      const uint16_t dst = p_->AllocRegister(RegType::kI64, TypeId::kBool);
-      Emit(op == BinaryOp::kAnd ? OpCode::kAnd : OpCode::kOr, dst, a, b);
-      return dst;
-    }
+      return Emit(op == BinaryOp::kAnd ? OpCode::kAnd : OpCode::kOr,
+                  p_->AllocRegister(RegType::kI64, TypeId::kBool), a, b);
   }
-  return Status::Internal("bad BinaryOp");
+  return std::nullopt;
 }
 
 Result<std::unique_ptr<ExprProgram>> ExprProgram::Compile(const Expr& expr) {
@@ -461,15 +406,13 @@ Result<std::unique_ptr<ExprProgram>> ExprProgram::Compile(const Expr& expr) {
 
 Result<std::unique_ptr<ExprProgram>> ExprProgram::CompilePredicate(
     const Expr& pred) {
-  const TypeId t = pred.type();
-  if (t != TypeId::kBool && t != TypeId::kNull) {
-    // The interpreter's error embeds the offending *value*
-    // ("predicate evaluated to ..."), which bytecode cannot reproduce
-    // without materializing it — decline, interpreter handles it.
-    return Status::NotImplemented(std::string("non-bool predicate of type ") +
-                                  TypeName(t));
+  ASSIGN_OR_RETURN(std::unique_ptr<ExprProgram> p, Compile(pred));
+  const TypeId t = p->regs_[p->result_reg_].vtype;
+  if (!p->boxed(p->result_reg_) && t != TypeId::kBool && t != TypeId::kNull) {
+    // The non-bool-predicate error embeds the offending value.
+    p->result_reg_ = Compiler(p.get()).Box(p->result_reg_);
   }
-  return Compile(pred);
+  return p;
 }
 
 Result<std::unique_ptr<ExprProgram>> ExprProgram::CompileScanPredicates(
@@ -570,6 +513,8 @@ void ExprProgram::BindScratch(size_t n) {
       if (r.i64.empty()) r.i64.resize(1);
       if (r.f64.empty()) r.f64.resize(1);
       if (r.null.empty()) r.null.resize(1);
+      if (r.val.empty()) r.val.resize(1);
+      r.pv = r.val.data();
       // (Re)point at str_store every bind: the Register may have moved
       // since the last execution, and small strings move their bytes.
       r.str.assign(1, r.str_store);
@@ -595,6 +540,11 @@ void ExprProgram::BindScratch(size_t n) {
         break;
       case RegType::kCode:
         break;  // codes only ever come from columnar views
+      case RegType::kBoxed:
+        r.val.resize(n);
+        r.pv = r.val.data();
+        r.stride = 1;
+        continue;  // boxed values carry their own NULLs
     }
     r.null.resize(n);
     r.pn = r.null.data();
@@ -611,6 +561,7 @@ Status ExprProgram::Run(const RowBatch* batch, const EvalContext* ctx,
     switch (in.op) {
       case OpCode::kLoadCol: {
         const int col = in.imm;
+        const bool box = d.rtype == RegType::kBoxed;
         int64_t* di = d.i64.data();
         double* df = d.f64.data();
         uint8_t* dn = d.null.data();
@@ -622,6 +573,10 @@ Status ExprProgram::Run(const RowBatch* batch, const EvalContext* ctx,
                                     std::to_string(row.size()));
           }
           const Value& v = row[static_cast<size_t>(col)];
+          if (box) {
+            d.val[i] = v;
+            continue;
+          }
           if (v.is_null()) {
             dn[i] = 1;
             continue;
@@ -669,6 +624,10 @@ Status ExprProgram::Run(const RowBatch* batch, const EvalContext* ctx,
           return Status::Internal("correlated column index out of range");
         }
         const Value& v = (*outer)[static_cast<size_t>(index)];
+        if (d.rtype == RegType::kBoxed) {
+          d.val[0] = v;
+          break;
+        }
         if (v.is_null()) {
           d.null[0] = 1;
           break;
@@ -720,7 +679,8 @@ Status ExprProgram::Run(const RowBatch* batch, const EvalContext* ctx,
                                        : col.codes().data() + range_begin_;
             break;
           case RegType::kStr:
-            return Status::Internal("bytecode: string column view");
+          case RegType::kBoxed:
+            return Status::Internal("bytecode: bad column view type");
         }
         d.stride = 1;
         break;
@@ -733,6 +693,52 @@ Status ExprProgram::Run(const RowBatch* batch, const EvalContext* ctx,
           const uint8_t nul = A.pn[i * A.stride];
           dn[i] = nul;
           if (!nul) dv[i] = static_cast<double>(A.pi[i * A.stride]);
+        }
+        break;
+      }
+
+      case OpCode::kBox: {
+        Value* dv = d.val.data();
+        for (size_t i = 0; i < n; ++i) {
+          const size_t k = i * A.stride;
+          if (A.pn[k]) {
+            dv[i] = Value::Null();
+            continue;
+          }
+          switch (A.vtype) {
+            case TypeId::kBool:
+              dv[i] = Value::Bool(A.pi[k] != 0);
+              break;
+            case TypeId::kInt64:
+              dv[i] = Value::Int(A.pi[k]);
+              break;
+            case TypeId::kDouble:
+              dv[i] = Value::Double(A.pd[k]);
+              break;
+            case TypeId::kString:
+              dv[i] = Value::Str(A.ps[k]);
+              break;
+            case TypeId::kNull:
+              dv[i] = Value::Null();
+              break;
+          }
+        }
+        break;
+      }
+
+      case OpCode::kUnaryBoxed: {
+        const auto op = static_cast<UnaryOp>(in.imm);
+        for (size_t i = 0; i < n; ++i) {
+          ASSIGN_OR_RETURN(d.val[i], ApplyUnaryOp(op, A.pv[i * A.stride]));
+        }
+        break;
+      }
+
+      case OpCode::kBinaryBoxed: {
+        const auto op = static_cast<BinaryOp>(in.imm);
+        for (size_t i = 0; i < n; ++i) {
+          ASSIGN_OR_RETURN(d.val[i], ApplyBinaryOp(op, A.pv[i * A.stride],
+                                                   B.pv[i * B.stride]));
         }
         break;
       }
@@ -947,6 +953,10 @@ Status ExprProgram::EvalBatch(const RowBatch& batch, const EvalContext& ctx,
   RETURN_NOT_OK(Run(&batch, &ctx, n));
   out->reserve(n);
   const Register& r = regs_[result_reg_];
+  if (boxed(result_reg_)) {
+    for (size_t i = 0; i < n; ++i) out->push_back(r.pv[i * r.stride]);
+    return Status::OK();
+  }
   for (size_t i = 0; i < n; ++i) {
     if (result_type_ == TypeId::kNull || r.pn[i * r.stride]) {
       out->push_back(Value::Null());
@@ -981,6 +991,13 @@ Status ExprProgram::EvalPredicateBatch(const RowBatch& batch,
   RETURN_NOT_OK(Run(&batch, &ctx, n));
   keep->resize(n);
   const Register& r = regs_[result_reg_];
+  if (boxed(result_reg_)) {
+    for (size_t i = 0; i < n; ++i) {
+      ASSIGN_OR_RETURN(bool pass, PredicateValue(r.pv[i * r.stride]));
+      (*keep)[i] = pass ? 1 : 0;
+    }
+    return Status::OK();
+  }
   for (size_t i = 0; i < n; ++i) {
     // SQL WHERE: NULL rejects, so only a non-NULL true keeps the row.
     (*keep)[i] =
@@ -1026,12 +1043,24 @@ std::string ExprProgram::ToString() const {
   for (const Instr& in : instrs_) {
     switch (in.op) {
       case OpCode::kLoadCol:
-        std::snprintf(buf, sizeof(buf), "r%u <- loadcol col[%d]", in.dst,
-                      in.imm);
+        std::snprintf(buf, sizeof(buf), "r%u <- loadcol%s col[%d]", in.dst,
+                      boxed(in.dst) ? ".box" : "", in.imm);
         break;
       case OpCode::kLoadOuter:
-        std::snprintf(buf, sizeof(buf), "r%u <- loadouter depth=%d idx=%d",
-                      in.dst, in.imm, in.imm2);
+        std::snprintf(buf, sizeof(buf), "r%u <- loadouter%s depth=%d idx=%d",
+                      in.dst, boxed(in.dst) ? ".box" : "", in.imm, in.imm2);
+        break;
+      case OpCode::kBox:
+        std::snprintf(buf, sizeof(buf), "r%u <- box r%u", in.dst, in.a);
+        break;
+      case OpCode::kUnaryBoxed:
+        std::snprintf(buf, sizeof(buf), "r%u <- '%s'.box r%u", in.dst,
+                      UnaryOpName(static_cast<UnaryOp>(in.imm)), in.a);
+        break;
+      case OpCode::kBinaryBoxed:
+        std::snprintf(buf, sizeof(buf), "r%u <- '%s'.box r%u r%u", in.dst,
+                      BinaryOpName(static_cast<BinaryOp>(in.imm)), in.a,
+                      in.b);
         break;
       case OpCode::kLoadColView:
         std::snprintf(buf, sizeof(buf), "r%u <- loadview col[%d]", in.dst,

@@ -15,61 +15,38 @@
 
 namespace gapply {
 
-/// Which evaluator a Filter / Project / scan-predicate path uses
-/// (DESIGN.md §14). Selected per session with `SET expr_engine =
-/// bytecode|interpret|auto` and per plan via LoweringOptions::expr_engine.
-enum class ExprEngine {
-  /// Resolve at operator Open: the GAPPLY_EXPR_ENGINE environment variable
-  /// ("bytecode"/"interpret") when set, otherwise bytecode.
-  kAuto,
-  /// Tree-walking interpreter (Expr::EvalBatch), the seed behavior.
-  kInterpret,
-  /// Register-based bytecode compiled once at Open, executed
-  /// column-at-a-time; falls back to the interpreter per expression when
-  /// compilation declines a node.
-  kBytecode,
-};
-
-const char* ExprEngineName(ExprEngine engine);
-
-/// Parses "auto" / "interpret" / "bytecode"; false on anything else.
-bool ParseExprEngine(const std::string& word, ExprEngine* out);
-
-/// Resolves kAuto against the GAPPLY_EXPR_ENGINE environment variable
-/// (the CI matrix knob); unset or unrecognized resolves to kBytecode.
-/// Non-auto values pass through unchanged.
-ExprEngine ResolveExprEngine(ExprEngine engine);
-
 /// \brief A bound Expr tree flattened into linear register-based bytecode,
-/// executed column-at-a-time over a whole batch per instruction.
+/// executed column-at-a-time over a whole batch per instruction. It is the
+/// only evaluator of Filter, Project and pushed-down scan predicates
+/// (DESIGN.md §14).
 ///
-/// Registers are typed vectors (int64 doubles as bool 0/1, double, borrowed
+/// Typed registers are vectors (int64 doubles as bool 0/1, double, borrowed
 /// string pointers, dictionary codes) paired with a byte-per-row NULL mask;
 /// constants and correlated outer values are stride-0 scalar registers
-/// broadcast over the batch. Instructions are emitted in post-order
-/// (left subtree, right subtree, combine), matching the order the tree
-/// interpreter's general batch path evaluates — and therefore surfacing
-/// runtime errors ("division by zero", "modulo by zero") identically.
+/// broadcast over the batch. Instructions are emitted in post-order (left
+/// subtree, right subtree, combine), so runtime errors ("division by
+/// zero", "modulo by zero") surface in a fixed, documented order.
 ///
-/// The compiler is deliberately partial: any node whose static operand
-/// types would make the interpreter raise a *value-dependent* type error
-/// (non-numeric arithmetic, type-mismatched comparison, non-bool logic,
-/// non-bool predicate result, NULL-typed column references) is declined
-/// with a reason naming the node, and the owning operator falls back to the
-/// interpreter for that expression. What does compile is bit-for-bit
-/// identical to the interpreter, errors included (DESIGN.md §14).
+/// Compilation is total. A node whose result the static types cannot pin
+/// down — NULL-typed column or correlated refs, arithmetic / `not` /
+/// negate / `and` / `or` over ill-typed operands, mismatched comparisons,
+/// and everything above such a node — compiles to *boxed* instructions:
+/// the register holds one Value per row, a `box` step fills it from typed
+/// children, and the row interpreter's own ApplyUnaryOp / ApplyBinaryOp /
+/// PredicateValue combine it, so values and error texts are Eval's. The
+/// only compile error is the register limit.
 ///
 /// A program holds per-execution register storage, so it is single-threaded
 /// like the operator that owns it; parallel worker clones compile their own.
 class ExprProgram {
  public:
-  /// Compiles `expr` for evaluation over RowBatch input. Fails with a
-  /// reason string (Status::NotImplemented) when a node is unsupported.
+  /// Compiles `expr` for evaluation over RowBatch input. Fails only when
+  /// the expression needs more registers than an instruction can address.
   static Result<std::unique_ptr<ExprProgram>> Compile(const Expr& expr);
 
-  /// Compile() plus the predicate gate: the program's result must be
-  /// statically bool (or the always-NULL literal), since the interpreter's
-  /// non-bool-predicate error embeds the offending value.
+  /// Compile() for a WHERE-style predicate. A result that is not
+  /// statically bool (or the always-NULL type) is boxed, so each row goes
+  /// through PredicateValue and a non-bool value raises its TypeError.
   static Result<std::unique_ptr<ExprProgram>> CompilePredicate(
       const Expr& pred);
 
@@ -81,19 +58,18 @@ class ExprProgram {
       const ColumnarTable& table, const std::vector<ScanPredicate>& preds);
 
   /// Evaluates over every row of `batch`, filling `*out` (cleared first)
-  /// with one Value per row — the bytecode twin of Expr::EvalBatch.
+  /// with one Value per row: per row, the value Expr::Eval returns.
   Status EvalBatch(const RowBatch& batch, const EvalContext& ctx,
                    std::vector<Value>* out);
 
   /// Predicate form: one 0/1 keep flag per row, SQL WHERE semantics
-  /// (NULL rejects) — the bytecode twin of EvalPredicateBatch.
+  /// (NULL rejects): per row, what EvalPredicate returns.
   Status EvalPredicateBatch(const RowBatch& batch, const EvalContext& ctx,
                             std::vector<char>* keep);
 
   /// Scan-program form: evaluates the compiled conjuncts over rows
   /// [begin, end) of the bound columnar table and appends passing row
-  /// indexes to `*selection` (not cleared) — the bytecode twin of
-  /// ColumnarTable::FilterRange.
+  /// indexes to `*selection` (not cleared). NULL rejects.
   Status FilterRange(size_t begin, size_t end,
                      std::vector<uint32_t>* selection);
 
@@ -129,10 +105,16 @@ class ExprProgram {
     kNot,
     kIsNull,
     kIsNotNull,
+    // Boxed instructions (kLoadCol and kLoadOuter also fill boxed
+    // registers, for NULL-typed references):
+    kBox,          // boxed dst <- typed a, one Value per row
+    kUnaryBoxed,   // boxed dst <- ApplyUnaryOp(UnaryOp imm, a)
+    kBinaryBoxed,  // boxed dst <- ApplyBinaryOp(BinaryOp imm, a, b)
   };
 
-  /// How value registers are stored/viewed. Bool shares kI64 (0/1).
-  enum class RegType : uint8_t { kI64, kF64, kStr, kCode };
+  /// How value registers are stored/viewed. Bool shares kI64 (0/1);
+  /// kBoxed holds one Value per row and no NULL mask.
+  enum class RegType : uint8_t { kI64, kF64, kStr, kCode, kBoxed };
 
   struct Instr {
     OpCode op;
@@ -140,7 +122,7 @@ class ExprProgram {
     uint16_t dst = 0;
     uint16_t a = 0;
     uint16_t b = 0;
-    int32_t imm = 0;   // column index / outer depth
+    int32_t imm = 0;   // column index / outer depth / boxed operator
     int32_t imm2 = 0;  // outer index / aux table index
   };
 
@@ -150,7 +132,8 @@ class ExprProgram {
   struct Register {
     RegType rtype = RegType::kI64;
     /// Static value type of the expression node this register holds; drives
-    /// result materialization and the outer-load runtime type check.
+    /// result materialization, boxing and the load runtime type checks.
+    /// Informational only for boxed registers, whose values may differ.
     TypeId vtype = TypeId::kNull;
     /// Scalar register: storage holds one element, views are stride 0.
     /// Filled at compile time for constants, per execution for outer refs.
@@ -163,6 +146,7 @@ class ExprProgram {
     std::vector<double> f64;
     std::vector<std::string_view> str;
     std::vector<uint8_t> null;
+    std::vector<Value> val;  // kBoxed storage
     std::string str_store;  // backing for scalar string values
 
     const int64_t* pi = nullptr;
@@ -170,6 +154,7 @@ class ExprProgram {
     const std::string_view* ps = nullptr;
     const uint32_t* pc = nullptr;
     const uint8_t* pn = nullptr;
+    const Value* pv = nullptr;
     size_t stride = 1;
   };
 
@@ -188,6 +173,10 @@ class ExprProgram {
   void BindScratch(size_t n);
   /// Executes all instructions over `n` rows; inputs must be bound.
   Status Run(const RowBatch* batch, const EvalContext* ctx, size_t n);
+
+  bool boxed(uint16_t reg) const {
+    return regs_[reg].rtype == RegType::kBoxed;
+  }
 
   std::vector<Instr> instrs_;
   std::vector<Register> regs_;

@@ -51,62 +51,6 @@ TypeId InferUnaryType(UnaryOp op, TypeId child) {
   return child;
 }
 
-// Applies a binary operator to two already-evaluated operands. Shared by
-// the recursive Eval and the batch fast paths.
-Result<Value> ApplyBinaryOp(BinaryOp op, const Value& l, const Value& r) {
-  switch (op) {
-    case BinaryOp::kAdd:
-      return value_ops::Add(l, r);
-    case BinaryOp::kSubtract:
-      return value_ops::Subtract(l, r);
-    case BinaryOp::kMultiply:
-      return value_ops::Multiply(l, r);
-    case BinaryOp::kDivide:
-      return value_ops::Divide(l, r);
-    case BinaryOp::kModulo:
-      return value_ops::Modulo(l, r);
-    case BinaryOp::kEq:
-      return value_ops::CompareOp(CmpOp::kEq, l, r);
-    case BinaryOp::kNe:
-      return value_ops::CompareOp(CmpOp::kNe, l, r);
-    case BinaryOp::kLt:
-      return value_ops::CompareOp(CmpOp::kLt, l, r);
-    case BinaryOp::kLe:
-      return value_ops::CompareOp(CmpOp::kLe, l, r);
-    case BinaryOp::kGt:
-      return value_ops::CompareOp(CmpOp::kGt, l, r);
-    case BinaryOp::kGe:
-      return value_ops::CompareOp(CmpOp::kGe, l, r);
-    case BinaryOp::kAnd:
-      return value_ops::And(l, r);
-    case BinaryOp::kOr:
-      return value_ops::Or(l, r);
-  }
-  return Status::Internal("bad BinaryOp");
-}
-
-// A "leaf" operand can be read per row without recursion: a literal reads
-// its constant, a column ref indexes the row. Anything else is nullptr.
-bool IsLeafOperand(const Expr& e) {
-  return e.kind() == ExprKind::kLiteral || e.kind() == ExprKind::kColumnRef;
-}
-
-// Pointer to the leaf operand's value for `row`; sets *error on a bad
-// column index. Only call for IsLeafOperand expressions.
-const Value* LeafOperandValue(const Expr& e, const Row& row, Status* error) {
-  if (e.kind() == ExprKind::kLiteral) {
-    return &static_cast<const LiteralExpr&>(e).value();
-  }
-  const int index = static_cast<const ColumnRefExpr&>(e).index();
-  if (index < 0 || static_cast<size_t>(index) >= row.size()) {
-    *error = Status::Internal("column index " + std::to_string(index) +
-                              " out of range for row of arity " +
-                              std::to_string(row.size()));
-    return nullptr;
-  }
-  return &row[static_cast<size_t>(index)];
-}
-
 }  // namespace
 
 const char* UnaryOpName(UnaryOp op) {
@@ -156,32 +100,11 @@ const char* BinaryOpName(BinaryOp op) {
 }
 
 // ---------------------------------------------------------------------------
-// Expr (batch default)
-// ---------------------------------------------------------------------------
-
-Status Expr::EvalBatch(const RowBatch& batch, const EvalContext& ctx,
-                       std::vector<Value>* out) const {
-  out->clear();
-  out->reserve(batch.size());
-  for (const Row& row : batch.rows()) {
-    ASSIGN_OR_RETURN(Value v, Eval(row, ctx));
-    out->push_back(std::move(v));
-  }
-  return Status::OK();
-}
-
-// ---------------------------------------------------------------------------
 // LiteralExpr
 // ---------------------------------------------------------------------------
 
 Result<Value> LiteralExpr::Eval(const Row&, const EvalContext&) const {
   return value_;
-}
-
-Status LiteralExpr::EvalBatch(const RowBatch& batch, const EvalContext&,
-                              std::vector<Value>* out) const {
-  out->assign(batch.size(), value_);
-  return Status::OK();
 }
 
 ExprPtr LiteralExpr::Clone() const {
@@ -212,21 +135,6 @@ Result<Value> ColumnRefExpr::Eval(const Row& row, const EvalContext&) const {
                             std::to_string(row.size()));
   }
   return row[static_cast<size_t>(index_)];
-}
-
-Status ColumnRefExpr::EvalBatch(const RowBatch& batch, const EvalContext&,
-                                std::vector<Value>* out) const {
-  out->clear();
-  out->reserve(batch.size());
-  for (const Row& row : batch.rows()) {
-    if (index_ < 0 || static_cast<size_t>(index_) >= row.size()) {
-      return Status::Internal("column index " + std::to_string(index_) +
-                              " out of range for row of arity " +
-                              std::to_string(row.size()));
-    }
-    out->push_back(row[static_cast<size_t>(index_)]);
-  }
-  return Status::OK();
 }
 
 ExprPtr ColumnRefExpr::Clone() const {
@@ -275,17 +183,6 @@ Result<Value> CorrelatedColumnRefExpr::Eval(const Row&,
   return (*outer)[static_cast<size_t>(index_)];
 }
 
-Status CorrelatedColumnRefExpr::EvalBatch(const RowBatch& batch,
-                                          const EvalContext& ctx,
-                                          std::vector<Value>* out) const {
-  // The referenced value lives on the outer-row stack and is independent of
-  // the batch rows: resolve it once and broadcast.
-  static const Row kEmptyRow;
-  ASSIGN_OR_RETURN(Value v, Eval(kEmptyRow, ctx));
-  out->assign(batch.size(), std::move(v));
-  return Status::OK();
-}
-
 ExprPtr CorrelatedColumnRefExpr::Clone() const {
   return std::make_unique<CorrelatedColumnRefExpr>(depth_, index_, type_,
                                                    name_);
@@ -321,17 +218,7 @@ UnaryExpr::UnaryExpr(UnaryOp op, ExprPtr child)
 
 Result<Value> UnaryExpr::Eval(const Row& row, const EvalContext& ctx) const {
   ASSIGN_OR_RETURN(Value v, child_->Eval(row, ctx));
-  switch (op_) {
-    case UnaryOp::kNot:
-      return value_ops::Not(v);
-    case UnaryOp::kNegate:
-      return value_ops::Negate(v);
-    case UnaryOp::kIsNull:
-      return Value::Bool(v.is_null());
-    case UnaryOp::kIsNotNull:
-      return Value::Bool(!v.is_null());
-  }
-  return Status::Internal("bad UnaryOp");
+  return ApplyUnaryOp(op_, v);
 }
 
 ExprPtr UnaryExpr::Clone() const {
@@ -341,7 +228,7 @@ ExprPtr UnaryExpr::Clone() const {
 std::string UnaryExpr::ToString() const {
   std::string out;
   if (op_ == UnaryOp::kIsNull || op_ == UnaryOp::kIsNotNull) {
-    out = "(";
+    out += '(';
     out += child_->ToString();
     out += ' ';
     out += UnaryOpName(op_);
@@ -377,38 +264,6 @@ Result<Value> BinaryExpr::Eval(const Row& row, const EvalContext& ctx) const {
   ASSIGN_OR_RETURN(Value l, left_->Eval(row, ctx));
   ASSIGN_OR_RETURN(Value r, right_->Eval(row, ctx));
   return ApplyBinaryOp(op_, l, r);
-}
-
-Status BinaryExpr::EvalBatch(const RowBatch& batch, const EvalContext& ctx,
-                             std::vector<Value>* out) const {
-  out->clear();
-  out->reserve(batch.size());
-  if (IsLeafOperand(*left_) && IsLeafOperand(*right_)) {
-    // Fast path: both operands are literals or column refs, so each row is
-    // two pointer fetches plus one value_ops call — no tree recursion, no
-    // operand materialization.
-    Status error;
-    for (const Row& row : batch.rows()) {
-      const Value* l = LeafOperandValue(*left_, row, &error);
-      if (l == nullptr) return error;
-      const Value* r = LeafOperandValue(*right_, row, &error);
-      if (r == nullptr) return error;
-      ASSIGN_OR_RETURN(Value v, ApplyBinaryOp(op_, *l, *r));
-      out->push_back(std::move(v));
-    }
-    return Status::OK();
-  }
-  // General tree: evaluate each side as a batch (recursively hitting fast
-  // paths where available), then combine element-wise.
-  std::vector<Value> lhs;
-  std::vector<Value> rhs;
-  RETURN_NOT_OK(left_->EvalBatch(batch, ctx, &lhs));
-  RETURN_NOT_OK(right_->EvalBatch(batch, ctx, &rhs));
-  for (size_t i = 0; i < batch.size(); ++i) {
-    ASSIGN_OR_RETURN(Value v, ApplyBinaryOp(op_, lhs[i], rhs[i]));
-    out->push_back(std::move(v));
-  }
-  return Status::OK();
 }
 
 ExprPtr BinaryExpr::Clone() const {
@@ -494,9 +349,53 @@ ExprPtr Or(ExprPtr l, ExprPtr r) {
   return Binary(BinaryOp::kOr, std::move(l), std::move(r));
 }
 
-Result<bool> EvalPredicate(const Expr& pred, const Row& row,
-                           const EvalContext& ctx) {
-  ASSIGN_OR_RETURN(Value v, pred.Eval(row, ctx));
+Result<Value> ApplyUnaryOp(UnaryOp op, const Value& v) {
+  switch (op) {
+    case UnaryOp::kNot:
+      return value_ops::Not(v);
+    case UnaryOp::kNegate:
+      return value_ops::Negate(v);
+    case UnaryOp::kIsNull:
+      return Value::Bool(v.is_null());
+    case UnaryOp::kIsNotNull:
+      return Value::Bool(!v.is_null());
+  }
+  return Status::Internal("bad UnaryOp");
+}
+
+Result<Value> ApplyBinaryOp(BinaryOp op, const Value& l, const Value& r) {
+  switch (op) {
+    case BinaryOp::kAdd:
+      return value_ops::Add(l, r);
+    case BinaryOp::kSubtract:
+      return value_ops::Subtract(l, r);
+    case BinaryOp::kMultiply:
+      return value_ops::Multiply(l, r);
+    case BinaryOp::kDivide:
+      return value_ops::Divide(l, r);
+    case BinaryOp::kModulo:
+      return value_ops::Modulo(l, r);
+    case BinaryOp::kEq:
+      return value_ops::CompareOp(CmpOp::kEq, l, r);
+    case BinaryOp::kNe:
+      return value_ops::CompareOp(CmpOp::kNe, l, r);
+    case BinaryOp::kLt:
+      return value_ops::CompareOp(CmpOp::kLt, l, r);
+    case BinaryOp::kLe:
+      return value_ops::CompareOp(CmpOp::kLe, l, r);
+    case BinaryOp::kGt:
+      return value_ops::CompareOp(CmpOp::kGt, l, r);
+    case BinaryOp::kGe:
+      return value_ops::CompareOp(CmpOp::kGe, l, r);
+    case BinaryOp::kAnd:
+      return value_ops::And(l, r);
+    case BinaryOp::kOr:
+      return value_ops::Or(l, r);
+  }
+  return Status::Internal("bad BinaryOp");
+}
+
+Result<bool> PredicateValue(const Value& v) {
   if (v.is_null()) return false;  // SQL WHERE: UNKNOWN rejects
   if (v.type() != TypeId::kBool) {
     return Status::TypeError("predicate evaluated to " + v.ToString() +
@@ -505,25 +404,10 @@ Result<bool> EvalPredicate(const Expr& pred, const Row& row,
   return v.bool_val();
 }
 
-Status EvalPredicateBatch(const Expr& pred, const RowBatch& batch,
-                          const EvalContext& ctx, std::vector<char>* keep) {
-  std::vector<Value> values;
-  RETURN_NOT_OK(pred.EvalBatch(batch, ctx, &values));
-  keep->clear();
-  keep->reserve(values.size());
-  for (const Value& v : values) {
-    if (v.is_null()) {  // SQL WHERE: UNKNOWN rejects
-      keep->push_back(0);
-      continue;
-    }
-    if (v.type() != TypeId::kBool) {
-      return Status::TypeError("predicate evaluated to " + v.ToString() +
-                               " (" + TypeName(v.type()) +
-                               "), expected bool");
-    }
-    keep->push_back(v.bool_val() ? 1 : 0);
-  }
-  return Status::OK();
+Result<bool> EvalPredicate(const Expr& pred, const Row& row,
+                           const EvalContext& ctx) {
+  ASSIGN_OR_RETURN(Value v, pred.Eval(row, ctx));
+  return PredicateValue(v);
 }
 
 namespace {

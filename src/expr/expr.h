@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "src/common/result.h"
-#include "src/common/row_batch.h"
 #include "src/common/value.h"
 #include "src/storage/schema.h"
 
@@ -66,16 +65,10 @@ class Expr {
   /// Static result type, fixed at construction/binding time.
   TypeId type() const { return type_; }
 
-  /// Evaluates against `row` (the current input tuple).
+  /// Evaluates against `row` (the current input tuple). This is the row
+  /// interpreter: aggregates, constant folding and join residuals call it;
+  /// Filter / Project / scan predicates run compiled ExprPrograms instead.
   virtual Result<Value> Eval(const Row& row, const EvalContext& ctx) const = 0;
-
-  /// Evaluates against every row of `batch`, filling `*out` (cleared first)
-  /// with one value per row. The base implementation loops `Eval`;
-  /// literals, column references, and binary operators over them override
-  /// it with non-recursive fast paths, which is where vectorized Filter /
-  /// Project get their speedup. Semantics are identical to per-row Eval.
-  virtual Status EvalBatch(const RowBatch& batch, const EvalContext& ctx,
-                           std::vector<Value>* out) const;
 
   virtual std::unique_ptr<Expr> Clone() const = 0;
   virtual std::string ToString() const = 0;
@@ -111,8 +104,6 @@ class LiteralExpr : public Expr {
   const Value& value() const { return value_; }
 
   Result<Value> Eval(const Row& row, const EvalContext& ctx) const override;
-  Status EvalBatch(const RowBatch& batch, const EvalContext& ctx,
-                   std::vector<Value>* out) const override;
   ExprPtr Clone() const override;
   std::string ToString() const override;
   bool StructurallyEquals(const Expr& other) const override;
@@ -135,8 +126,6 @@ class ColumnRefExpr : public Expr {
   const std::string& name() const { return name_; }
 
   Result<Value> Eval(const Row& row, const EvalContext& ctx) const override;
-  Status EvalBatch(const RowBatch& batch, const EvalContext& ctx,
-                   std::vector<Value>* out) const override;
   ExprPtr Clone() const override;
   std::string ToString() const override;
   bool StructurallyEquals(const Expr& other) const override;
@@ -165,8 +154,6 @@ class CorrelatedColumnRefExpr : public Expr {
   const std::string& name() const { return name_; }
 
   Result<Value> Eval(const Row& row, const EvalContext& ctx) const override;
-  Status EvalBatch(const RowBatch& batch, const EvalContext& ctx,
-                   std::vector<Value>* out) const override;
   ExprPtr Clone() const override;
   std::string ToString() const override;
   bool StructurallyEquals(const Expr& other) const override;
@@ -211,8 +198,6 @@ class BinaryExpr : public Expr {
   const Expr& right() const { return *right_; }
 
   Result<Value> Eval(const Row& row, const EvalContext& ctx) const override;
-  Status EvalBatch(const RowBatch& batch, const EvalContext& ctx,
-                   std::vector<Value>* out) const override;
   ExprPtr Clone() const override;
   std::string ToString() const override;
   bool StructurallyEquals(const Expr& other) const override;
@@ -262,21 +247,25 @@ ExprPtr Ge(ExprPtr l, ExprPtr r);
 ExprPtr And(ExprPtr l, ExprPtr r);
 ExprPtr Or(ExprPtr l, ExprPtr r);
 
-/// Evaluates a predicate for operator filtering: NULL and false both reject
-/// (SQL WHERE semantics).
+/// Applies an operator to already-evaluated operands: the per-node step of
+/// Eval, shared with the bytecode engine's boxed instructions so both raise
+/// the same values and errors.
+Result<Value> ApplyUnaryOp(UnaryOp op, const Value& v);
+Result<Value> ApplyBinaryOp(BinaryOp op, const Value& l, const Value& r);
+
+/// Interprets an evaluated predicate value for operator filtering: NULL and
+/// false both reject (SQL WHERE semantics); a non-bool value is a TypeError
+/// that names it.
+Result<bool> PredicateValue(const Value& v);
+
+/// Eval followed by PredicateValue.
 Result<bool> EvalPredicate(const Expr& pred, const Row& row,
                            const EvalContext& ctx);
 
-/// Batch form of EvalPredicate: fills `*keep` (cleared first) with one 0/1
-/// flag per batch row. Uses EvalBatch, so comparison predicates over
-/// literals/column refs run the non-recursive fast path.
-Status EvalPredicateBatch(const Expr& pred, const RowBatch& batch,
-                          const EvalContext& ctx, std::vector<char>* keep);
-
 /// Bottom-up constant folding: replaces every operator node whose children
-/// are all literals with the literal it evaluates to, so both the
-/// interpreter and the bytecode engine skip dead work (`1 + 2 < x` becomes
-/// `3 < x`). Deliberately conservative to preserve semantics exactly:
+/// are all literals with the literal it evaluates to, so compiled programs
+/// skip dead work (`1 + 2 < x` becomes `3 < x`). Deliberately conservative
+/// to preserve semantics exactly:
 ///  - a node is NOT folded when evaluation fails (`1 / 0` must keep raising
 ///    "division by zero" at run time — over an empty input it never runs,
 ///    so folding to an error would change behavior);

@@ -50,7 +50,7 @@ std::vector<std::string> GenerateSchedule(const FuzzDataset& dataset,
       schedule.push_back("explain " + q.sql);
     } else {
       features->push_back("concurrent-set");
-      switch (rng->UniformInt(0, 5)) {
+      switch (rng->UniformInt(0, 4)) {
         case 0:
           schedule.push_back(
               "set parallelism = " +
@@ -68,11 +68,6 @@ std::vector<std::string> GenerateSchedule(const FuzzDataset& dataset,
                                                  : "set storage = row");
           break;
         case 3:
-          schedule.push_back(rng->Bernoulli(0.5)
-                                 ? "set expr_engine = bytecode"
-                                 : "set expr_engine = interpret");
-          break;
-        case 4:
           schedule.push_back(rng->Bernoulli(0.5) ? "set plan_cache = on"
                                                  : "set plan_cache = off");
           break;

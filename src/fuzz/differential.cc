@@ -64,10 +64,6 @@ std::string ExecSpec::Key() const {
   key += !lowering.columnar_storage.has_value() ? "d"
          : *lowering.columnar_storage          ? "c"
                                                : "r";
-  key += ";ee=";
-  key += lowering.expr_engine == ExprEngine::kAuto       ? "a"
-         : lowering.expr_engine == ExprEngine::kBytecode ? "b"
-                                                         : "i";
   key += ";b=" + std::to_string(batch_size);
   if (profile) key += ";prof";
   if (memory_budget > 0) key += ";mb=" + std::to_string(memory_budget);
@@ -153,36 +149,6 @@ std::vector<OraclePair> BuildOracleMatrix(const OracleMatrixOptions& options) {
                          CompareMode::kSequence});
     }
   }
-
-  // Expression-engine oracle: the bytecode VM promises bit-for-bit identity
-  // with the tree-walking interpreter — result rows AND error messages —
-  // at any DOP × batch size, so every pair is a sequence compare over
-  // otherwise identical specs (DESIGN.md §14).
-  for (size_t b : {size_t{1}, size_t{1024}}) {
-    for (size_t dop : {size_t{1}, size_t{8}}) {
-      ExecSpec interp = parallel_spec(dop, b);
-      interp.name += ",engine=interpret";
-      interp.lowering.expr_engine = ExprEngine::kInterpret;
-      ExecSpec bytecode = parallel_spec(dop, b);
-      bytecode.name += ",engine=bytecode";
-      bytecode.lowering.expr_engine = ExprEngine::kBytecode;
-      oracles.push_back({"exec:bytecode-vs-interpret,dop=" +
-                             std::to_string(dop) +
-                             ",batch=" + std::to_string(b),
-                         interp, bytecode, CompareMode::kSequence});
-    }
-  }
-
-  // Optimized variant: pushdown rewrites move conjuncts into the scan, so
-  // this pair exercises the scan-predicate bytecode path too.
-  ExecSpec full_interp = full;
-  full_interp.name = "optimizer:full,engine=interpret";
-  full_interp.lowering.expr_engine = ExprEngine::kInterpret;
-  ExecSpec full_bytecode = full;
-  full_bytecode.name = "optimizer:full,engine=bytecode";
-  full_bytecode.lowering.expr_engine = ExprEngine::kBytecode;
-  oracles.push_back({"exec:bytecode-vs-interpret-optimized", full_interp,
-                     full_bytecode, CompareMode::kSequence});
 
   for (PartitionMode mode : {PartitionMode::kSort, PartitionMode::kHash}) {
     ExecSpec s = base;

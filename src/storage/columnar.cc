@@ -20,8 +20,8 @@ const char* CmpOpSpelling(CmpOp op) {
   return "?";
 }
 
-/// Dispatches `op` to a concrete comparator once, so the per-row loops the
-/// callback runs carry no per-element switch.
+/// Dispatches `op` to a concrete comparator once, so the per-code
+/// dictionary loop the callback runs carries no per-element switch.
 template <typename Fn>
 void WithComparator(CmpOp op, const Fn& fn) {
   switch (op) {
@@ -32,30 +32,6 @@ void WithComparator(CmpOp op, const Fn& fn) {
     case CmpOp::kGt: fn([](auto a, auto b) { return a > b; }); return;
     case CmpOp::kGe: fn([](auto a, auto b) { return a >= b; }); return;
   }
-}
-
-/// Single-row test of one compiled predicate (the loops below inline the
-/// same logic with the dispatch hoisted).
-bool TestOne(const ColumnVector& col, const CompiledPredicate& p, size_t i) {
-  if (col.IsNull(i)) return false;
-  bool pass = false;
-  WithComparator(p.op, [&](auto cmp) {
-    switch (p.kind) {
-      case CompiledPredicate::Kind::kInt:
-        pass = cmp(col.ints()[i], p.i64);
-        break;
-      case CompiledPredicate::Kind::kIntAsDouble:
-        pass = cmp(static_cast<double>(col.ints()[i]), p.f64);
-        break;
-      case CompiledPredicate::Kind::kDouble:
-        pass = cmp(col.doubles()[i], p.f64);
-        break;
-      case CompiledPredicate::Kind::kString:
-        pass = p.dict_match[col.codes()[i]] != 0;
-        break;
-    }
-  });
-  return pass;
 }
 
 /// Zone-map refutation of one conjunct: true when no non-NULL value in
@@ -234,87 +210,6 @@ std::vector<CompiledPredicate> ColumnarTable::CompilePredicates(
     out.push_back(std::move(c));
   }
   return out;
-}
-
-void ColumnarTable::FilterRange(size_t begin, size_t end,
-                                const std::vector<CompiledPredicate>& preds,
-                                std::vector<uint32_t>* selection) const {
-  end = std::min(end, num_rows_);
-  if (begin >= end) return;
-  if (preds.empty()) {
-    for (size_t i = begin; i < end; ++i) {
-      selection->push_back(static_cast<uint32_t>(i));
-    }
-    return;
-  }
-
-  // First conjunct appends matches from the dense range; later conjuncts
-  // compact the selection in place.
-  const size_t base = selection->size();
-  {
-    const CompiledPredicate& p = preds[0];
-    const ColumnVector& col = columns_[static_cast<size_t>(p.column)];
-    const uint8_t* nulls = col.nulls().data();
-    WithComparator(p.op, [&](auto cmp) {
-      switch (p.kind) {
-        case CompiledPredicate::Kind::kInt: {
-          const int64_t* vals = col.ints().data();
-          for (size_t i = begin; i < end; ++i) {
-            if (!nulls[i] && cmp(vals[i], p.i64)) {
-              selection->push_back(static_cast<uint32_t>(i));
-            }
-          }
-          break;
-        }
-        case CompiledPredicate::Kind::kIntAsDouble: {
-          const int64_t* vals = col.ints().data();
-          for (size_t i = begin; i < end; ++i) {
-            if (!nulls[i] && cmp(static_cast<double>(vals[i]), p.f64)) {
-              selection->push_back(static_cast<uint32_t>(i));
-            }
-          }
-          break;
-        }
-        case CompiledPredicate::Kind::kDouble: {
-          const double* vals = col.doubles().data();
-          for (size_t i = begin; i < end; ++i) {
-            if (!nulls[i] && cmp(vals[i], p.f64)) {
-              selection->push_back(static_cast<uint32_t>(i));
-            }
-          }
-          break;
-        }
-        case CompiledPredicate::Kind::kString: {
-          const uint32_t* codes = col.codes().data();
-          const uint8_t* match = p.dict_match.data();
-          for (size_t i = begin; i < end; ++i) {
-            if (!nulls[i] && match[codes[i]]) {
-              selection->push_back(static_cast<uint32_t>(i));
-            }
-          }
-          break;
-        }
-      }
-    });
-  }
-  for (size_t k = 1; k < preds.size() && selection->size() > base; ++k) {
-    const CompiledPredicate& p = preds[k];
-    const ColumnVector& col = columns_[static_cast<size_t>(p.column)];
-    size_t w = base;
-    for (size_t r = base; r < selection->size(); ++r) {
-      const uint32_t i = (*selection)[r];
-      if (TestOne(col, p, i)) (*selection)[w++] = i;
-    }
-    selection->resize(w);
-  }
-}
-
-bool ColumnarTable::RowMatches(
-    size_t i, const std::vector<CompiledPredicate>& preds) const {
-  for (const CompiledPredicate& p : preds) {
-    if (!TestOne(columns_[static_cast<size_t>(p.column)], p, i)) return false;
-  }
-  return true;
 }
 
 void ColumnarTable::MaterializeRow(size_t i, Row* row) const {

@@ -104,8 +104,8 @@ struct ScanPredicate {
 };
 
 /// \brief A ScanPredicate lowered onto one column's dense representation,
-/// built once per scan Open (CompilePredicates) so the per-row loop touches
-/// no Value machinery.
+/// built once per scan Open (CompilePredicates) so the scan program
+/// (ExprProgram::CompileScanPredicates) touches no Value machinery.
 ///
 /// String predicates are resolved against the dictionary up front: per
 /// dictionary code, one pass/fail byte — the row loop then tests
@@ -163,20 +163,6 @@ class ColumnarTable {
   /// compiled form stays valid as long as the table is not appended to.
   std::vector<CompiledPredicate> CompilePredicates(
       const std::vector<ScanPredicate>& preds) const;
-
-  /// Evaluates compiled `preds` (ANDed, SQL WHERE semantics: NULL rejects)
-  /// over rows [begin, end) against the dense arrays and appends the
-  /// indexes of passing rows to `*selection` (not cleared). `preds` may be
-  /// empty, which selects every row in range.
-  void FilterRange(size_t begin, size_t end,
-                   const std::vector<CompiledPredicate>& preds,
-                   std::vector<uint32_t>* selection) const;
-
-  /// True iff row `i` satisfies every compiled predicate; NULL rejects.
-  /// Row-at-a-time twin of FilterRange, kept as the reference its tests
-  /// compare against.
-  bool RowMatches(size_t i,
-                  const std::vector<CompiledPredicate>& preds) const;
 
   /// Rematerializes row `i` into `*row` (cleared first) from the dense
   /// arrays.

@@ -235,7 +235,7 @@ Outcome RunStatement(Session* session, const std::string& sql) {
 }
 
 /// Deterministic mixed schedule for session `s`: SELECT (plain, grouped,
-/// GApply, subquery), SET (parallelism/batch/storage/engine), PREPARE /
+/// GApply, subquery), SET (parallelism/batch/storage/plan cache), PREPARE /
 /// EXECUTE / DEALLOCATE — including deliberate errors (EXECUTE before
 /// PREPARE) that must reproduce identically in the serial replay.
 std::vector<std::string> MakeSchedule(int s) {
@@ -250,7 +250,7 @@ std::vector<std::string> MakeSchedule(int s) {
                      "group by ps_suppkey order by ps_suppkey");
   schedule.push_back("execute " + name);
   schedule.push_back(s % 2 == 0 ? "set storage = row"
-                                : "set expr_engine = interpret");
+                                : "set plan_cache = off");
   schedule.push_back("select gapply(select count(*) from g) "
                      "from partsupp group by ps_suppkey : g");
   schedule.push_back("set batch_size = " + std::to_string(1 + (s * 7) % 64));

@@ -246,10 +246,13 @@ TEST_F(EngineTest, ExplainAnalyzeSurfacesMorselCounters) {
 }
 
 TEST_F(EngineTest, SetStatementErrors) {
-  // Unknown option.
+  // Unknown option, with a number and with a word.
   Result<QueryResult> unknown = db_.Query("set no_such_option = 1");
   ASSERT_FALSE(unknown.ok());
   EXPECT_EQ(unknown.status().code(), StatusCode::kInvalidArgument);
+  Result<QueryResult> unknown_word = db_.Query("set no_such_option = bytecode");
+  ASSERT_FALSE(unknown_word.ok());
+  EXPECT_EQ(unknown_word.status().code(), StatusCode::kInvalidArgument);
   // Negative DOP.
   Result<QueryResult> negative = db_.Query("set parallelism = -2");
   ASSERT_FALSE(negative.ok());

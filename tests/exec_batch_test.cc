@@ -27,6 +27,7 @@
 #include "src/exec/join_ops.h"
 #include "src/exec/scan_ops.h"
 #include "src/expr/aggregate.h"
+#include "src/expr/bytecode.h"
 #include "src/expr/expr.h"
 #include "src/storage/columnar.h"
 #include "tests/differential_util.h"
@@ -571,7 +572,8 @@ TEST(BatchExprTest, EvalBatchMatchesEvalForFastAndSlowPaths) {
   batch.Add({Value::Null(), Value::Double(1.0)});
   batch.Add({Value::Int(7), Value::Double(-4.0)});
 
-  // leaf ⊕ leaf (fast path), and a nested expression (recursive fallback).
+  // Typed instructions (leaf ⊕ leaf, a nested tree, a bare constant) and
+  // boxed ones (negating the NULL literal, adding a string to NULL).
   std::vector<ExprPtr> exprs;
   exprs.push_back(Binary(BinaryOp::kAdd, Col(s, "a"), Lit(int64_t{10})));
   exprs.push_back(Gt(Col(s, "b"), Lit(1.0)));
@@ -579,11 +581,15 @@ TEST(BatchExprTest, EvalBatchMatchesEvalForFastAndSlowPaths) {
                          Binary(BinaryOp::kAdd, Col(s, "a"), Col(s, "a")),
                          Lit(int64_t{2})));
   exprs.push_back(Lit(int64_t{99}));
+  exprs.push_back(Unary(UnaryOp::kNegate, Lit(Value::Null())));
+  exprs.push_back(Binary(BinaryOp::kAdd, Lit("x"), Lit(Value::Null())));
 
   EvalContext ev;
   for (const ExprPtr& e : exprs) {
+    ASSIGN_OR_FAIL(std::unique_ptr<ExprProgram> program,
+                   ExprProgram::Compile(*e));
     std::vector<Value> out;
-    Status st = e->EvalBatch(batch, ev, &out);
+    Status st = program->EvalBatch(batch, ev, &out);
     ASSERT_TRUE(st.ok()) << st.ToString();
     ASSERT_EQ(out.size(), batch.size());
     for (size_t i = 0; i < batch.size(); ++i) {
@@ -966,9 +972,16 @@ TEST(BatchExprTest, EvalPredicateBatchRejectsNonBool) {
   batch.Add({Value::Int(1)});
   std::vector<char> keep;
   EvalContext ev;
+  // A non-bool predicate compiles; each row then raises EvalPredicate's
+  // TypeError, which names the offending value.
   ExprPtr not_a_predicate = Col(s, "a");
-  Status st = EvalPredicateBatch(*not_a_predicate, batch, ev, &keep);
-  EXPECT_FALSE(st.ok());
+  ASSIGN_OR_FAIL(std::unique_ptr<ExprProgram> program,
+                 ExprProgram::CompilePredicate(*not_a_predicate));
+  Status st = program->EvalPredicateBatch(batch, ev, &keep);
+  ASSERT_FALSE(st.ok());
+  Result<bool> want = EvalPredicate(*not_a_predicate, batch[0], ev);
+  ASSERT_FALSE(want.ok());
+  EXPECT_EQ(st.ToString(), want.status().ToString());
 }
 
 }  // namespace

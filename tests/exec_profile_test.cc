@@ -42,9 +42,6 @@ PhysOpPtr SmallPlan(const Table* table) {
   const Schema s = scan->output_schema();
   auto filter = std::make_unique<FilterOp>(
       std::move(scan), Gt(Col(s, "v"), Lit(int64_t{50})));
-  // Pin the expression engine so the golden rendering below stays stable
-  // under the CI matrix's GAPPLY_EXPR_ENGINE environment override.
-  filter->set_expr_engine(ExprEngine::kBytecode);
   std::vector<AggregateDesc> aggs;
   aggs.push_back(CountStar("cnt"));
   return std::make_unique<ScalarAggOp>(std::move(filter), std::move(aggs));

@@ -145,10 +145,6 @@ TEST_F(PlanCacheTest, CacheRelevantSetChangesInvalidate) {
   };
   EXPECT_FALSE(run());  // cold
   EXPECT_TRUE(run());   // warm
-  ASSERT_TRUE(session.Query("set expr_engine = interpret").ok());
-  EXPECT_FALSE(run());  // new fingerprint
-  ASSERT_TRUE(session.Query("set expr_engine = auto").ok());
-  EXPECT_TRUE(run());  // original fingerprint's entry still cached
   ASSERT_TRUE(session.Query("set storage = row").ok());
   EXPECT_FALSE(run());
   ASSERT_TRUE(session.Query("set parallelism = 2").ok());

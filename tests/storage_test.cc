@@ -4,10 +4,12 @@
 #include <string>
 #include <vector>
 
+#include "src/expr/bytecode.h"
 #include "src/storage/catalog.h"
 #include "src/storage/columnar.h"
 #include "src/storage/schema.h"
 #include "src/storage/table.h"
+#include "tests/test_util.h"
 
 namespace gapply {
 namespace {
@@ -245,17 +247,13 @@ TEST(ColumnarTest, FilterRangeAgreesWithRowMatches) {
   };
   for (size_t p = 0; p < pred_sets.size(); ++p) {
     const auto& preds = pred_sets[p];
-    const std::vector<CompiledPredicate> compiled =
-        ct.CompilePredicates(preds);
+    ASSIGN_OR_FAIL(std::unique_ptr<ExprProgram> program,
+                   ExprProgram::CompileScanPredicates(ct, preds));
     std::vector<uint32_t> selection;
-    ct.FilterRange(0, ct.num_rows(), compiled, &selection);
-    std::vector<uint32_t> expected;
-    for (size_t i = 0; i < ct.num_rows(); ++i) {
-      if (ct.RowMatches(i, compiled)) {
-        expected.push_back(static_cast<uint32_t>(i));
-      }
-    }
-    EXPECT_EQ(selection, expected) << "pred set " << p;
+    ASSERT_TRUE(program->FilterRange(0, ct.num_rows(), &selection).ok());
+    EXPECT_EQ(selection, tutil::ScanReferenceSelection(ct, t.schema(), preds,
+                                                       0, ct.num_rows()))
+        << "pred set " << p;
     if (!preds.empty()) {
       // NULLs never match a pushed comparison.
       for (uint32_t i : selection) {

@@ -1,6 +1,7 @@
 #ifndef GAPPLY_TESTS_TEST_UTIL_H_
 #define GAPPLY_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -9,6 +10,8 @@
 
 #include "src/common/rng.h"
 #include "src/exec/physical_op.h"
+#include "src/expr/expr.h"
+#include "src/storage/columnar.h"
 #include "src/storage/table.h"
 
 namespace gapply::tutil {
@@ -67,6 +70,47 @@ inline Schema GroupedSchema() {
   return Schema({{"k", TypeId::kInt64, "t"},
                  {"v", TypeId::kInt64, "t"},
                  {"d", TypeId::kDouble, "t"}});
+}
+
+/// The row interpreter's reading of a pushed scan conjunct: the bound
+/// expression `column <op> literal` over `schema`.
+inline ExprPtr ScanPredicateExpr(const Schema& schema,
+                                 const ScanPredicate& pred) {
+  BinaryOp op = BinaryOp::kEq;
+  switch (pred.op) {
+    case value_ops::CmpOp::kEq: op = BinaryOp::kEq; break;
+    case value_ops::CmpOp::kNe: op = BinaryOp::kNe; break;
+    case value_ops::CmpOp::kLt: op = BinaryOp::kLt; break;
+    case value_ops::CmpOp::kLe: op = BinaryOp::kLe; break;
+    case value_ops::CmpOp::kGt: op = BinaryOp::kGt; break;
+    case value_ops::CmpOp::kGe: op = BinaryOp::kGe; break;
+  }
+  return Binary(op, Col(schema, pred.column), Lit(pred.literal));
+}
+
+/// Reference selection for pushed scan conjuncts: the rows of
+/// [begin, min(end, num_rows)) whose MaterializeRow passes EvalPredicate of
+/// every conjunct's ScanPredicateExpr.
+inline std::vector<uint32_t> ScanReferenceSelection(
+    const ColumnarTable& ct, const Schema& schema,
+    const std::vector<ScanPredicate>& preds, size_t begin, size_t end) {
+  std::vector<ExprPtr> exprs;
+  for (const ScanPredicate& p : preds) {
+    exprs.push_back(ScanPredicateExpr(schema, p));
+  }
+  std::vector<uint32_t> out;
+  Row row;
+  for (size_t i = begin; i < std::min(end, ct.num_rows()); ++i) {
+    ct.MaterializeRow(i, &row);
+    bool pass = true;
+    for (const ExprPtr& e : exprs) {
+      Result<bool> r = EvalPredicate(*e, row, EvalContext{});
+      EXPECT_TRUE(r.ok()) << r.status().ToString();
+      pass = pass && r.ok() && *r;
+    }
+    if (pass) out.push_back(static_cast<uint32_t>(i));
+  }
+  return out;
 }
 
 }  // namespace gapply::tutil
