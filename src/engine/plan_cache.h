@@ -20,29 +20,32 @@ namespace gapply {
 ///
 ///  - Normalized SQL is the print→parse fixpoint `sql::ToSql(Parse(sql))`,
 ///    so formatting/case/whitespace variants of one query share an entry.
+///    PREPARE computes it once; EXECUTE reuses it.
 ///  - The options fingerprint covers exactly the session state that changes
 ///    the *optimized plan* (optimizer rule toggles, requested parallelism,
-///    storage path, expression engine, partition-mode forcing...). Options
-///    that only affect execution (batch_size, profile) are excluded so they
-///    cannot cause false misses — and, keyed this way, a cached plan can
-///    never leak another session's SET values: two sessions with different
+///    storage path, partition-mode forcing...). Options that only affect
+///    execution (batch_size, profile) are excluded so they cannot cause
+///    false misses — and, keyed this way, a cached plan can never leak
+///    another session's SET values: two sessions with different
 ///    cache-relevant SETs use different keys by construction.
 ///  - Catalog/stats versions make schema changes and ANALYZE invalidate
 ///    stale plans passively (old keys age out of the LRU ring).
 ///
-/// Hits return a *clone* of the cached plan, so executions never share
+/// Entries are immutable and shared: a hit hands out a reference to the
+/// entry, and lowering clones what it needs, so executions never share
 /// mutable plan state across threads.
 class PlanCache {
  public:
   /// A cached optimized plan plus the optimizer byproducts EXPLAIN ANALYZE
   /// reports (the rule trace describes how the cached plan was derived).
   struct Entry {
-    std::shared_ptr<const LogicalOp> plan;
+    LogicalOpPtr plan;
     std::vector<std::string> fired_rules;
     std::vector<Optimizer::RuleFiring> rule_trace;
   };
+  using EntryPtr = std::shared_ptr<const Entry>;
 
-  using Stats = LruCache<Entry>::Stats;
+  using Stats = LruCache<EntryPtr>::Stats;
 
   static constexpr size_t kDefaultCapacity = 256;
 
@@ -59,10 +62,12 @@ class PlanCache {
            std::to_string(stats_version);
   }
 
-  /// Cloned plan + traces on hit, nullopt on miss (both counted).
-  std::optional<Entry> Lookup(const std::string& key) { return cache_.Get(key); }
+  /// The shared entry on a hit, null on a miss (both counted).
+  EntryPtr Lookup(const std::string& key) {
+    return cache_.Get(key).value_or(nullptr);
+  }
 
-  void Insert(const std::string& key, Entry entry) {
+  void Insert(const std::string& key, EntryPtr entry) {
     cache_.Put(key, std::move(entry));
   }
 
@@ -73,7 +78,7 @@ class PlanCache {
   size_t capacity() const { return cache_.capacity(); }
 
  private:
-  LruCache<Entry> cache_;
+  LruCache<EntryPtr> cache_;
 };
 
 }  // namespace gapply

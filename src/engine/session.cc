@@ -1,6 +1,7 @@
 #include "src/engine/session.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <shared_mutex>
 
@@ -47,6 +48,118 @@ std::string RuleTraceText(const std::vector<Optimizer::RuleFiring>& trace) {
            " -> " + FormatRows(firing.rows_after) + ")\n";
   }
   return out;
+}
+
+uint64_t NowNs() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
+/// EXPLAIN ANALYZE text: the annotated plan, then outcome lines.
+std::string AnalyzeText(size_t rows, const QueryStats& stats,
+                        size_t admission_budget) {
+  std::string out = RenderProfileText(stats.profile);
+  out += "result rows: " + std::to_string(rows) + "\n";
+  if (stats.plan_cache_checked) {
+    out += std::string("plan cache: ") +
+           (stats.plan_cache_hit ? "hit" : "miss") +
+           " (hits=" + std::to_string(stats.plan_cache_hits) +
+           " misses=" + std::to_string(stats.plan_cache_misses) + ")\n";
+  } else {
+    out += "plan cache: bypass\n";
+  }
+  out += "admission: requested " + std::to_string(stats.admission_requested) +
+         ", granted " + std::to_string(stats.admission_granted) +
+         (stats.admission_waited ? ", waited" : "") + " (budget " +
+         std::to_string(admission_budget) + ")\n";
+  out += "memory: budget " +
+         (stats.memory_budget == 0 ? std::string("unlimited")
+                                   : std::to_string(stats.memory_budget)) +
+         ", peak " + std::to_string(stats.peak_memory) + ", spilled " +
+         std::to_string(stats.counters.spill_bytes) + " bytes in " +
+         std::to_string(stats.counters.spill_partitions) + " partitions\n";
+  const QueryStats::LayerNs& ns = stats.layer_ns;
+  char layers[256];
+  std::snprintf(layers, sizeof(layers),
+                "layers: parse %.1fus bind %.1fus cache_lookup %.1fus "
+                "optimize %.1fus lower %.1fus admission_wait %.1fus "
+                "execute %.1fus\n",
+                ns.parse / 1e3, ns.bind / 1e3, ns.cache_lookup / 1e3,
+                ns.optimize / 1e3, ns.lower / 1e3, ns.admission_wait / 1e3,
+                ns.execute / 1e3);
+  out += layers;
+  out += RuleTraceText(stats.rule_trace);
+  return out;
+}
+
+/// EXPLAIN (ANALYZE, FORMAT JSON): the shared per-operator schema under
+/// "plan", the rule trace under "rules", headline counters under
+/// "counters".
+JsonValue AnalyzeJson(size_t rows, const QueryStats& stats) {
+  JsonValue out = JsonValue::Object();
+  out.Set("plan", ProfileToJson(stats.profile));
+  JsonValue rules = JsonValue::Array();
+  for (const Optimizer::RuleFiring& firing : stats.rule_trace) {
+    JsonValue rule = JsonValue::Object();
+    rule.Set("rule", JsonValue::Str(firing.rule));
+    if (firing.rows_before >= 0) {
+      rule.Set("estimated_rows_before", JsonValue::Double(firing.rows_before));
+    }
+    if (firing.rows_after >= 0) {
+      rule.Set("estimated_rows_after", JsonValue::Double(firing.rows_after));
+    }
+    rules.Append(std::move(rule));
+  }
+  out.Set("rules", std::move(rules));
+  JsonValue counters = JsonValue::Object();
+  counters.Set("result_rows", JsonValue::Int(static_cast<int64_t>(rows)));
+  counters.Set("gapply_workers",
+               JsonValue::Int(static_cast<int64_t>(
+                   stats.counters.gapply_workers)));
+  counters.Set("gapply_worker_busy_ns",
+               JsonValue::Int(static_cast<int64_t>(
+                   stats.counters.gapply_worker_busy_ns)));
+  counters.Set("morsels_pruned",
+               JsonValue::Int(static_cast<int64_t>(
+                   stats.counters.morsels_pruned)));
+  counters.Set("morsels_scanned",
+               JsonValue::Int(static_cast<int64_t>(
+                   stats.counters.morsels_scanned)));
+  counters.Set("plan_cache_checked", JsonValue::Bool(stats.plan_cache_checked));
+  counters.Set("plan_cache_hit", JsonValue::Bool(stats.plan_cache_hit));
+  counters.Set("plan_cache_hits",
+               JsonValue::Int(static_cast<int64_t>(stats.plan_cache_hits)));
+  counters.Set("plan_cache_misses",
+               JsonValue::Int(static_cast<int64_t>(stats.plan_cache_misses)));
+  counters.Set("admission_requested",
+               JsonValue::Int(static_cast<int64_t>(stats.admission_requested)));
+  counters.Set("admission_granted",
+               JsonValue::Int(static_cast<int64_t>(stats.admission_granted)));
+  counters.Set("admission_waited", JsonValue::Bool(stats.admission_waited));
+  counters.Set("memory_budget",
+               JsonValue::Int(static_cast<int64_t>(stats.memory_budget)));
+  counters.Set("peak_memory",
+               JsonValue::Int(static_cast<int64_t>(stats.peak_memory)));
+  counters.Set("spill_bytes",
+               JsonValue::Int(static_cast<int64_t>(
+                   stats.counters.spill_bytes)));
+  counters.Set("spill_partitions",
+               JsonValue::Int(static_cast<int64_t>(
+                   stats.counters.spill_partitions)));
+  out.Set("counters", std::move(counters));
+  return out;
+}
+
+/// The statement EXPLAIN [ANALYZE] runs: a query or EXECUTE <name>.
+Result<sql::Statement> ParseExplainTarget(const std::string& sql) {
+  ASSIGN_OR_RETURN(sql::Statement stmt, sql::ParseStatement(sql));
+  if (stmt.kind == sql::Statement::Kind::kQuery ||
+      stmt.kind == sql::Statement::Kind::kExecute) {
+    return stmt;
+  }
+  return sql::Parse(sql).status();  // the query grammar's own error
 }
 
 }  // namespace
@@ -181,135 +294,151 @@ std::string Session::CacheFingerprint(const QueryOptions& options) const {
   return fp;
 }
 
+void Session::ChargeLayer(QueryStats* stats,
+                          uint64_t QueryStats::LayerNs::*layer) {
+  if (stats == nullptr) return;
+  const uint64_t now = NowNs();
+  stats->layer_ns.*layer += now - layer_mark_ns_;
+  layer_mark_ns_ = now;
+}
+
 Result<QueryResult> Session::Query(const std::string& sql,
                                    const QueryOptions& options,
                                    QueryStats* stats_out) {
   // Each query reports a fresh stats snapshot; callers may reuse the struct.
-  if (stats_out != nullptr) *stats_out = QueryStats{};
+  if (stats_out != nullptr) {
+    layer_mark_ns_ = NowNs();
+    *stats_out = QueryStats{};
+  }
   std::shared_lock<std::shared_mutex> lock(db_->schema_mutex_);
-  return QueryLocked(sql, options, stats_out);
+  ChargeLayer(stats_out, &QueryStats::LayerNs::admission_wait);
+  Result<QueryResult> result = QueryLocked(sql, options, stats_out);
+  lock.unlock();
+  ChargeLayer(stats_out, &QueryStats::LayerNs::execute);
+  return result;
 }
 
 Result<QueryResult> Session::QueryLocked(const std::string& sql,
                                          const QueryOptions& options,
                                          QueryStats* stats_out) {
-  ASSIGN_OR_RETURN(std::optional<sql::SetStatement> set_stmt,
-                   sql::TryParseSet(sql));
-  if (set_stmt.has_value()) {
-    RETURN_NOT_OK(ApplySetStatement(*set_stmt));
-    return QueryResult{};
-  }
-  ASSIGN_OR_RETURN(std::optional<sql::PrepareStatement> prepare_stmt,
-                   sql::TryParsePrepare(sql));
-  if (prepare_stmt.has_value()) {
-    RETURN_NOT_OK(PrepareLocked(prepare_stmt->name, prepare_stmt->sql));
-    return QueryResult{};
-  }
-  ASSIGN_OR_RETURN(std::optional<sql::ExecuteStatement> execute_stmt,
-                   sql::TryParseExecute(sql));
-  if (execute_stmt.has_value()) {
-    auto it = prepared_.find(execute_stmt->name);
-    if (it == prepared_.end()) {
-      return Status::NotFound("prepared statement not found: " +
-                              execute_stmt->name);
-    }
-    return RunSqlLocked(it->second, options, stats_out);
-  }
-  ASSIGN_OR_RETURN(std::optional<sql::DeallocateStatement> dealloc_stmt,
-                   sql::TryParseDeallocate(sql));
-  if (dealloc_stmt.has_value()) {
-    if (dealloc_stmt->all) {
-      prepared_.clear();
+  ASSIGN_OR_RETURN(sql::Statement stmt, sql::ParseStatement(sql));
+  ChargeLayer(stats_out, &QueryStats::LayerNs::parse);
+  switch (stmt.kind) {
+    case sql::Statement::Kind::kQuery:
+    case sql::Statement::Kind::kExecute:
+      return RunLocked(stmt, options, stats_out);
+    case sql::Statement::Kind::kSet:
+      RETURN_NOT_OK(ApplySetStatement(stmt.set));
       return QueryResult{};
-    }
-    auto it = prepared_.find(dealloc_stmt->name);
-    if (it == prepared_.end()) {
-      return Status::NotFound("prepared statement not found: " +
-                              dealloc_stmt->name);
-    }
-    prepared_.erase(it);
-    return QueryResult{};
-  }
-  ASSIGN_OR_RETURN(std::optional<sql::ExplainStatement> explain_stmt,
-                   sql::TryParseExplain(sql));
-  if (explain_stmt.has_value()) {
-    if (!explain_stmt->analyze) {
-      if (explain_stmt->json) {
-        return Status::InvalidArgument(
-            "EXPLAIN (FORMAT JSON) requires ANALYZE");
+    case sql::Statement::Kind::kPrepare:
+      RETURN_NOT_OK(PrepareLocked(stmt.name, std::move(stmt.query)));
+      return QueryResult{};
+    case sql::Statement::Kind::kDeallocate:
+      if (stmt.all) {
+        DeallocateAll();
+      } else {
+        RETURN_NOT_OK(Deallocate(stmt.name));
       }
-      ASSIGN_OR_RETURN(std::string text,
-                       ExplainLocked(explain_stmt->query, options));
-      return TextResult(text);
+      return QueryResult{};
+    case sql::Statement::Kind::kExplain:
+      break;
+  }
+  if (!stmt.analyze) {
+    if (stmt.json) {
+      return Status::InvalidArgument("EXPLAIN (FORMAT JSON) requires ANALYZE");
     }
-    if (explain_stmt->json) {
-      ASSIGN_OR_RETURN(JsonValue json,
-                       ExplainAnalyzeJsonLocked(explain_stmt->query, options));
-      return TextResult(json.Dump(2));
-    }
-    ASSIGN_OR_RETURN(std::string text,
-                     ExplainAnalyzeLocked(explain_stmt->query, options));
+    ASSIGN_OR_RETURN(std::string text, ExplainLocked(*stmt.target, options));
     return TextResult(text);
   }
-  return RunSqlLocked(sql, options, stats_out);
+  // An untimed caller's statement is timed from here on.
+  QueryStats local;
+  QueryStats* stats = stats_out;
+  if (stats == nullptr) {
+    stats = &local;
+    layer_mark_ns_ = NowNs();
+  }
+  QueryOptions profiled = options;
+  profiled.profile = true;
+  ASSIGN_OR_RETURN(QueryResult result,
+                   RunLocked(*stmt.target, profiled, stats));
+  const size_t rows = result.rows.size();
+  return TextResult(stmt.json ? AnalyzeJson(rows, *stats).Dump(2)
+                              : AnalyzeText(rows, *stats,
+                                            db_->admission_.budget()));
 }
 
-Result<QueryResult> Session::RunSqlLocked(const std::string& sql,
-                                          const QueryOptions& options,
-                                          QueryStats* stats_out) {
-  ASSIGN_OR_RETURN(sql::QueryPtr ast, sql::Parse(sql));
+Result<const sql::Query*> Session::ResolveQuery(
+    const sql::Statement& stmt, const Prepared** prepared) const {
+  *prepared = nullptr;
+  if (stmt.kind != sql::Statement::Kind::kExecute) return stmt.query.get();
+  auto it = prepared_.find(stmt.name);
+  if (it == prepared_.end()) {
+    return Status::NotFound("prepared statement not found: " + stmt.name);
+  }
+  *prepared = &it->second;
+  return it->second.query.get();
+}
+
+Result<QueryResult> Session::RunLocked(const sql::Statement& stmt,
+                                       const QueryOptions& options,
+                                       QueryStats* stats_out) {
+  const Prepared* prepared = nullptr;
+  ASSIGN_OR_RETURN(const sql::Query* query, ResolveQuery(stmt, &prepared));
   const bool use_cache =
       options.optimize && options.use_plan_cache && plan_cache_enabled_;
-  if (use_cache) {
-    // Cache key: print→parse-normalized SQL + cache-relevant options +
-    // catalog/stats versions (so schema changes and ANALYZE invalidate
-    // passively — stale keys simply age out of the LRU).
-    const std::string normalized = sql::ToSql(*ast);
-    const std::string key =
-        PlanCache::MakeKey(normalized, CacheFingerprint(options),
-                           db_->catalog_.version(), db_->stats_.version());
-    if (stats_out != nullptr) stats_out->plan_cache_checked = true;
-    std::optional<PlanCache::Entry> hit = db_->plan_cache_.Lookup(key);
-    if (hit.has_value()) {
-      if (stats_out != nullptr) {
-        stats_out->plan_cache_hit = true;
-        stats_out->fired_rules = hit->fired_rules;
-        stats_out->rule_trace = hit->rule_trace;
-      }
-      // ExecuteOptimizedLocked lowers from a fresh clone-free read of the
-      // shared immutable plan; expressions are cloned during lowering, so
-      // concurrent hits on one entry are safe.
-      return ExecuteOptimizedLocked(*hit->plan, options, stats_out);
-    }
+  if (!use_cache) {
     sql::Binder binder(&db_->catalog_);
-    ASSIGN_OR_RETURN(LogicalOpPtr bound, binder.Bind(*ast));
+    ASSIGN_OR_RETURN(LogicalOpPtr plan, binder.Bind(*query));
+    ChargeLayer(stats_out, &QueryStats::LayerNs::bind);
+    if (options.optimize) {
+      Optimizer optimizer(&db_->catalog_, &db_->stats_,
+                          ResolveOptimizer(options));
+      ASSIGN_OR_RETURN(plan, optimizer.Optimize(std::move(plan)));
+      if (stats_out != nullptr) {
+        stats_out->fired_rules = optimizer.fired_rules();
+        stats_out->rule_trace = optimizer.rule_trace();
+      }
+      ChargeLayer(stats_out, &QueryStats::LayerNs::optimize);
+    }
+    return ExecuteOptimizedLocked(*plan, options, stats_out);
+  }
+  // Cache key: print→parse-normalized SQL (computed once at PREPARE for
+  // EXECUTE) + cache-relevant options + catalog/stats versions (so schema
+  // changes and ANALYZE invalidate passively — stale keys simply age out of
+  // the LRU).
+  std::string printed;
+  if (prepared == nullptr) printed = sql::ToSql(*query);
+  const std::string key = PlanCache::MakeKey(
+      prepared != nullptr ? prepared->normalized : printed,
+      CacheFingerprint(options), db_->catalog_.version(),
+      db_->stats_.version());
+  if (stats_out != nullptr) stats_out->plan_cache_checked = true;
+  PlanCache::EntryPtr entry = db_->plan_cache_.Lookup(key);
+  if (entry != nullptr) {
+    if (stats_out != nullptr) stats_out->plan_cache_hit = true;
+  } else {
+    ChargeLayer(stats_out, &QueryStats::LayerNs::cache_lookup);
+    sql::Binder binder(&db_->catalog_);
+    ASSIGN_OR_RETURN(LogicalOpPtr bound, binder.Bind(*query));
+    ChargeLayer(stats_out, &QueryStats::LayerNs::bind);
     Optimizer optimizer(&db_->catalog_, &db_->stats_,
                         ResolveOptimizer(options));
     ASSIGN_OR_RETURN(LogicalOpPtr optimized,
                      optimizer.Optimize(std::move(bound)));
-    PlanCache::Entry entry;
-    entry.plan = std::shared_ptr<const LogicalOp>(std::move(optimized));
-    entry.fired_rules = optimizer.fired_rules();
-    entry.rule_trace = optimizer.rule_trace();
-    if (stats_out != nullptr) {
-      stats_out->fired_rules = entry.fired_rules;
-      stats_out->rule_trace = entry.rule_trace;
-    }
+    ChargeLayer(stats_out, &QueryStats::LayerNs::optimize);
+    entry = std::make_shared<const PlanCache::Entry>(PlanCache::Entry{
+        std::move(optimized), optimizer.fired_rules(),
+        optimizer.rule_trace()});
     db_->plan_cache_.Insert(key, entry);
-    return ExecuteOptimizedLocked(*entry.plan, options, stats_out);
   }
-  sql::Binder binder(&db_->catalog_);
-  ASSIGN_OR_RETURN(LogicalOpPtr plan, binder.Bind(*ast));
-  if (options.optimize) {
-    Optimizer optimizer(&db_->catalog_, &db_->stats_,
-                        ResolveOptimizer(options));
-    ASSIGN_OR_RETURN(plan, optimizer.Optimize(std::move(plan)));
-    if (stats_out != nullptr) {
-      stats_out->fired_rules = optimizer.fired_rules();
-      stats_out->rule_trace = optimizer.rule_trace();
-    }
+  if (stats_out != nullptr) {
+    stats_out->fired_rules = entry->fired_rules;
+    stats_out->rule_trace = entry->rule_trace;
   }
-  return ExecuteOptimizedLocked(*plan, options, stats_out);
+  ChargeLayer(stats_out, &QueryStats::LayerNs::cache_lookup);
+  // The entry is immutable and shared by concurrent hits; lowering clones
+  // the expressions it keeps.
+  return ExecuteOptimizedLocked(*entry->plan, options, stats_out);
 }
 
 Result<QueryResult> Session::ExecuteOptimizedLocked(const LogicalOp& optimized,
@@ -322,7 +451,9 @@ Result<QueryResult> Session::ExecuteOptimizedLocked(const LogicalOp& optimized,
   // never re-acquire, so the bucket cannot deadlock.
   const size_t requested = std::max<size_t>(
       1, std::max(lowering.gapply_parallelism, lowering.exchange_parallelism));
+  ChargeLayer(stats_out, &QueryStats::LayerNs::lower);
   AdmissionSlot slot(&db_->admission_, requested);
+  ChargeLayer(stats_out, &QueryStats::LayerNs::admission_wait);
   lowering.ClampParallelism(slot.granted());
   if (stats_out != nullptr) {
     stats_out->admission_requested = requested;
@@ -336,6 +467,7 @@ Result<QueryResult> Session::ExecuteOptimizedLocked(const LogicalOp& optimized,
     lowering.cost_model = &cost_model;
   }
   ASSIGN_OR_RETURN(PhysOpPtr phys, LowerPlan(optimized, lowering));
+  ChargeLayer(stats_out, &QueryStats::LayerNs::lower);
   ExecContext ctx;
   ctx.set_profiling(profile);
   ctx.set_batch_size(options.batch_size == 0 ? default_batch_size_
@@ -366,6 +498,9 @@ Result<QueryResult> Session::ExecuteOptimizedLocked(const LogicalOp& optimized,
     const PlanCache::Stats cache_stats = db_->plan_cache_.stats();
     stats_out->plan_cache_hits = cache_stats.hits;
     stats_out->plan_cache_misses = cache_stats.misses;
+    // Releasing the operator tree is part of running it.
+    phys.reset();
+    ChargeLayer(stats_out, &QueryStats::LayerNs::execute);
   }
   return result;
 }
@@ -373,7 +508,13 @@ Result<QueryResult> Session::ExecuteOptimizedLocked(const LogicalOp& optimized,
 Result<QueryResult> Session::Execute(const LogicalOp& plan,
                                      const QueryOptions& options,
                                      QueryStats* stats_out) {
+  // Each query reports a fresh stats snapshot; callers may reuse the struct.
+  if (stats_out != nullptr) {
+    layer_mark_ns_ = NowNs();
+    *stats_out = QueryStats{};
+  }
   std::shared_lock<std::shared_mutex> lock(db_->schema_mutex_);
+  ChargeLayer(stats_out, &QueryStats::LayerNs::admission_wait);
   LogicalOpPtr working = plan.Clone();
   if (options.optimize) {
     Optimizer optimizer(&db_->catalog_, &db_->stats_,
@@ -384,28 +525,33 @@ Result<QueryResult> Session::Execute(const LogicalOp& plan,
       stats_out->rule_trace = optimizer.rule_trace();
     }
   }
-  return ExecuteOptimizedLocked(*working, options, stats_out);
+  ChargeLayer(stats_out, &QueryStats::LayerNs::optimize);
+  Result<QueryResult> result =
+      ExecuteOptimizedLocked(*working, options, stats_out);
+  working.reset();
+  lock.unlock();
+  ChargeLayer(stats_out, &QueryStats::LayerNs::execute);
+  return result;
 }
 
 Status Session::Prepare(const std::string& name, const std::string& sql) {
+  ASSIGN_OR_RETURN(sql::QueryPtr query, sql::Parse(sql));
   std::shared_lock<std::shared_mutex> lock(db_->schema_mutex_);
-  return PrepareLocked(name, sql);
+  return PrepareLocked(ToLower(name), std::move(query));
 }
 
-Status Session::PrepareLocked(const std::string& name,
-                              const std::string& sql) {
-  const std::string key = ToLower(name);
-  if (prepared_.count(key) > 0) {
+Status Session::PrepareLocked(const std::string& name, sql::QueryPtr query) {
+  if (prepared_.count(name) > 0) {
     return Status::InvalidArgument("prepared statement already exists: " +
-                                   key);
+                                   name);
   }
-  // Parse AND bind now so errors surface at PREPARE time, then store the
-  // print→parse-normalized text: EXECUTE re-plans through the plan cache,
-  // which repeated executions hit.
-  ASSIGN_OR_RETURN(sql::QueryPtr ast, sql::Parse(sql));
+  // Bind now so errors surface at PREPARE time. EXECUTE binds the kept
+  // query again only when the plan cache misses, against the catalog of
+  // that moment.
   sql::Binder binder(&db_->catalog_);
-  RETURN_NOT_OK(binder.Bind(*ast).status());
-  prepared_[key] = sql::ToSql(*ast);
+  RETURN_NOT_OK(binder.Bind(*query).status());
+  std::string normalized = sql::ToSql(*query);
+  prepared_[name] = Prepared{std::move(query), std::move(normalized)};
   return Status::OK();
 }
 
@@ -424,33 +570,23 @@ void Session::DeallocateAll() { prepared_.clear(); }
 std::vector<std::string> Session::PreparedNames() const {
   std::vector<std::string> names;
   names.reserve(prepared_.size());
-  for (const auto& [name, text] : prepared_) names.push_back(name);
+  for (const auto& [name, prepared] : prepared_) names.push_back(name);
   return names;
-}
-
-Result<std::string> Session::ResolveExecuteLocked(const std::string& sql) {
-  ASSIGN_OR_RETURN(std::optional<sql::ExecuteStatement> execute_stmt,
-                   sql::TryParseExecute(sql));
-  if (!execute_stmt.has_value()) return sql;
-  auto it = prepared_.find(execute_stmt->name);
-  if (it == prepared_.end()) {
-    return Status::NotFound("prepared statement not found: " +
-                            execute_stmt->name);
-  }
-  return it->second;
 }
 
 Result<std::string> Session::Explain(const std::string& sql,
                                      const QueryOptions& options) {
+  ASSIGN_OR_RETURN(sql::Statement target, ParseExplainTarget(sql));
   std::shared_lock<std::shared_mutex> lock(db_->schema_mutex_);
-  return ExplainLocked(sql, options);
+  return ExplainLocked(target, options);
 }
 
-Result<std::string> Session::ExplainLocked(const std::string& sql,
+Result<std::string> Session::ExplainLocked(const sql::Statement& target,
                                            const QueryOptions& options) {
-  ASSIGN_OR_RETURN(std::string real_sql, ResolveExecuteLocked(sql));
-  ASSIGN_OR_RETURN(LogicalOpPtr plan,
-                   sql::ParseAndBind(db_->catalog_, real_sql));
+  const Prepared* prepared = nullptr;
+  ASSIGN_OR_RETURN(const sql::Query* query, ResolveQuery(target, &prepared));
+  sql::Binder binder(&db_->catalog_);
+  ASSIGN_OR_RETURN(LogicalOpPtr plan, binder.Bind(*query));
   std::string out = "=== bound plan ===\n" + plan->DebugString();
   if (options.optimize) {
     Optimizer optimizer(&db_->catalog_, &db_->stats_, options.optimizer);
@@ -472,109 +608,31 @@ Result<std::string> Session::ExplainLocked(const std::string& sql,
   return out;
 }
 
-Result<std::string> Session::ExplainAnalyze(const std::string& sql,
-                                            const QueryOptions& options) {
+Result<QueryResult> Session::RunProfiled(const std::string& sql,
+                                         const QueryOptions& options,
+                                         QueryStats* stats) {
+  layer_mark_ns_ = NowNs();
+  ASSIGN_OR_RETURN(sql::Statement target, ParseExplainTarget(sql));
+  ChargeLayer(stats, &QueryStats::LayerNs::parse);
   std::shared_lock<std::shared_mutex> lock(db_->schema_mutex_);
-  return ExplainAnalyzeLocked(sql, options);
+  ChargeLayer(stats, &QueryStats::LayerNs::admission_wait);
+  QueryOptions profiled = options;
+  profiled.profile = true;
+  return RunLocked(target, profiled, stats);
 }
 
-Result<std::string> Session::ExplainAnalyzeLocked(const std::string& sql,
-                                                  const QueryOptions& options) {
-  ASSIGN_OR_RETURN(std::string real_sql, ResolveExecuteLocked(sql));
-  QueryOptions opts = options;
-  opts.profile = true;
+Result<std::string> Session::ExplainAnalyze(const std::string& sql,
+                                            const QueryOptions& options) {
   QueryStats stats;
-  ASSIGN_OR_RETURN(QueryResult result, RunSqlLocked(real_sql, opts, &stats));
-  std::string out = RenderProfileText(stats.profile);
-  out += "result rows: " + std::to_string(result.rows.size()) + "\n";
-  if (stats.plan_cache_checked) {
-    out += std::string("plan cache: ") +
-           (stats.plan_cache_hit ? "hit" : "miss") +
-           " (hits=" + std::to_string(stats.plan_cache_hits) +
-           " misses=" + std::to_string(stats.plan_cache_misses) + ")\n";
-  } else {
-    out += "plan cache: bypass\n";
-  }
-  out += "admission: requested " + std::to_string(stats.admission_requested) +
-         ", granted " + std::to_string(stats.admission_granted) +
-         (stats.admission_waited ? ", waited" : "") + " (budget " +
-         std::to_string(db_->admission_.budget()) + ")\n";
-  out += "memory: budget " +
-         (stats.memory_budget == 0 ? std::string("unlimited")
-                                   : std::to_string(stats.memory_budget)) +
-         ", peak " + std::to_string(stats.peak_memory) + ", spilled " +
-         std::to_string(stats.counters.spill_bytes) + " bytes in " +
-         std::to_string(stats.counters.spill_partitions) + " partitions\n";
-  out += RuleTraceText(stats.rule_trace);
-  return out;
+  ASSIGN_OR_RETURN(QueryResult result, RunProfiled(sql, options, &stats));
+  return AnalyzeText(result.rows.size(), stats, db_->admission_.budget());
 }
 
 Result<JsonValue> Session::ExplainAnalyzeJson(const std::string& sql,
                                               const QueryOptions& options) {
-  std::shared_lock<std::shared_mutex> lock(db_->schema_mutex_);
-  return ExplainAnalyzeJsonLocked(sql, options);
-}
-
-Result<JsonValue> Session::ExplainAnalyzeJsonLocked(
-    const std::string& sql, const QueryOptions& options) {
-  ASSIGN_OR_RETURN(std::string real_sql, ResolveExecuteLocked(sql));
-  QueryOptions opts = options;
-  opts.profile = true;
   QueryStats stats;
-  ASSIGN_OR_RETURN(QueryResult result, RunSqlLocked(real_sql, opts, &stats));
-  JsonValue out = JsonValue::Object();
-  out.Set("plan", ProfileToJson(stats.profile));
-  JsonValue rules = JsonValue::Array();
-  for (const Optimizer::RuleFiring& firing : stats.rule_trace) {
-    JsonValue rule = JsonValue::Object();
-    rule.Set("rule", JsonValue::Str(firing.rule));
-    if (firing.rows_before >= 0) {
-      rule.Set("estimated_rows_before", JsonValue::Double(firing.rows_before));
-    }
-    if (firing.rows_after >= 0) {
-      rule.Set("estimated_rows_after", JsonValue::Double(firing.rows_after));
-    }
-    rules.Append(std::move(rule));
-  }
-  out.Set("rules", std::move(rules));
-  JsonValue counters = JsonValue::Object();
-  counters.Set("result_rows",
-               JsonValue::Int(static_cast<int64_t>(result.rows.size())));
-  counters.Set("gapply_workers",
-               JsonValue::Int(static_cast<int64_t>(
-                   stats.counters.gapply_workers)));
-  counters.Set("gapply_worker_busy_ns",
-               JsonValue::Int(static_cast<int64_t>(
-                   stats.counters.gapply_worker_busy_ns)));
-  counters.Set("morsels_pruned",
-               JsonValue::Int(static_cast<int64_t>(
-                   stats.counters.morsels_pruned)));
-  counters.Set("morsels_scanned",
-               JsonValue::Int(static_cast<int64_t>(
-                   stats.counters.morsels_scanned)));
-  counters.Set("plan_cache_checked", JsonValue::Bool(stats.plan_cache_checked));
-  counters.Set("plan_cache_hit", JsonValue::Bool(stats.plan_cache_hit));
-  counters.Set("plan_cache_hits",
-               JsonValue::Int(static_cast<int64_t>(stats.plan_cache_hits)));
-  counters.Set("plan_cache_misses",
-               JsonValue::Int(static_cast<int64_t>(stats.plan_cache_misses)));
-  counters.Set("admission_requested",
-               JsonValue::Int(static_cast<int64_t>(stats.admission_requested)));
-  counters.Set("admission_granted",
-               JsonValue::Int(static_cast<int64_t>(stats.admission_granted)));
-  counters.Set("admission_waited", JsonValue::Bool(stats.admission_waited));
-  counters.Set("memory_budget",
-               JsonValue::Int(static_cast<int64_t>(stats.memory_budget)));
-  counters.Set("peak_memory",
-               JsonValue::Int(static_cast<int64_t>(stats.peak_memory)));
-  counters.Set("spill_bytes",
-               JsonValue::Int(static_cast<int64_t>(
-                   stats.counters.spill_bytes)));
-  counters.Set("spill_partitions",
-               JsonValue::Int(static_cast<int64_t>(
-                   stats.counters.spill_partitions)));
-  out.Set("counters", std::move(counters));
-  return out;
+  ASSIGN_OR_RETURN(QueryResult result, RunProfiled(sql, options, &stats));
+  return AnalyzeJson(result.rows.size(), stats);
 }
 
 }  // namespace gapply

@@ -84,6 +84,26 @@ struct QueryStats {
   /// counters.spill_bytes/spill_partitions.
   size_t memory_budget = 0;
   uint64_t peak_memory = 0;
+
+  /// The statement's wall time split by layer, in nanoseconds, filled only
+  /// when the caller passes `stats_out` (untimed calls read no clock). The
+  /// layers tile the call from entry to return, so they sum to its wall
+  /// time. A plan-cache hit leaves bind and optimize at 0.
+  struct LayerNs {
+    uint64_t parse = 0;           ///< lex + parse the statement text
+    uint64_t bind = 0;
+    uint64_t cache_lookup = 0;    ///< normalize, build the key, look up, insert
+    uint64_t optimize = 0;
+    uint64_t lower = 0;
+    uint64_t admission_wait = 0;  ///< schema lock + admission tokens
+    uint64_t execute = 0;         ///< run, collect stats, release the plan
+
+    uint64_t total() const {
+      return parse + bind + cache_lookup + optimize + lower + admission_wait +
+             execute;
+    }
+  };
+  LayerNs layer_ns;
 };
 
 /// \brief One client's connection to a Database: per-session `SET` state and
@@ -137,8 +157,9 @@ class Session {
                               QueryStats* stats_out = nullptr);
 
   /// Registers a prepared statement: parses and binds `sql` now (errors
-  /// surface at PREPARE time), stores its normalized text for EXECUTE.
-  /// Fails if `name` is already prepared.
+  /// surface at PREPARE time), then keeps the parsed query and its
+  /// normalized text (the plan-cache key's SQL) for EXECUTE. Fails if
+  /// `name` is already prepared.
   Status Prepare(const std::string& name, const std::string& sql);
 
   /// Drops one prepared statement; NotFound if absent.
@@ -150,14 +171,18 @@ class Session {
   /// Names of the session's prepared statements (sorted).
   std::vector<std::string> PreparedNames() const;
 
-  /// Multi-line report: bound plan, optimized plan, fired rules.
+  /// Multi-line report for `sql` (a query or EXECUTE <name>): bound plan,
+  /// optimized plan, fired rules.
   Result<std::string> Explain(const std::string& sql,
                               const QueryOptions& options = {});
 
   /// EXPLAIN ANALYZE: executes `sql` (a plain query or EXECUTE <name>)
   /// through the full session path — plan cache, admission, profiling —
-  /// and renders the annotated physical plan tree plus plan-cache and
-  /// admission outcome lines and the optimizer rule trace.
+  /// and renders the annotated physical plan tree plus plan-cache,
+  /// admission, memory and per-layer time (`layers:`) lines and the
+  /// optimizer rule trace. Reached through Query("EXPLAIN ANALYZE ...")
+  /// without `stats_out`, the layer clock starts after the parse, which
+  /// then reads 0.
   Result<std::string> ExplainAnalyze(const std::string& sql,
                                      const QueryOptions& options = {});
 
@@ -203,6 +228,13 @@ class Session {
   /// Applies a parsed `SET name = value` statement to the session.
   Status ApplySetStatement(const sql::SetStatement& stmt);
 
+  /// A prepared statement: the parsed query (bound again only when its
+  /// plan is not cached) and its normalized text.
+  struct Prepared {
+    sql::QueryPtr query;
+    std::string normalized;
+  };
+
   /// Statement dispatch + SQL execution internals. All `*Locked` members
   /// run under the Database schema lock, held in shared mode by the public
   /// entry point (std::shared_mutex is non-reentrant, so internals never
@@ -210,19 +242,30 @@ class Session {
   Result<QueryResult> QueryLocked(const std::string& sql,
                                   const QueryOptions& options,
                                   QueryStats* stats_out);
-  Result<QueryResult> RunSqlLocked(const std::string& sql,
-                                   const QueryOptions& options,
-                                   QueryStats* stats_out);
+  /// Runs a kQuery or kExecute statement through the plan cache.
+  Result<QueryResult> RunLocked(const sql::Statement& stmt,
+                                const QueryOptions& options,
+                                QueryStats* stats_out);
   Result<QueryResult> ExecuteOptimizedLocked(const LogicalOp& optimized,
                                              const QueryOptions& options,
                                              QueryStats* stats_out);
-  Status PrepareLocked(const std::string& name, const std::string& sql);
-  Result<std::string> ExplainLocked(const std::string& sql,
+  Status PrepareLocked(const std::string& name, sql::QueryPtr query);
+  Result<std::string> ExplainLocked(const sql::Statement& target,
                                     const QueryOptions& options);
-  Result<std::string> ExplainAnalyzeLocked(const std::string& sql,
-                                           const QueryOptions& options);
-  Result<JsonValue> ExplainAnalyzeJsonLocked(const std::string& sql,
-                                             const QueryOptions& options);
+  /// Parses `sql` (a query or EXECUTE <name>), takes the schema lock and
+  /// runs it with profiling, timing every layer into `*stats`.
+  Result<QueryResult> RunProfiled(const std::string& sql,
+                                  const QueryOptions& options,
+                                  QueryStats* stats);
+
+  /// The query a kQuery or kExecute statement runs; NotFound for an
+  /// unknown prepared name. Sets `*prepared` for EXECUTE, else null.
+  Result<const sql::Query*> ResolveQuery(const sql::Statement& stmt,
+                                         const Prepared** prepared) const;
+
+  /// Charges the time since `layer_mark_ns_` to one layer of `stats` and
+  /// moves the mark (no-op when null).
+  void ChargeLayer(QueryStats* stats, uint64_t QueryStats::LayerNs::*layer);
 
   /// Resolves the lowering knobs this session would use for `options`
   /// (session defaults substituted for the 0/unset sentinels). The result
@@ -252,10 +295,6 @@ class Session {
   /// deliberately excluded (DESIGN.md §15).
   std::string CacheFingerprint(const QueryOptions& options) const;
 
-  /// If `sql` is EXECUTE <name>, resolves to the prepared text; otherwise
-  /// returns `sql` unchanged. Used by EXPLAIN [ANALYZE] EXECUTE <name>.
-  Result<std::string> ResolveExecuteLocked(const std::string& sql);
-
   Database* db_;
   size_t default_gapply_parallelism_ = 1;
   size_t default_batch_size_ = RowBatch::kDefaultCapacity;
@@ -263,7 +302,8 @@ class Session {
   bool default_columnar_storage_ = true;
   bool plan_cache_enabled_ = true;
   size_t default_memory_budget_ = 0;
-  std::map<std::string, std::string> prepared_;  // name -> normalized SQL
+  std::map<std::string, Prepared> prepared_;
+  uint64_t layer_mark_ns_ = 0;  // the timed statement's last clock read
 };
 
 }  // namespace gapply

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <vector>
 
 #include "src/plan/plan_utils.h"
 
@@ -199,11 +200,21 @@ Result<PlanEstimate> CostModel::EstimateNode(const LogicalOp& node,
       return est;
     }
     case LogicalOpType::kSelect: {
-      const auto& sel = static_cast<const LogicalSelect&>(node);
-      ASSIGN_OR_RETURN(PlanEstimate child, EstimateNode(*sel.child(0), env));
-      const double s = Selectivity(sel.predicate(), child);
-      est = ScaleRows(child, s);
-      est.cost = child.cost + child.rows;
+      // The binder stacks one Select per WHERE conjunct, so a chain can be
+      // as long as the conjunct list: walk it in a loop, not by recursion.
+      std::vector<const LogicalSelect*> chain;
+      const LogicalOp* below = &node;
+      while (below->type() == LogicalOpType::kSelect) {
+        chain.push_back(static_cast<const LogicalSelect*>(below));
+        below = below->child(0);
+      }
+      ASSIGN_OR_RETURN(est, EstimateNode(*below, env));
+      for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+        const double s = Selectivity((*it)->predicate(), est);
+        PlanEstimate scaled = ScaleRows(est, s);
+        scaled.cost = est.cost + est.rows;
+        est = std::move(scaled);
+      }
       return est;
     }
     case LogicalOpType::kProject: {

@@ -1,31 +1,32 @@
 #include "src/sql/lexer.h"
 
-#include <cctype>
-
 #include "src/common/string_util.h"
 
 namespace gapply::sql {
 
 namespace {
 
-bool IsIdentStart(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
-}
+// ASCII classes, as the "C" locale defines them, without a libc call per
+// byte.
+bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+bool IsAlpha(char c) { return (c | 0x20) >= 'a' && (c | 0x20) <= 'z'; }
 
-bool IsIdentChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-}
+bool IsIdentStart(char c) { return IsAlpha(c) || c == '_'; }
+
+bool IsIdentChar(char c) { return IsAlpha(c) || IsDigit(c) || c == '_'; }
 
 }  // namespace
 
 Result<std::vector<Token>> Lex(const std::string& input) {
   std::vector<Token> tokens;
+  tokens.reserve(input.size() / 4 + 1);  // ~ one token per 4-6 bytes of SQL
   size_t i = 0;
   const size_t n = input.size();
 
   while (i < n) {
     const char c = input[i];
-    if (std::isspace(static_cast<unsigned char>(c))) {
+    if (IsSpace(c)) {
       ++i;
       continue;
     }
@@ -38,29 +39,26 @@ Result<std::vector<Token>> Lex(const std::string& input) {
 
     if (IsIdentStart(c)) {
       while (i < n && IsIdentChar(input[i])) ++i;
-      const std::string raw = input.substr(start, i - start);
-      tokens.push_back({TokenType::kIdentifier, ToLower(raw), raw, start});
+      Token& token = tokens.emplace_back();
+      token.type = TokenType::kIdentifier;
+      token.raw.assign(input, start, i - start);
+      token.text = ToLower(token.raw);
+      token.position = start;
       continue;
     }
-    if (std::isdigit(static_cast<unsigned char>(c)) ||
-        (c == '.' && i + 1 < n &&
-         std::isdigit(static_cast<unsigned char>(input[i + 1])))) {
+    if (IsDigit(c) || (c == '.' && i + 1 < n && IsDigit(input[i + 1]))) {
       bool is_float = false;
-      while (i < n && std::isdigit(static_cast<unsigned char>(input[i]))) ++i;
+      while (i < n && IsDigit(input[i])) ++i;
       if (i < n && input[i] == '.') {
         is_float = true;
         ++i;
-        while (i < n && std::isdigit(static_cast<unsigned char>(input[i]))) {
-          ++i;
-        }
+        while (i < n && IsDigit(input[i])) ++i;
       }
       if (i < n && (input[i] == 'e' || input[i] == 'E')) {
         is_float = true;
         ++i;
         if (i < n && (input[i] == '+' || input[i] == '-')) ++i;
-        while (i < n && std::isdigit(static_cast<unsigned char>(input[i]))) {
-          ++i;
-        }
+        while (i < n && IsDigit(input[i])) ++i;
       }
       const std::string raw = input.substr(start, i - start);
       tokens.push_back({is_float ? TokenType::kFloat : TokenType::kInteger,

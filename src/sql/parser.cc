@@ -1,7 +1,8 @@
 #include "src/sql/parser.h"
 
-#include <set>
 #include <string>
+#include <string_view>
+#include <unordered_set>
 
 #include "src/sql/lexer.h"
 
@@ -9,14 +10,14 @@ namespace gapply::sql {
 
 namespace {
 
-const std::set<std::string>& Keywords() {
-  static const std::set<std::string>* kw = new std::set<std::string>{
+bool IsKeyword(std::string_view word) {
+  static const std::unordered_set<std::string_view> kKeywords = {
       "select", "from",  "where",    "group", "by",   "having", "order",
       "union",  "all",   "as",       "and",   "or",   "not",    "is",
       "null",   "true",  "false",    "exists", "asc", "desc",   "distinct",
       "gapply", "count", "sum",      "avg",   "min",  "max",    "on",
   };
-  return *kw;
+  return kKeywords.count(word) > 0;
 }
 
 bool IsAggregateName(const std::string& name) {
@@ -28,13 +29,24 @@ class Parser {
  public:
   explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
 
-  Result<QueryPtr> ParseStatement() {
+  /// A query filling the rest of the input.
+  Result<QueryPtr> ParseQueryStatement() {
     ASSIGN_OR_RETURN(QueryPtr q, ParseQuery());
-    if (PeekSymbol(";")) Advance();
-    if (Peek().type != TokenType::kEnd) {
-      return Error("unexpected trailing input");
-    }
+    if (!AtEnd()) return Error("unexpected trailing input");
     return q;
+  }
+
+  Result<Statement> ParseStatement() {
+    if (PeekKeyword("set")) return ParseSet();
+    if (PeekKeyword("prepare")) return ParsePrepare();
+    if (PeekKeyword("execute")) return ParseNamed(Statement::Kind::kExecute);
+    if (PeekKeyword("deallocate")) {
+      return ParseNamed(Statement::Kind::kDeallocate);
+    }
+    if (PeekKeyword("explain")) return ParseExplain();
+    Statement stmt;
+    ASSIGN_OR_RETURN(stmt.query, ParseQueryStatement());
+    return stmt;
   }
 
  private:
@@ -46,32 +58,32 @@ class Parser {
   }
   const Token& Advance() { return tokens_[pos_++]; }
 
-  bool PeekKeyword(const std::string& kw, size_t ahead = 0) const {
+  bool PeekKeyword(std::string_view kw, size_t ahead = 0) const {
     const Token& t = Peek(ahead);
     return t.type == TokenType::kIdentifier && t.text == kw;
   }
-  bool AcceptKeyword(const std::string& kw) {
+  bool AcceptKeyword(std::string_view kw) {
     if (!PeekKeyword(kw)) return false;
     Advance();
     return true;
   }
-  Status ExpectKeyword(const std::string& kw) {
+  Status ExpectKeyword(std::string_view kw) {
     if (!AcceptKeyword(kw)) {
-      return Error("expected '" + kw + "'");
+      return Error("expected '" + std::string(kw) + "'");
     }
     return Status::OK();
   }
-  bool PeekSymbol(const std::string& sym, size_t ahead = 0) const {
+  bool PeekSymbol(std::string_view sym, size_t ahead = 0) const {
     const Token& t = Peek(ahead);
     return t.type == TokenType::kSymbol && t.text == sym;
   }
-  bool AcceptSymbol(const std::string& sym) {
+  bool AcceptSymbol(std::string_view sym) {
     if (!PeekSymbol(sym)) return false;
     Advance();
     return true;
   }
-  Status ExpectSymbol(const std::string& sym) {
-    if (!AcceptSymbol(sym)) return Error("expected '" + sym + "'");
+  Status ExpectSymbol(std::string_view sym) {
+    if (!AcceptSymbol(sym)) return Error("expected '" + std::string(sym) + "'");
     return Status::OK();
   }
 
@@ -122,19 +134,160 @@ class Parser {
     return CheckNesting();
   }
 
+  // Offset of the current token from the start of the statement being
+  // parsed (a PREPARE body or EXPLAIN target counts from its own start).
+  size_t Offset() const { return Peek().position - base_; }
+
   Status Error(const std::string& message) const {
     const Token& t = Peek();
     std::string got = t.type == TokenType::kEnd ? "end of input"
                                                 : "'" + t.raw + "'";
     return Status::InvalidArgument("parse error at offset " +
-                                   std::to_string(t.position) + " (" + got +
+                                   std::to_string(Offset()) + " (" + got +
                                    "): " + message);
+  }
+
+  // Errors of the non-query statements, which name the statement.
+  Status StatementError(const char* statement,
+                        const std::string& message) const {
+    return Status::InvalidArgument(std::string("parse error in ") +
+                                   statement + " statement at position " +
+                                   std::to_string(Offset()) + ": " + message);
+  }
+
+  // Consumes an optional ';' and says whether the input ends there.
+  bool AtEnd() {
+    AcceptSymbol(";");
+    return Peek().type == TokenType::kEnd;
+  }
+
+  // --- statements -----------------------------------------------------------
+
+  Result<Statement> ParseSet() {
+    Advance();  // set
+    auto error = [&](const char* msg) { return StatementError("SET", msg); };
+    Statement stmt;
+    stmt.kind = Statement::Kind::kSet;
+    SetStatement& set = stmt.set;
+    if (Peek().type != TokenType::kIdentifier) {
+      return error("expected option name");
+    }
+    set.name = Advance().text;
+    if (!AcceptSymbol("=")) return error("expected '='");
+    const bool negative = AcceptSymbol("-");
+    if (!negative && Peek().type == TokenType::kIdentifier) {
+      // Boolean spellings for on/off knobs (`SET profile = on`); any other
+      // identifier is a word value for the engine to validate
+      // (`SET storage = columnar`).
+      const std::string& word = Advance().text;
+      if (word == "on" || word == "true") {
+        set.value = 1;
+        set.from_bool_word = true;
+      } else if (word == "off" || word == "false") {
+        set.value = 0;
+        set.from_bool_word = true;
+      } else {
+        set.word = word;
+      }
+    } else {
+      if (Peek().type != TokenType::kInteger) {
+        return error("expected integer value");
+      }
+      set.value = std::stoll(Advance().text);
+      if (negative) set.value = -set.value;
+    }
+    if (!AtEnd()) return error("unexpected trailing input");
+    return stmt;
+  }
+
+  Result<Statement> ParsePrepare() {
+    Advance();  // prepare
+    auto error = [&](const char* msg) {
+      return StatementError("PREPARE", msg);
+    };
+    Statement stmt;
+    stmt.kind = Statement::Kind::kPrepare;
+    if (Peek().type != TokenType::kIdentifier) {
+      return error("expected statement name");
+    }
+    stmt.name = Advance().text;
+    if (!AcceptKeyword("as")) return error("expected AS");
+    if (Peek().type == TokenType::kEnd) {
+      return error("expected a statement after AS");
+    }
+    base_ = Peek().position;
+    ASSIGN_OR_RETURN(stmt.query, ParseQueryStatement());
+    return stmt;
+  }
+
+  // EXECUTE <name> | DEALLOCATE <name> | DEALLOCATE ALL.
+  Result<Statement> ParseNamed(Statement::Kind kind) {
+    const bool deallocate = kind == Statement::Kind::kDeallocate;
+    const char* statement = deallocate ? "DEALLOCATE" : "EXECUTE";
+    Advance();
+    Statement stmt;
+    stmt.kind = kind;
+    if (Peek().type != TokenType::kIdentifier) {
+      return StatementError(statement,
+                            deallocate
+                                ? "expected prepared-statement name or ALL"
+                                : "expected prepared-statement name");
+    }
+    if (deallocate && AcceptKeyword("all")) {
+      stmt.all = true;
+    } else {
+      stmt.name = Advance().text;
+    }
+    if (!AtEnd()) return StatementError(statement, "unexpected trailing input");
+    return stmt;
+  }
+
+  Result<Statement> ParseExplain() {
+    Advance();  // explain
+    auto error = [&](const char* msg) {
+      return StatementError("EXPLAIN", msg);
+    };
+    Statement stmt;
+    stmt.kind = Statement::Kind::kExplain;
+    if (AcceptSymbol("(")) {
+      do {
+        if (AcceptKeyword("analyze")) {
+          stmt.analyze = true;
+        } else if (AcceptKeyword("format")) {
+          if (AcceptKeyword("json")) {
+            stmt.json = true;
+          } else if (AcceptKeyword("text")) {
+            stmt.json = false;
+          } else {
+            return error("expected JSON or TEXT after FORMAT");
+          }
+        } else {
+          return error("expected EXPLAIN option (ANALYZE, FORMAT)");
+        }
+      } while (AcceptSymbol(","));
+      if (!AcceptSymbol(")")) {
+        return error("expected ')' closing the EXPLAIN option list");
+      }
+    } else if (AcceptKeyword("analyze")) {
+      stmt.analyze = true;
+    }
+    if (Peek().type == TokenType::kEnd) {
+      return error("expected a statement after EXPLAIN");
+    }
+    base_ = Peek().position;
+    stmt.target = std::make_unique<Statement>();
+    if (PeekKeyword("execute")) {
+      ASSIGN_OR_RETURN(*stmt.target, ParseNamed(Statement::Kind::kExecute));
+    } else {
+      ASSIGN_OR_RETURN(stmt.target->query, ParseQueryStatement());
+    }
+    return stmt;
   }
 
   /// Identifier that is not a reserved keyword.
   Result<std::string> ExpectIdentifier(const char* what) {
     const Token& t = Peek();
-    if (t.type != TokenType::kIdentifier || Keywords().count(t.text) > 0) {
+    if (t.type != TokenType::kIdentifier || IsKeyword(t.text)) {
       return Error(std::string("expected ") + what);
     }
     Advance();
@@ -200,7 +353,7 @@ class Parser {
         if (AcceptKeyword("as")) {
           ASSIGN_OR_RETURN(item.alias, ExpectIdentifier("column alias"));
         } else if (Peek().type == TokenType::kIdentifier &&
-                   Keywords().count(Peek().text) == 0) {
+                   !IsKeyword(Peek().text)) {
           item.alias = Advance().text;
         }
         stmt->items.push_back(std::move(item));
@@ -216,7 +369,7 @@ class Parser {
       if (AcceptKeyword("as")) {
         ASSIGN_OR_RETURN(ref.alias, ExpectIdentifier("table alias"));
       } else if (Peek().type == TokenType::kIdentifier &&
-                 Keywords().count(Peek().text) == 0) {
+                 !IsKeyword(Peek().text)) {
         ref.alias = Advance().text;
       }
       stmt->from.push_back(std::move(ref));
@@ -428,7 +581,7 @@ class Parser {
         RETURN_NOT_OK(ExpectSymbol(")"));
         return e;
       }
-      if (Keywords().count(t.text) > 0) {
+      if (IsKeyword(t.text)) {
         return Error("unexpected keyword in expression");
       }
       Advance();
@@ -471,6 +624,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  size_t base_ = 0;
   int depth_ = 0;
   int chain_links_ = 0;
 };
@@ -480,230 +634,13 @@ class Parser {
 Result<QueryPtr> Parse(const std::string& sql) {
   ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(sql));
   Parser parser(std::move(tokens));
+  return parser.ParseQueryStatement();
+}
+
+Result<Statement> ParseStatement(const std::string& sql) {
+  ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(sql));
+  Parser parser(std::move(tokens));
   return parser.ParseStatement();
-}
-
-Result<std::optional<SetStatement>> TryParseSet(const std::string& sql) {
-  ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(sql));
-  // Grammar: SET <identifier> = <integer> [';'] — anything not starting
-  // with the SET keyword is left for Parse.
-  if (tokens.empty() || tokens[0].type != TokenType::kIdentifier ||
-      tokens[0].text != "set") {
-    return std::optional<SetStatement>();
-  }
-  size_t i = 1;
-  auto error = [&](const std::string& msg) {
-    return Status::InvalidArgument(
-        "parse error in SET statement at position " +
-        std::to_string(i < tokens.size() ? tokens[i].position : sql.size()) +
-        ": " + msg);
-  };
-  if (i >= tokens.size() || tokens[i].type != TokenType::kIdentifier) {
-    return error("expected option name");
-  }
-  SetStatement stmt;
-  stmt.name = tokens[i++].text;
-  if (i >= tokens.size() || tokens[i].type != TokenType::kSymbol ||
-      tokens[i].text != "=") {
-    return error("expected '='");
-  }
-  ++i;
-  bool negative = false;
-  if (i < tokens.size() && tokens[i].type == TokenType::kSymbol &&
-      tokens[i].text == "-") {
-    negative = true;
-    ++i;
-  }
-  if (!negative && i < tokens.size() &&
-      tokens[i].type == TokenType::kIdentifier) {
-    // Boolean spellings for on/off knobs (`SET profile = on`); any other
-    // identifier is a word value for the engine to validate
-    // (`SET storage = columnar`).
-    const std::string& word = tokens[i].text;
-    if (word == "on" || word == "true") {
-      stmt.value = 1;
-      stmt.from_bool_word = true;
-    } else if (word == "off" || word == "false") {
-      stmt.value = 0;
-      stmt.from_bool_word = true;
-    } else {
-      stmt.word = word;
-    }
-    ++i;
-  } else {
-    if (i >= tokens.size() || tokens[i].type != TokenType::kInteger) {
-      return error("expected integer value");
-    }
-    stmt.value = std::stoll(tokens[i++].text);
-    if (negative) stmt.value = -stmt.value;
-  }
-  if (i < tokens.size() && tokens[i].type == TokenType::kSymbol &&
-      tokens[i].text == ";") {
-    ++i;
-  }
-  if (i < tokens.size() && tokens[i].type != TokenType::kEnd) {
-    return error("unexpected trailing input");
-  }
-  return std::optional<SetStatement>(std::move(stmt));
-}
-
-Result<std::optional<ExplainStatement>> TryParseExplain(
-    const std::string& sql) {
-  ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(sql));
-  if (tokens.empty() || tokens[0].type != TokenType::kIdentifier ||
-      tokens[0].text != "explain") {
-    return std::optional<ExplainStatement>();
-  }
-  size_t i = 1;
-  auto error = [&](const std::string& msg) {
-    return Status::InvalidArgument(
-        "parse error in EXPLAIN statement at position " +
-        std::to_string(i < tokens.size() ? tokens[i].position : sql.size()) +
-        ": " + msg);
-  };
-  auto is_word = [&](const char* word) {
-    return i < tokens.size() && tokens[i].type == TokenType::kIdentifier &&
-           tokens[i].text == word;
-  };
-  ExplainStatement stmt;
-  if (i < tokens.size() && tokens[i].type == TokenType::kSymbol &&
-      tokens[i].text == "(") {
-    // Parenthesized option list: (ANALYZE[, FORMAT JSON|TEXT]).
-    ++i;
-    while (true) {
-      if (is_word("analyze")) {
-        stmt.analyze = true;
-        ++i;
-      } else if (is_word("format")) {
-        ++i;
-        if (is_word("json")) {
-          stmt.json = true;
-        } else if (is_word("text")) {
-          stmt.json = false;
-        } else {
-          return error("expected JSON or TEXT after FORMAT");
-        }
-        ++i;
-      } else {
-        return error("expected EXPLAIN option (ANALYZE, FORMAT)");
-      }
-      if (i < tokens.size() && tokens[i].type == TokenType::kSymbol &&
-          tokens[i].text == ",") {
-        ++i;
-        continue;
-      }
-      break;
-    }
-    if (i >= tokens.size() || tokens[i].type != TokenType::kSymbol ||
-        tokens[i].text != ")") {
-      return error("expected ')' closing the EXPLAIN option list");
-    }
-    ++i;
-  } else if (is_word("analyze")) {
-    stmt.analyze = true;
-    ++i;
-  }
-  if (i >= tokens.size() || tokens[i].type == TokenType::kEnd) {
-    return error("expected a statement after EXPLAIN");
-  }
-  stmt.query = sql.substr(tokens[i].position);
-  return std::optional<ExplainStatement>(std::move(stmt));
-}
-
-Result<std::optional<PrepareStatement>> TryParsePrepare(
-    const std::string& sql) {
-  ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(sql));
-  // Grammar: PREPARE <name> AS <statement> — anything not starting with the
-  // PREPARE keyword is left for the other statement parsers.
-  if (tokens.empty() || tokens[0].type != TokenType::kIdentifier ||
-      tokens[0].text != "prepare") {
-    return std::optional<PrepareStatement>();
-  }
-  size_t i = 1;
-  auto error = [&](const std::string& msg) {
-    return Status::InvalidArgument(
-        "parse error in PREPARE statement at position " +
-        std::to_string(i < tokens.size() ? tokens[i].position : sql.size()) +
-        ": " + msg);
-  };
-  if (i >= tokens.size() || tokens[i].type != TokenType::kIdentifier) {
-    return error("expected statement name");
-  }
-  PrepareStatement stmt;
-  stmt.name = tokens[i++].text;
-  if (i >= tokens.size() || tokens[i].type != TokenType::kIdentifier ||
-      tokens[i].text != "as") {
-    return error("expected AS");
-  }
-  ++i;
-  if (i >= tokens.size() || tokens[i].type == TokenType::kEnd) {
-    return error("expected a statement after AS");
-  }
-  stmt.sql = sql.substr(tokens[i].position);
-  return std::optional<PrepareStatement>(std::move(stmt));
-}
-
-Result<std::optional<ExecuteStatement>> TryParseExecute(
-    const std::string& sql) {
-  ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(sql));
-  if (tokens.empty() || tokens[0].type != TokenType::kIdentifier ||
-      tokens[0].text != "execute") {
-    return std::optional<ExecuteStatement>();
-  }
-  size_t i = 1;
-  auto error = [&](const std::string& msg) {
-    return Status::InvalidArgument(
-        "parse error in EXECUTE statement at position " +
-        std::to_string(i < tokens.size() ? tokens[i].position : sql.size()) +
-        ": " + msg);
-  };
-  if (i >= tokens.size() || tokens[i].type != TokenType::kIdentifier) {
-    return error("expected prepared-statement name");
-  }
-  ExecuteStatement stmt;
-  stmt.name = tokens[i++].text;
-  if (i < tokens.size() && tokens[i].type == TokenType::kSymbol &&
-      tokens[i].text == ";") {
-    ++i;
-  }
-  if (i < tokens.size() && tokens[i].type != TokenType::kEnd) {
-    return error("unexpected trailing input");
-  }
-  return std::optional<ExecuteStatement>(std::move(stmt));
-}
-
-Result<std::optional<DeallocateStatement>> TryParseDeallocate(
-    const std::string& sql) {
-  ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(sql));
-  if (tokens.empty() || tokens[0].type != TokenType::kIdentifier ||
-      tokens[0].text != "deallocate") {
-    return std::optional<DeallocateStatement>();
-  }
-  size_t i = 1;
-  auto error = [&](const std::string& msg) {
-    return Status::InvalidArgument(
-        "parse error in DEALLOCATE statement at position " +
-        std::to_string(i < tokens.size() ? tokens[i].position : sql.size()) +
-        ": " + msg);
-  };
-  if (i >= tokens.size() || tokens[i].type != TokenType::kIdentifier) {
-    return error("expected prepared-statement name or ALL");
-  }
-  DeallocateStatement stmt;
-  if (tokens[i].text == "all") {
-    stmt.all = true;
-  } else {
-    stmt.name = tokens[i].text;
-  }
-  ++i;
-  if (i < tokens.size() && tokens[i].type == TokenType::kSymbol &&
-      tokens[i].text == ";") {
-    ++i;
-  }
-  if (i < tokens.size() && tokens[i].type != TokenType::kEnd) {
-    return error("unexpected trailing input");
-  }
-  return std::optional<DeallocateStatement>(std::move(stmt));
 }
 
 }  // namespace gapply::sql

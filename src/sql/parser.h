@@ -2,7 +2,7 @@
 #define GAPPLY_SQL_PARSER_H_
 
 #include <cstdint>
-#include <optional>
+#include <memory>
 #include <string>
 
 #include "src/common/result.h"
@@ -49,65 +49,44 @@ struct SetStatement {
   bool from_bool_word = false;
 };
 
-/// If `sql` is a SET statement, parses and returns it; returns nullopt when
-/// the input does not start with the SET keyword (callers then hand the
-/// string to Parse). A malformed SET statement is an InvalidArgument error.
-Result<std::optional<SetStatement>> TryParseSet(const std::string& sql);
-
-/// An EXPLAIN request wrapping an ordinary statement:
-///
-///   EXPLAIN <query>                      (plan only)
-///   EXPLAIN ANALYZE <query>              (execute + annotated plan tree)
-///   EXPLAIN (ANALYZE) <query>
-///   EXPLAIN (ANALYZE, FORMAT JSON) <query>
-///   EXPLAIN (ANALYZE, FORMAT TEXT) <query>
-///
-/// `query` is the raw SQL following the EXPLAIN prefix, ready to hand back
-/// to Parse/Query.
-struct ExplainStatement {
+/// One statement as ParseStatement recognized it. Which members are set
+/// depends on `kind`; the rest stay empty.
+struct Statement {
+  enum class Kind {
+    kQuery,       ///< a query: `query`
+    kSet,         ///< `SET <name> = <value>`: `set`
+    kPrepare,     ///< `PREPARE <name> AS <query>`: `name`, `query`
+    kExecute,     ///< `EXECUTE <name>`: `name`
+    kDeallocate,  ///< `DEALLOCATE <name> | ALL`: `name` or `all`
+    kExplain,     ///< `EXPLAIN [options] <target>`: `analyze`, `json`, `target`
+  };
+  Kind kind = Kind::kQuery;
+  QueryPtr query;
+  SetStatement set;
+  /// Lowercased prepared-statement name; empty for DEALLOCATE ALL.
+  std::string name;
+  bool all = false;
   bool analyze = false;
   bool json = false;
-  std::string query;
+  /// The explained statement: a kQuery or a kExecute.
+  std::unique_ptr<Statement> target;
 };
 
-/// If `sql` is an EXPLAIN statement, parses the prefix and returns it;
-/// returns nullopt when the input does not start with the EXPLAIN keyword.
-/// A malformed EXPLAIN prefix is an InvalidArgument error.
-Result<std::optional<ExplainStatement>> TryParseExplain(const std::string& sql);
-
-/// `PREPARE <name> AS <query>`: registers `sql` (the raw statement text
-/// after AS, ready for Parse) under the lowercased statement name in the
-/// session. Re-preparing a live name is an error until DEALLOCATE.
-struct PrepareStatement {
-  std::string name;
-  std::string sql;
-};
-
-/// If `sql` is a PREPARE statement, parses it; returns nullopt when the
-/// input does not start with the PREPARE keyword. A malformed PREPARE
-/// statement is an InvalidArgument error.
-Result<std::optional<PrepareStatement>> TryParsePrepare(const std::string& sql);
-
-/// `EXECUTE <name>`: runs the session's prepared statement `name`.
-struct ExecuteStatement {
-  std::string name;
-};
-
-/// If `sql` is an EXECUTE statement, parses it; returns nullopt when the
-/// input does not start with the EXECUTE keyword.
-Result<std::optional<ExecuteStatement>> TryParseExecute(const std::string& sql);
-
-/// `DEALLOCATE <name>` / `DEALLOCATE ALL`: drops one or every prepared
-/// statement from the session.
-struct DeallocateStatement {
-  std::string name;  ///< empty when `all` is set
-  bool all = false;
-};
-
-/// If `sql` is a DEALLOCATE statement, parses it; returns nullopt when the
-/// input does not start with the DEALLOCATE keyword.
-Result<std::optional<DeallocateStatement>> TryParseDeallocate(
-    const std::string& sql);
+/// Lexes `sql` once and parses it as one statement, dispatching on its
+/// first token (an optional trailing ';' is allowed):
+///
+///   SET <name> = <value>
+///   PREPARE <name> AS <query>
+///   EXECUTE <name>
+///   DEALLOCATE <name> | ALL
+///   EXPLAIN [ANALYZE | '(' option (',' option)* ')'] <query | EXECUTE <name>>
+///       option := ANALYZE | FORMAT JSON | FORMAT TEXT
+///   <query>                       (the grammar of Parse)
+///
+/// Keywords are case-insensitive; names are lowercased. A statement nested
+/// after PREPARE ... AS or an EXPLAIN prefix reports error offsets relative
+/// to its own first token.
+Result<Statement> ParseStatement(const std::string& sql);
 
 }  // namespace gapply::sql
 

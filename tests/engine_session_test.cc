@@ -5,6 +5,7 @@
 // CMakePresets tsan filter).
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -114,6 +115,134 @@ TEST_F(EngineSessionTest, PreparedStatementsArePerSession) {
   EXPECT_TRUE(a.Query("execute q").ok());
   // b never prepared q.
   EXPECT_FALSE(b.Query("execute q").ok());
+}
+
+// EXECUTE keeps the parsed query and binds it again whenever the plan cache
+// misses, so it sees every catalog and statistics change an ad-hoc run of
+// the same text sees.
+TEST_F(EngineSessionTest, ExecuteFollowsCatalogChanges) {
+  // Installs `table` as t, replacing any previous t.
+  auto install = [&](std::unique_ptr<Table> table) {
+    return db_.WithExclusiveSchema([&] {
+      if (db_.catalog()->FindTable("t") != nullptr) {
+        RETURN_NOT_OK(db_.catalog()->RemoveTable("t"));
+      }
+      return db_.catalog()->AddTable(std::move(table));
+    });
+  };
+  ASSERT_TRUE(install(tutil::MakeTable(
+                          "t",
+                          Schema({{"v", TypeId::kInt64, "t"},
+                                  {"w", TypeId::kString, "t"}}),
+                          {{Value::Int(1), Value::Str("a")},
+                           {Value::Int(2), Value::Str("b")},
+                           {Value::Int(3), Value::Str("c")}}))
+                  .ok());
+  Session session(&db_);
+  const std::string sql = "select w, v from t where v > 1 order by v";
+  ASSERT_TRUE(session.Query("prepare q as " + sql).ok());
+  auto execute_matches_adhoc = [&](const std::string& step) {
+    Result<QueryResult> adhoc = session.Query(sql);
+    Result<QueryResult> executed = session.Query("execute q");
+    EXPECT_TRUE(adhoc.ok()) << step << ": " << adhoc.status().ToString();
+    EXPECT_TRUE(executed.ok()) << step << ": "
+                               << executed.status().ToString();
+    if (!adhoc.ok() || !executed.ok()) return QueryResult{};
+    tutil::ExpectSameSequence(executed->rows, adhoc->rows, step);
+    return std::move(executed).value();
+  };
+  const QueryResult first = execute_matches_adhoc("initial");
+  EXPECT_EQ(first.rows.size(), 2u);
+
+  ASSERT_TRUE(db_.Analyze().ok());
+  execute_matches_adhoc("after Analyze");
+
+  // Same name, columns swapped and new rows: a plan bound to the old t
+  // would read the wrong columns.
+  ASSERT_TRUE(install(tutil::MakeTable(
+                          "t",
+                          Schema({{"w", TypeId::kString, "t"},
+                                  {"v", TypeId::kInt64, "t"}}),
+                          {{Value::Str("x"), Value::Int(5)},
+                           {Value::Str("y"), Value::Int(0)},
+                           {Value::Str("z"), Value::Int(9)},
+                           {Value::Str("u"), Value::Int(7)}}))
+                  .ok());
+  const QueryResult replaced = execute_matches_adhoc("after replacing t");
+  ASSERT_EQ(replaced.rows.size(), 3u);
+  EXPECT_EQ(replaced.rows[0][0].str_val(), "x");
+  EXPECT_EQ(replaced.rows[2][1].int_val(), 9);
+
+  // The plan EXECUTE just cached serves EXPLAIN ANALYZE EXECUTE.
+  ASSIGN_OR_FAIL(QueryResult report,
+                 session.Query("explain analyze execute q"));
+  std::string text;
+  for (const Row& row : report.rows) {
+    text += std::string(row[0].str_val()) + "\n";
+  }
+  EXPECT_NE(text.find("plan cache: hit"), std::string::npos) << text;
+
+  ASSERT_TRUE(
+      db_.WithExclusiveSchema([&] { return db_.catalog()->RemoveTable("t"); })
+          .ok());
+  Result<QueryResult> adhoc = session.Query(sql);
+  Result<QueryResult> executed = session.Query("execute q");
+  ASSERT_FALSE(adhoc.ok());
+  ASSERT_FALSE(executed.ok());
+  EXPECT_EQ(executed.status().code(), adhoc.status().code())
+      << executed.status().ToString();
+  EXPECT_EQ(executed.status().message(), adhoc.status().message());
+}
+
+// --- per-layer statement times ----------------------------------------------
+
+TEST_F(EngineSessionTest, LayerTimesTileTheStatement) {
+  Session session(&db_);
+  const std::string join =
+      "select p_name, ps_availqty from partsupp, part "
+      "where ps_partkey = p_partkey and ps_availqty > 100 order by p_name";
+  ASSERT_TRUE(session.Query("prepare q as " + join).ok());
+  // A plan-cache miss, a hit, the hit through EXECUTE, and a SET.
+  for (const std::string& sql :
+       {join, join, std::string("execute q"),
+        std::string("set batch_size = 512")}) {
+    // The layers tile the call, so they cover all of its wall time but
+    // the few instructions around the first and last clock reads. A
+    // preemption there can cost the margin; three tries absorb it.
+    double ratio = 0;
+    for (int attempt = 0; attempt < 3 && ratio < 0.95; ++attempt) {
+      QueryStats stats;
+      const auto t0 = std::chrono::steady_clock::now();
+      Result<QueryResult> r = session.Query(sql, QueryOptions{}, &stats);
+      const auto t1 = std::chrono::steady_clock::now();
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      const uint64_t wall = static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
+              .count());
+      const QueryStats::LayerNs& ns = stats.layer_ns;
+      ASSERT_LE(ns.total(), wall) << sql;
+      ratio = static_cast<double>(ns.total()) / static_cast<double>(wall);
+      EXPECT_GT(ns.parse, 0u) << sql;
+      if (sql[0] == 's' && sql[1] == 'e') continue;  // SET: nothing to run
+      EXPECT_GT(ns.cache_lookup, 0u) << sql;
+      EXPECT_GT(ns.lower, 0u) << sql;
+      EXPECT_GT(ns.execute, 0u) << sql;
+      // Only a miss binds and optimizes.
+      EXPECT_EQ(ns.bind > 0, !stats.plan_cache_hit) << sql;
+      EXPECT_EQ(ns.optimize > 0, !stats.plan_cache_hit) << sql;
+    }
+    EXPECT_GE(ratio, 0.95) << sql;
+  }
+
+  // Untimed calls leave the layers at zero.
+  QueryStats untimed;
+  ASSERT_TRUE(session.Query(join).ok());
+  EXPECT_EQ(untimed.layer_ns.total(), 0u);
+
+  // EXPLAIN ANALYZE prints them on one line.
+  ASSIGN_OR_FAIL(std::string report, session.ExplainAnalyze("execute q"));
+  EXPECT_NE(report.find("\nlayers: parse "), std::string::npos) << report;
+  EXPECT_NE(report.find(" execute "), std::string::npos) << report;
 }
 
 // --- admission control ----------------------------------------------------

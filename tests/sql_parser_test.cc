@@ -175,14 +175,22 @@ TEST(ParserTest, LiteralForms) {
   EXPECT_EQ(items[4].expr->literal.bool_val(), true);
 }
 
+// Parses `sql`, which must be a SET statement, and returns its assignment.
+SetStatement ParseSet(const std::string& sql) {
+  Result<Statement> stmt = ParseStatement(sql);
+  EXPECT_TRUE(stmt.ok()) << sql << ": " << stmt.status().ToString();
+  if (!stmt.ok()) return {};
+  EXPECT_EQ(stmt->kind, Statement::Kind::kSet) << sql;
+  return stmt->set;
+}
+
 TEST(ParserTest, SetStatementValueForms) {
   // Integer value.
-  auto num = TryParseSet("set parallelism = 4");
-  ASSERT_TRUE(num.ok());
-  ASSERT_TRUE(num->has_value());
-  EXPECT_EQ((*num)->name, "parallelism");
-  EXPECT_EQ((*num)->value, 4);
-  EXPECT_TRUE((*num)->word.empty());
+  SetStatement num = ParseSet("set parallelism = 4");
+  EXPECT_EQ(num.name, "parallelism");
+  EXPECT_EQ(num.value, 4);
+  EXPECT_TRUE(num.word.empty());
+  EXPECT_EQ(ParseSet("set batch_size = -3").value, -3);
 
   // on/off/true/false still parse as 1/0, not as words.
   for (const auto& [text, expected] :
@@ -190,24 +198,174 @@ TEST(ParserTest, SetStatementValueForms) {
         {"off", 0},
         {"true", 1},
         {"false", 0}}) {
-    auto r = TryParseSet(std::string("set profile = ") + text);
-    ASSERT_TRUE(r.ok()) << text;
-    ASSERT_TRUE(r->has_value());
-    EXPECT_EQ((*r)->value, expected) << text;
-    EXPECT_TRUE((*r)->word.empty()) << text;
+    SetStatement r = ParseSet(std::string("set profile = ") + text);
+    EXPECT_EQ(r.value, expected) << text;
+    EXPECT_TRUE(r.word.empty()) << text;
+    EXPECT_TRUE(r.from_bool_word) << text;
   }
 
   // Any other identifier becomes a word value for the engine to validate.
-  auto word = TryParseSet("SET storage = COLUMNAR");
-  ASSERT_TRUE(word.ok());
-  ASSERT_TRUE(word->has_value());
-  EXPECT_EQ((*word)->name, "storage");
-  EXPECT_EQ((*word)->word, "columnar");  // lowercased by the lexer
+  SetStatement word = ParseSet("SET storage = COLUMNAR");
+  EXPECT_EQ(word.name, "storage");
+  EXPECT_EQ(word.word, "columnar");  // lowercased by the lexer
 
-  // Not a SET statement at all: empty optional, no error.
-  auto other = TryParseSet("select 1 from t");
+  // Not a SET statement at all: a query.
+  auto other = ParseStatement("select 1 from t");
   ASSERT_TRUE(other.ok());
-  EXPECT_FALSE(other->has_value());
+  EXPECT_EQ(other->kind, Statement::Kind::kQuery);
+}
+
+TEST(StatementTest, DispatchesEveryKind) {
+  using Kind = Statement::Kind;
+  struct Case {
+    const char* sql;
+    Kind kind;
+    const char* name;     // prepared-statement / SET option name
+    bool has_query;       // `query` set (a query, or PREPARE's body)
+  };
+  const Case cases[] = {
+      {"select a from t", Kind::kQuery, "", true},
+      {"  \n\tSeLeCt a FROM t;", Kind::kQuery, "", true},
+      {"select * from settings", Kind::kQuery, "", true},
+      {"set parallelism = 4", Kind::kSet, "parallelism", false},
+      {"  SeT Profile = ON;", Kind::kSet, "profile", false},
+      {"prepare q as select a from t", Kind::kPrepare, "q", true},
+      {" PREPARE Q As Select a From t ;", Kind::kPrepare, "q", true},
+      {"execute q", Kind::kExecute, "q", false},
+      {"\nEXECUTE Q;", Kind::kExecute, "q", false},
+      {"deallocate q", Kind::kDeallocate, "q", false},
+      {"  DeAllocate Q ;", Kind::kDeallocate, "q", false},
+      {"deallocate all", Kind::kDeallocate, "", false},
+      {"explain select a from t", Kind::kExplain, "", false},
+      {"EXPLAIN ANALYZE execute q;", Kind::kExplain, "", false},
+      {" explain (analyze, format json) select a from t;", Kind::kExplain, "",
+       false},
+  };
+  for (const Case& c : cases) {
+    Result<Statement> stmt = ParseStatement(c.sql);
+    ASSERT_TRUE(stmt.ok()) << c.sql << ": " << stmt.status().ToString();
+    EXPECT_EQ(stmt->kind, c.kind) << c.sql;
+    EXPECT_EQ(c.kind == Kind::kSet ? stmt->set.name : stmt->name, c.name)
+        << c.sql;
+    EXPECT_EQ(stmt->query != nullptr, c.has_query) << c.sql;
+    EXPECT_EQ(stmt->target != nullptr, c.kind == Kind::kExplain) << c.sql;
+  }
+
+  auto dealloc_all = ParseStatement("DEALLOCATE ALL;");
+  ASSERT_TRUE(dealloc_all.ok());
+  EXPECT_TRUE(dealloc_all->all);
+
+  auto settings = ParseStatement("select * from settings");
+  ASSERT_TRUE(settings.ok());
+  EXPECT_EQ(settings->query->branches[0]->from[0].table, "settings");
+
+  auto plain = ParseStatement("explain select a from t");
+  ASSERT_TRUE(plain.ok());
+  EXPECT_FALSE(plain->analyze);
+  EXPECT_FALSE(plain->json);
+  EXPECT_EQ(plain->target->kind, Kind::kQuery);
+  ASSERT_NE(plain->target->query, nullptr);
+
+  auto analyze_execute = ParseStatement("EXPLAIN ANALYZE execute Q;");
+  ASSERT_TRUE(analyze_execute.ok());
+  EXPECT_TRUE(analyze_execute->analyze);
+  EXPECT_EQ(analyze_execute->target->kind, Kind::kExecute);
+  EXPECT_EQ(analyze_execute->target->name, "q");
+
+  auto json = ParseStatement("explain (analyze, format json) select a from t");
+  ASSERT_TRUE(json.ok());
+  EXPECT_TRUE(json->analyze);
+  EXPECT_TRUE(json->json);
+  auto text = ParseStatement("explain (format json, format text) select a "
+                             "from t");
+  ASSERT_TRUE(text.ok());
+  EXPECT_FALSE(text->json);
+}
+
+TEST(StatementTest, KeywordPrefixesAreNotStatements) {
+  // Identifiers that only start with a statement keyword are not that
+  // statement: they go to the query grammar, which rejects them there.
+  for (const char* sql : {"setx = 1", "settings", "prepared q as x",
+                          "executes q", "explained select a from t"}) {
+    Result<Statement> stmt = ParseStatement(sql);
+    ASSERT_FALSE(stmt.ok()) << sql;
+    EXPECT_NE(stmt.status().message().find("expected 'select'"),
+              std::string::npos)
+        << sql << ": " << stmt.status().ToString();
+  }
+}
+
+TEST(StatementTest, MalformedStatementMessages) {
+  // The exact messages of malformed statements, including the offsets a
+  // PREPARE body or EXPLAIN target reports from its own first token.
+  const std::pair<const char*, const char*> cases[] = {
+      {"set", "parse error in SET statement at position 3: expected option "
+              "name"},
+      {"set parallelism 4",
+       "parse error in SET statement at position 16: expected '='"},
+      {"set parallelism =",
+       "parse error in SET statement at position 17: expected integer value"},
+      {"set parallelism = - on",
+       "parse error in SET statement at position 20: expected integer value"},
+      {"SET parallelism = 4;;",
+       "parse error in SET statement at position 20: unexpected trailing "
+       "input"},
+      {"set 5 = 4",
+       "parse error in SET statement at position 4: expected option name"},
+      {"prepare", "parse error in PREPARE statement at position 7: expected "
+                  "statement name"},
+      {"prepare q select 1 from t",
+       "parse error in PREPARE statement at position 10: expected AS"},
+      {"prepare q as", "parse error in PREPARE statement at position 12: "
+                       "expected a statement after AS"},
+      {"prepare q as select from",
+       "parse error at offset 7 ('from'): unexpected keyword in expression"},
+      {"prepare q2 as  select r_name from region where",
+       "parse error at offset 31 (end of input): expected an expression"},
+      {"prepare q3 as set x = 1",
+       "parse error at offset 0 ('set'): expected 'select'"},
+      {"execute", "parse error in EXECUTE statement at position 7: expected "
+                  "prepared-statement name"},
+      {"execute 5", "parse error in EXECUTE statement at position 8: "
+                    "expected prepared-statement name"},
+      {"execute p;;", "parse error in EXECUTE statement at position 10: "
+                      "unexpected trailing input"},
+      {"deallocate", "parse error in DEALLOCATE statement at position 10: "
+                     "expected prepared-statement name or ALL"},
+      {"deallocate all x", "parse error in DEALLOCATE statement at position "
+                           "15: unexpected trailing input"},
+      {"explain", "parse error in EXPLAIN statement at position 7: expected "
+                  "a statement after EXPLAIN"},
+      {"explain (analyze", "parse error in EXPLAIN statement at position 16: "
+                           "expected ')' closing the EXPLAIN option list"},
+      {"explain (analyze,", "parse error in EXPLAIN statement at position "
+                            "17: expected EXPLAIN option (ANALYZE, FORMAT)"},
+      {"explain (format xml) select 1",
+       "parse error in EXPLAIN statement at position 16: expected JSON or "
+       "TEXT after FORMAT"},
+      {"explain (analyze) ", "parse error in EXPLAIN statement at position "
+                             "18: expected a statement after EXPLAIN"},
+      {"explain analyze select x from",
+       "parse error at offset 13 (end of input): expected table name"},
+      {"explain set x = 1",
+       "parse error at offset 0 ('set'): expected 'select'"},
+      {"explain execute", "parse error in EXECUTE statement at position 7: "
+                          "expected prepared-statement name"},
+      {"explain analyze execute p q",
+       "parse error in EXECUTE statement at position 10: unexpected trailing "
+       "input"},
+      {"", "parse error at offset 0 (end of input): expected 'select'"},
+      {";", "parse error at offset 0 (';'): expected 'select'"},
+      {"select 'abc", "unterminated string literal at offset 7"},
+      {"select r_name from region; extra",
+       "parse error at offset 27 ('extra'): unexpected trailing input"},
+  };
+  for (const auto& [sql, message] : cases) {
+    Result<Statement> stmt = ParseStatement(sql);
+    ASSERT_FALSE(stmt.ok()) << sql;
+    EXPECT_EQ(stmt.status().code(), StatusCode::kInvalidArgument) << sql;
+    EXPECT_EQ(stmt.status().message(), message) << sql;
+  }
 }
 
 // `depth` open parentheses around `inner`, closed again.
@@ -267,11 +425,22 @@ TEST(ParserTest, ModeratelyDeepPredicatesParseAndRun) {
                   .ok());
   for (const std::string& where :
        {Parenthesized("v > 1", 200), Prefixed("not ", 200, "v > 1"),
-        Prefixed("- - ", 100, "v > 1"), Chain("v > 1", " or ", 1000)}) {
+        Prefixed("- - ", 100, "v > 1"), Chain("v > 1", " or ", 1000),
+        // One Select per conjunct until the optimizer merges them; the cost
+        // model walks that chain without recursing (sanitizer builds too).
+        Chain("v > 1", " and ", 1020)}) {
     Result<QueryResult> r = db.Query("select v from t where " + where);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_EQ(r->rows.size(), 2u);
   }
+  // EXECUTE runs the kept query; the normalized text of a long chain nests
+  // its parentheses past the parser's bound, so it is never parsed again.
+  const std::string long_chain =
+      "select v from t where " + Chain("v > 1", " and ", 1020);
+  ASSERT_TRUE(db.Query("prepare deep as " + long_chain).ok());
+  Result<QueryResult> executed = db.Query("execute deep");
+  ASSERT_TRUE(executed.ok()) << executed.status().ToString();
+  EXPECT_EQ(executed->rows.size(), 2u);
   // The session path refuses the too-deep forms with a Status as well.
   for (const std::string& where :
        {Parenthesized("v > 1", 5000), "v < " + Chain("1", "+", 50000)}) {

@@ -2,8 +2,9 @@
 //
 // Loads the synthetic TPC-H subset, then profiles each SQL statement given
 // on the command line (or read from stdin, one per line, when none is
-// given). Statements may carry their own EXPLAIN prefix; bare queries are
-// treated as EXPLAIN ANALYZE.
+// given). Queries and EXECUTE <name> run as EXPLAIN ANALYZE (JSON with
+// --json); SET, PREPARE, DEALLOCATE and explicit EXPLAIN statements run as
+// written, printing what they return.
 //
 //   gapply_profile [--sf=0.01] [--parallelism=N] [--batch-size=N] [--json]
 //                  [SQL ...]
@@ -18,6 +19,7 @@
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/engine/database.h"
@@ -34,68 +36,42 @@ struct Options {
 };
 
 int ProfileOne(Database* db, const Options& opts, const std::string& sql) {
-  // Accept an explicit EXPLAIN prefix; default bare statements to
-  // EXPLAIN ANALYZE in the requested format.
-  std::string query = sql;
-  bool json = opts.json;
-  // Session-state statements (SET knobs, PREPARE, DEALLOCATE) go straight
-  // to the engine — they produce no rows and nothing to profile. EXECUTE
-  // is not in this list: it runs a plan, so it profiles like any query.
-  bool is_session_stmt = false;
-  {
-    Result<std::optional<sql::SetStatement>> set_stmt = sql::TryParseSet(sql);
-    if (!set_stmt.ok()) {
-      std::fprintf(stderr, "error: %s\n",
-                   set_stmt.status().ToString().c_str());
-      return 1;
-    }
-    Result<std::optional<sql::PrepareStatement>> prepare_stmt =
-        sql::TryParsePrepare(sql);
-    if (!prepare_stmt.ok()) {
-      std::fprintf(stderr, "error: %s\n",
-                   prepare_stmt.status().ToString().c_str());
-      return 1;
-    }
-    Result<std::optional<sql::DeallocateStatement>> deallocate_stmt =
-        sql::TryParseDeallocate(sql);
-    if (!deallocate_stmt.ok()) {
-      std::fprintf(stderr, "error: %s\n",
-                   deallocate_stmt.status().ToString().c_str());
-      return 1;
-    }
-    is_session_stmt = set_stmt->has_value() || prepare_stmt->has_value() ||
-                      deallocate_stmt->has_value();
-  }
-  if (is_session_stmt) {
-    std::printf("-- %s\n", sql.c_str());
-    Result<QueryResult> r = db->Query(sql);
-    if (!r.ok()) {
-      std::fprintf(stderr, "error: %s\n", r.status().ToString().c_str());
-      return 1;
-    }
-    return 0;
-  }
-  Result<std::optional<sql::ExplainStatement>> explain_stmt =
-      sql::TryParseExplain(sql);
-  if (!explain_stmt.ok()) {
-    std::fprintf(stderr, "error: %s\n",
-                 explain_stmt.status().ToString().c_str());
+  Result<sql::Statement> stmt = sql::ParseStatement(sql);
+  if (!stmt.ok()) {
+    std::fprintf(stderr, "error: %s\n", stmt.status().ToString().c_str());
     return 1;
   }
-  if (explain_stmt->has_value()) {
-    query = (*explain_stmt)->query;
-    json = json || (*explain_stmt)->json;
+  std::printf("-- %s\n", sql.c_str());
+  switch (stmt->kind) {
+    case sql::Statement::Kind::kQuery:
+    case sql::Statement::Kind::kExecute:
+      break;
+    default: {
+      // Session-state statements (SET, PREPARE, DEALLOCATE) produce no
+      // rows; an explicit EXPLAIN prints its own report. Passing stats
+      // times the statement, so the report's layers include its parse.
+      QueryStats stats;
+      Result<QueryResult> r = db->Query(sql, QueryOptions{}, &stats);
+      if (!r.ok()) {
+        std::fprintf(stderr, "error: %s\n", r.status().ToString().c_str());
+        return 1;
+      }
+      for (const Row& row : r->rows) {
+        const std::string_view line = row[0].str_val();
+        std::printf("%.*s\n", static_cast<int>(line.size()), line.data());
+      }
+      return 0;
+    }
   }
-  std::printf("-- %s\n", query.c_str());
-  if (json) {
-    Result<JsonValue> out = db->ExplainAnalyzeJson(query);
+  if (opts.json) {
+    Result<JsonValue> out = db->ExplainAnalyzeJson(sql);
     if (!out.ok()) {
       std::fprintf(stderr, "error: %s\n", out.status().ToString().c_str());
       return 1;
     }
     std::printf("%s\n", out->Dump(2).c_str());
   } else {
-    Result<std::string> out = db->ExplainAnalyze(query);
+    Result<std::string> out = db->ExplainAnalyze(sql);
     if (!out.ok()) {
       std::fprintf(stderr, "error: %s\n", out.status().ToString().c_str());
       return 1;
