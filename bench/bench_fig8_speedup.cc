@@ -276,7 +276,8 @@ void Run() {
                 without_ms, with_ms, without_ms / with_ms,
                 static_cast<unsigned long long>(stats.counters.pgq_executions),
                 c.paper);
-    RecordTiming(std::string(c.name) + "_gapply", with_ms);
+    RecordTiming(std::string(c.name) + "_gapply", with_ms,
+                 static_cast<int64_t>(stats.counters.pgq_executions));
     RecordTiming(std::string(c.name) + "_baseline", without_ms);
     RecordPlanProfile(&db, **gapply_plan, opt,
                       std::string(c.name) + "_gapply");

@@ -56,15 +56,19 @@ struct JsonRecord {
 
 std::vector<JsonRecord> g_records;
 
-// Times `make()` (a freshly configured plan per rep), returning the best of
-// `reps` timed runs plus the last run's rows and counters.
+// Times `make()` (a freshly configured plan per rep) unprofiled, returning
+// the best of `reps` timed runs plus the last run's rows. The phase timers
+// run only under profiling, so one extra profiled run after the timed reps
+// supplies the counters.
 template <typename MakeFn>
 RunResult TimeRuns(const MakeFn& make, int reps) {
   RunResult result;
   double best = 1e300;
-  for (int i = 0; i <= reps; ++i) {
+  for (int i = 0; i <= reps + 1; ++i) {
+    const bool profiled = i > reps;
     PhysOpPtr op = make();
     ExecContext ctx;
+    ctx.set_profiling(profiled);
     const auto start = std::chrono::steady_clock::now();
     Result<QueryResult> r = ExecuteToVector(op.get(), &ctx);
     const auto end = std::chrono::steady_clock::now();
@@ -73,11 +77,14 @@ RunResult TimeRuns(const MakeFn& make, int reps) {
                    r.status().ToString().c_str());
       std::exit(1);
     }
+    if (profiled) {
+      result.counters = SumWorkCounters(*op);
+      break;
+    }
     const double ms =
         std::chrono::duration<double, std::milli>(end - start).count();
     if (i > 0 && ms < best) best = ms;  // skip warmup
     result.rows = std::move(r->rows);
-    result.counters = ctx.counters();
   }
   result.ms = best;
   return result;

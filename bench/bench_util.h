@@ -2,6 +2,7 @@
 #define GAPPLY_BENCH_BENCH_UTIL_H_
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -142,9 +143,8 @@ inline void RecordSqlProfile(Database* db, const std::string& sql,
 }
 
 /// Executes a raw physical tree once with profiling on (restoring the
-/// context's profiling flag afterwards) and records its profile. Safe on
-/// trees that are also used for timed reps: profile counters accumulate
-/// only while profiling is enabled.
+/// context's profiling flag afterwards) and records its profile. Pass a
+/// freshly built tree: work counters accumulate on every execution.
 inline void RecordPhysProfile(PhysOp* root, ExecContext* ctx,
                               const std::string& label) {
   const bool was_profiling = ctx->profiling();
@@ -160,10 +160,12 @@ inline void RecordPhysProfile(PhysOp* root, ExecContext* ctx,
 }
 
 /// One named timing measurement destined for BENCH_*.json. bench_check
-/// gates on the "ms" leaf and uses "label" for its messages.
+/// gates on the "ms" leaf, and exactly on a "pgq_executions" leaf (written
+/// only when nonnegative), and uses "label" for its messages.
 struct TimingRecord {
   std::string label;
   double ms = 0;
+  int64_t pgq_executions = -1;
 };
 
 inline std::vector<TimingRecord>& TimingRegistry() {
@@ -172,8 +174,9 @@ inline std::vector<TimingRecord>& TimingRegistry() {
   return *registry;
 }
 
-inline void RecordTiming(const std::string& label, double ms) {
-  TimingRegistry().push_back({label, ms});
+inline void RecordTiming(const std::string& label, double ms,
+                         int64_t pgq_executions = -1) {
+  TimingRegistry().push_back({label, ms, pgq_executions});
 }
 
 /// Writes BENCH_<name>.json with the standard metadata header, every
@@ -215,9 +218,14 @@ inline void WriteBenchJson(const std::string& name, double sf, int reps) {
                name.c_str(), sf, reps, ThreadPool::DefaultParallelism());
   const std::vector<TimingRecord>& timings = TimingRegistry();
   for (size_t i = 0; i < timings.size(); ++i) {
-    std::fprintf(f, "    {\"label\": \"%s\", \"ms\": %.4f}%s\n",
+    std::string counter;
+    if (timings[i].pgq_executions >= 0) {
+      counter = ", \"pgq_executions\": " +
+                std::to_string(timings[i].pgq_executions);
+    }
+    std::fprintf(f, "    {\"label\": \"%s\", \"ms\": %.4f%s}%s\n",
                  JsonEscape(timings[i].label).c_str(), timings[i].ms,
-                 i + 1 == timings.size() ? "" : ",");
+                 counter.c_str(), i + 1 == timings.size() ? "" : ",");
   }
   std::fprintf(f, "  ],\n%s\n}\n", ProfilesJsonMember().c_str());
   std::fclose(f);

@@ -78,7 +78,7 @@ RunResult TimeRuns(const MakeFn& make, int reps, size_t batch_size) {
         std::chrono::duration<double, std::milli>(end - start).count();
     if (i > 0 && ms < best) best = ms;  // skip warmup
     result.rows = std::move(r->rows);
-    result.counters = ctx.counters();
+    result.counters = SumWorkCounters(*op);
   }
   result.ms = best;
   return result;

@@ -94,7 +94,7 @@ RunResult TimeRuns(const MakeFn& make, int reps) {
         std::chrono::duration<double, std::milli>(end - start).count();
     if (i > 0 && ms < best) best = ms;  // skip warmup
     result.rows = std::move(r->rows);
-    result.counters = ctx.counters();
+    result.counters = SumWorkCounters(*op);
   }
   result.ms = best;
   return result;

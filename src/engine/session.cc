@@ -488,7 +488,7 @@ Result<QueryResult> Session::ExecuteOptimizedLocked(const LogicalOp& optimized,
   }
   ASSIGN_OR_RETURN(QueryResult result, ExecuteToVector(phys.get(), &ctx));
   if (stats_out != nullptr) {
-    stats_out->counters = ctx.counters();
+    stats_out->counters = SumWorkCounters(*phys);
     stats_out->memory_budget = memory_budget;
     stats_out->peak_memory = query_memory.peak();
     if (profile) {

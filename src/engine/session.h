@@ -47,6 +47,8 @@ struct QueryOptions {
 
 /// Execution counters + fired-rule log for one query.
 struct QueryStats {
+  /// The query's work totals, summed from the executed plan tree
+  /// (SumWorkCounters). Timer fields are nonzero only for a profiled query.
   ExecContext::Counters counters;
   std::vector<std::string> fired_rules;
   /// Per-firing optimizer trace: rule name plus estimated cardinality of

@@ -256,7 +256,7 @@ Status HashGroupByOp::SpillPartitionAndAggregate(ExecContext* ctx,
   }
   RETURN_NOT_OK(child_->Close(ctx));
   ASSIGN_OR_RETURN(std::vector<std::string> paths,
-                   FinishSpillFiles(ctx, writers));
+                   FinishSpillFiles(writers));
   writers.clear();
 
   // Aggregate each partition, then restore the serial first-appearance
@@ -315,7 +315,7 @@ Status HashGroupByOp::AggregatePartition(
     reader.reset();
     RemoveSpillFile(path);
     ASSIGN_OR_RETURN(std::vector<std::string> sub_paths,
-                     FinishSpillFiles(ctx, writers));
+                     FinishSpillFiles(writers));
     writers.clear();
     for (size_t p = 0; p < kSpillFanout; ++p) {
       RETURN_NOT_OK(AggregatePartition(ctx, sub_paths[p], level + 1,
@@ -405,9 +405,6 @@ Status HashGroupByOp::AggregateParallel(ExecContext* ctx,
   }
   RunTaskGroup(ctx->thread_pool(), std::move(tasks));
 
-  for (Partial& p : partials) {
-    ctx->counters().MergeFrom(p.wctx.counters());
-  }
   const Partial* first_failure = nullptr;
   for (const Partial& p : partials) {
     if (p.failed && (first_failure == nullptr ||
@@ -428,7 +425,7 @@ Status HashGroupByOp::AggregateParallel(ExecContext* ctx,
   return Status::OK();
 }
 
-Result<bool> HashGroupByOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
+Result<bool> HashGroupByOp::NextBatchImpl(ExecContext*, RowBatch* out) {
   out->Clear();
   if (pos_ >= output_.size()) return false;
   const size_t n = std::min(out->capacity(), output_.size() - pos_);
@@ -436,7 +433,6 @@ Result<bool> HashGroupByOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
     out->Add(std::move(output_[pos_ + i]));
   }
   pos_ += n;
-  RecordBatch(ctx, n);
   return true;
 }
 
@@ -523,9 +519,7 @@ Result<bool> StreamGroupByOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
       RETURN_NOT_OK(Accumulate(ctx, row));
     }
   }
-  if (out->empty()) return false;
-  RecordBatch(ctx, out->size());
-  return true;
+  return !out->empty();
 }
 
 Status StreamGroupByOp::CloseImpl(ExecContext* ctx) {
@@ -571,7 +565,6 @@ Result<bool> ScalarAggOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
   for (const auto& acc : accs) row.push_back(acc->Finish());
   out->Add(std::move(row));
   emitted_ = true;
-  RecordBatch(ctx, 1);
   return true;
 }
 
@@ -613,7 +606,6 @@ Result<bool> DistinctOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
       out->Add(std::move(row));
     }
   }
-  RecordBatch(ctx, out->size());
   return true;
 }
 

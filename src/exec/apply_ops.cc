@@ -36,7 +36,7 @@ Status ApplyOp::StartOuterRow(ExecContext* ctx, const Row& outer) {
     ctx->eval()->outer_rows.pop_back();
     return st;
   }
-  ctx->counters().apply_invocations++;
+  profile_.work.apply_invocations++;
   inner_open_ = true;
   inner_rows_.Reset();
   if (!cache_inner_) return Status::OK();
@@ -95,9 +95,7 @@ Result<bool> ApplyOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
     row.insert(row.end(), inner_row->begin(), inner_row->end());
     out->Add(std::move(row));
   }
-  if (out->empty()) return false;
-  RecordBatch(ctx, out->size());
-  return true;
+  return !out->empty();
 }
 
 Status ApplyOp::CloseImpl(ExecContext* ctx) {
@@ -135,7 +133,6 @@ Result<bool> ExistsOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
   probe_.Clear();
   if (has == negated_) return false;
   out->Add(Row{});
-  RecordBatch(ctx, 1);
   return true;
 }
 
@@ -202,7 +199,6 @@ Result<bool> UnionAllOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
   while (current_ < children_.size()) {
     ASSIGN_OR_RETURN(bool has, children_[current_]->NextBatch(ctx, out));
     if (has) {
-      RecordBatch(ctx, out->size());
       return true;
     }
     RETURN_NOT_OK(children_[current_]->Close(ctx));

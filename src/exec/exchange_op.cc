@@ -77,7 +77,7 @@ Status ExchangeOp::OpenImpl(ExecContext* ctx) {
 }
 
 Status ExchangeOp::OpenParallel(ExecContext* ctx, TableScanOp* scan) {
-  const uint64_t t0 = NowNs();
+  const uint64_t t0 = ctx->profiling() ? NowNs() : 0;
   const size_t num_morsels =
       (scan->num_rows() + morsel_rows_ - 1) / morsel_rows_;
   const size_t dop = std::min(parallelism_, num_morsels);
@@ -164,22 +164,17 @@ Status ExchangeOp::OpenParallel(ExecContext* ctx, TableScanOp* scan) {
   }
   RunTaskGroup(ctx->thread_pool(), std::move(tasks));
 
-  for (WorkerState& w : workers) {
-    ctx->counters().MergeFrom(w.ctx.counters());
-  }
-  const uint64_t partition_ns = NowNs() - t0;
-  ctx->counters().exchange_partition_ns += partition_ns;
   if (ctx->profiling()) {
-    profile_.AddPhaseNs("partition", partition_ns);
+    profile_.work.exchange_partition_ns += NowNs() - t0;
     uint64_t buffered_rows = 0;
     for (const std::vector<Row>& slot : slots_) buffered_rows += slot.size();
     // The worker clones were drained from bare contexts (no profiled
     // consumer); credit their output to this Exchange so rows_in matches
     // the merged segment's rows_out.
     profile_.rows_in += buffered_rows;
-    for (const WorkerState& w : workers) {
-      child_->MergeTreeProfileFrom(*w.segment);
-    }
+  }
+  for (const WorkerState& w : workers) {
+    child_->MergeTreeProfileFrom(*w.segment);
   }
 
   const WorkerState* first_failure = nullptr;
@@ -194,14 +189,8 @@ Status ExchangeOp::OpenParallel(ExecContext* ctx, TableScanOp* scan) {
 }
 
 Result<bool> ExchangeOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
-  if (passthrough_) {
-    ASSIGN_OR_RETURN(bool has, child_->NextBatch(ctx, out));
-    if (!has) return false;
-    ctx->counters().exchange_rows += out->size();
-    RecordBatch(ctx, out->size());
-    return true;
-  }
-  const uint64_t t0 = NowNs();
+  if (passthrough_) return child_->NextBatch(ctx, out);
+  const uint64_t t0 = ctx->profiling() ? NowNs() : 0;
   out->Clear();
   // Slice ranges straight out of the per-morsel buffers, preserving the
   // serial emission order (same slot-streaming shape as parallel GApply).
@@ -220,13 +209,8 @@ Result<bool> ExchangeOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
       slot_pos_ = 0;
     }
   }
-  const uint64_t merge_ns = NowNs() - t0;
-  ctx->counters().exchange_merge_ns += merge_ns;
-  if (ctx->profiling()) profile_.AddPhaseNs("merge", merge_ns);
-  if (out->empty()) return false;
-  ctx->counters().exchange_rows += out->size();
-  RecordBatch(ctx, out->size());
-  return true;
+  if (ctx->profiling()) profile_.work.exchange_merge_ns += NowNs() - t0;
+  return !out->empty();
 }
 
 Status ExchangeOp::CloseImpl(ExecContext* ctx) {

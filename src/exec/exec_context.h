@@ -52,15 +52,17 @@ struct GroupBinding {
 ///    (GroupBinding); `GroupScan` leaves read it. Bindings are stacks so
 ///    nested GApply over the same variable name shadows correctly.
 ///
-/// Also exposes execution counters the benches use to verify plan-structure
-/// claims (e.g., that a rule actually reduced scanned rows).
-///
-/// A context is owned by exactly one thread. Parallel operators (the
-/// parallel GApply path) give each worker a private context created with
-/// `ForkForWorker` and fold the workers' counters back into the parent with
-/// `Counters::MergeFrom` after the workers have been joined.
+/// A context is owned by exactly one thread. Parallel operators (GApply,
+/// Exchange, HashGroupBy) give each worker a private context created with
+/// `ForkForWorker`. A context carries no work counters: each operator books
+/// its work in its own runtime profile (DESIGN.md §12).
 class ExecContext {
  public:
+  /// Work counters, the one ledger of what a query did. Each operator keeps
+  /// one set in its OpRuntimeProfile (`work`) and books only its own work
+  /// there; query totals are summed from the plan tree (SumWorkCounters).
+  /// The `*_ns` and `gapply_worker*` fields are timers, booked only while
+  /// profiling is on; every other field is booked on every execution.
   struct Counters {
     uint64_t rows_scanned = 0;       // base-table rows produced by TableScan
     uint64_t group_rows_scanned = 0; // rows produced by GroupScan
@@ -76,14 +78,13 @@ class ExecContext {
     uint64_t rows_hash_partitioned = 0;
 
     // Out-of-core execution (DESIGN.md §16): bytes written to spill files
-    // and partition/run files created, across all spilling operators.
+    // and partition/run files created.
     uint64_t spill_bytes = 0;
     uint64_t spill_partitions = 0;
 
-    // Vectorized execution: number of (non-empty) batches produced across
-    // all operators, and the rows they carried. batch_rows_produced /
-    // batches_produced is the pipeline-wide average batch fill; per-operator
-    // fill is a profile's rows_out / batches_out.
+    // Vectorized execution: number of (non-empty) batches produced and the
+    // rows they carried, booked by the PhysOp::NextBatch wrapper.
+    // batch_rows_produced / batches_produced is the average batch fill.
     uint64_t batches_produced = 0;
     uint64_t batch_rows_produced = 0;
 
@@ -97,10 +98,9 @@ class ExecContext {
     // Per-phase Exchange attribution: wall-clock time of the parallel
     // morsel fan-out (partition phase, during Open) and of streaming the
     // per-morsel buffers back out in morsel order (merge phase, during
-    // Next/NextBatch), plus the total rows the exchanges produced.
+    // NextBatch).
     uint64_t exchange_partition_ns = 0;
     uint64_t exchange_merge_ns = 0;
-    uint64_t exchange_rows = 0;
 
     // Per-worker GApply attribution. A parallel GApply worker that claimed
     // at least one group reports itself as one worker with its busy wall
@@ -112,29 +112,35 @@ class ExecContext {
     uint64_t gapply_worker_busy_min_ns = 0;  // over participating workers
     uint64_t gapply_worker_busy_max_ns = 0;
 
+    /// Every field but the per-worker ones, by name: the fields MergeFrom
+    /// sums. Those not ending in `_ns` are the work counters proper, the
+    /// same for a given plan and input whether profiled or not.
+    static constexpr std::pair<const char*, uint64_t Counters::*> kSummed[] = {
+        {"rows_scanned", &Counters::rows_scanned},
+        {"group_rows_scanned", &Counters::group_rows_scanned},
+        {"morsels_scanned", &Counters::morsels_scanned},
+        {"morsels_pruned", &Counters::morsels_pruned},
+        {"pgq_executions", &Counters::pgq_executions},
+        {"apply_invocations", &Counters::apply_invocations},
+        {"rows_sorted", &Counters::rows_sorted},
+        {"rows_hash_partitioned", &Counters::rows_hash_partitioned},
+        {"spill_bytes", &Counters::spill_bytes},
+        {"spill_partitions", &Counters::spill_partitions},
+        {"batches_produced", &Counters::batches_produced},
+        {"batch_rows_produced", &Counters::batch_rows_produced},
+        {"gapply_partition_ns", &Counters::gapply_partition_ns},
+        {"gapply_pgq_ns", &Counters::gapply_pgq_ns},
+        {"exchange_partition_ns", &Counters::exchange_partition_ns},
+        {"exchange_merge_ns", &Counters::exchange_merge_ns},
+    };
+
     void Reset() { *this = Counters(); }
 
-    /// Accumulates `other` into this set of counters. Used to fold
-    /// per-worker counters into the query's context so global counters stay
-    /// exact under parallel execution.
+    /// Accumulates `other` into this set of counters: folds a worker
+    /// clone's profile into its template, and sums the plan tree into the
+    /// query's totals.
     void MergeFrom(const Counters& other) {
-      rows_scanned += other.rows_scanned;
-      group_rows_scanned += other.group_rows_scanned;
-      morsels_scanned += other.morsels_scanned;
-      morsels_pruned += other.morsels_pruned;
-      pgq_executions += other.pgq_executions;
-      apply_invocations += other.apply_invocations;
-      rows_sorted += other.rows_sorted;
-      rows_hash_partitioned += other.rows_hash_partitioned;
-      spill_bytes += other.spill_bytes;
-      spill_partitions += other.spill_partitions;
-      batches_produced += other.batches_produced;
-      batch_rows_produced += other.batch_rows_produced;
-      gapply_partition_ns += other.gapply_partition_ns;
-      gapply_pgq_ns += other.gapply_pgq_ns;
-      exchange_partition_ns += other.exchange_partition_ns;
-      exchange_merge_ns += other.exchange_merge_ns;
-      exchange_rows += other.exchange_rows;
+      for (const auto& [name, field] : kSummed) this->*field += other.*field;
       // A side with no participating GApply workers must be *skipped*, not
       // folded in as zeros: naively taking min(min, 0) would erase the
       // per-phase attribution whenever one worker finished with zero groups
@@ -156,8 +162,6 @@ class ExecContext {
 
   EvalContext* eval() { return &eval_; }
   const EvalContext& eval() const { return eval_; }
-
-  Counters& counters() { return counters_; }
 
   /// Capacity of the batches the root is pulled with (see RowBatch). 1
   /// runs the whole plan one row at a time through the batch API.
@@ -236,9 +240,9 @@ class ExecContext {
 
   /// Snapshot for a parallel worker: copies the group-binding stacks and
   /// the correlated-row stack (both hold non-owning pointers the parent
-  /// must keep alive for the worker's lifetime) and starts with zeroed
-  /// counters. The worker mutates only its own copy, so enclosing Apply /
-  /// GApply bindings stay visible while per-worker bindings stay private.
+  /// must keep alive for the worker's lifetime). The worker mutates only
+  /// its own copy, so enclosing Apply / GApply bindings stay visible while
+  /// per-worker bindings stay private.
   ExecContext ForkForWorker() const {
     ExecContext child;
     child.eval_ = eval_;
@@ -259,7 +263,6 @@ class ExecContext {
  private:
   EvalContext eval_;
   std::map<std::string, std::vector<GroupBinding>> groups_;
-  Counters counters_;
   size_t batch_size_ = RowBatch::kDefaultCapacity;
   ThreadPool* thread_pool_ = nullptr;
   MemoryTracker* memory_ = nullptr;

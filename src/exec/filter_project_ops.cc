@@ -37,7 +37,6 @@ Result<bool> FilterOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
       if (keep_[i]) out->Add(std::move(child_batch_[i]));
     }
   }
-  RecordBatch(ctx, out->size());
   return true;
 }
 
@@ -110,7 +109,6 @@ Result<bool> ProjectOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
     }
     out->Add(std::move(row));
   }
-  RecordBatch(ctx, out->size());
   return true;
 }
 
@@ -175,12 +173,8 @@ Status SortOp::SpillRun(ExecContext* ctx) {
   for (const Row& row : rows_) {
     RETURN_NOT_OK(writer->WriteRow(row));
   }
-  RETURN_NOT_OK(writer->Finish());
+  RETURN_NOT_OK(FinishSpillFile(writer.get()));
   run_files_.push_back(path);
-  ctx->counters().spill_bytes += writer->bytes_written();
-  ctx->counters().spill_partitions += 1;
-  profile_.spill_bytes += writer->bytes_written();
-  profile_.spill_partitions += 1;
   rows_.clear();
   mem_.ReleaseAll();
   return Status::OK();
@@ -217,7 +211,7 @@ Status SortOp::OpenImpl(ExecContext* ctx) {
     }
   }
   RETURN_NOT_OK(child_->Close(ctx));
-  ctx->counters().rows_sorted += total_rows;
+  profile_.work.rows_sorted += total_rows;
   profile_.peak_memory = std::max<uint64_t>(profile_.peak_memory, mem_.peak());
 
   // The final buffer stays in memory as the highest-indexed run.
@@ -264,7 +258,7 @@ Result<bool> SortOp::MergeNext(Row* out) {
   return true;
 }
 
-Result<bool> SortOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
+Result<bool> SortOp::NextBatchImpl(ExecContext*, RowBatch* out) {
   out->Clear();
   if (spilled_) {
     Row row;
@@ -273,9 +267,7 @@ Result<bool> SortOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
       if (!has) break;
       out->Add(std::move(row));
     }
-    if (out->empty()) return false;
-    RecordBatch(ctx, out->size());
-    return true;
+    return !out->empty();
   }
   if (pos_ >= rows_.size()) return false;
   const size_t n = std::min(out->capacity(), rows_.size() - pos_);
@@ -283,7 +275,6 @@ Result<bool> SortOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
     out->Add(std::move(rows_[pos_ + i]));
   }
   pos_ += n;
-  RecordBatch(ctx, n);
   return true;
 }
 

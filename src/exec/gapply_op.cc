@@ -107,7 +107,7 @@ Status GApplyOp::Partition(ExecContext* ctx) {
   // boundary is a row that differs from its predecessor on some grouping
   // column — compared on the raw row. A group's key is read off its first
   // row.
-  ctx->counters().rows_sorted += members_.size();
+  profile_.work.rows_sorted += members_.size();
   std::stable_sort(members_.begin(), members_.end(),
                    [this](const Row& a, const Row& b) {
                      for (int c : grouping_columns_) {
@@ -161,7 +161,7 @@ Status GApplyOp::PartitionByHash(ExecContext* ctx, RowBatch* batch) {
   while (true) {
     ASSIGN_OR_RETURN(bool has, outer_->NextBatch(ctx, batch));
     if (!has) break;
-    ctx->counters().rows_hash_partitioned += batch->size();
+    profile_.work.rows_hash_partitioned += batch->size();
     hashes.resize(batch->size());
     for (size_t i = 0; i < batch->size(); ++i) {
       hashes[i] = HashRowColumns((*batch)[i], grouping_columns_);
@@ -195,7 +195,7 @@ Status GApplyOp::PartitionByHash(ExecContext* ctx, RowBatch* batch) {
     }
   }
   if (spilled_) {
-    ASSIGN_OR_RETURN(spill_paths_, FinishSpillFiles(ctx, spill_writers_));
+    ASSIGN_OR_RETURN(spill_paths_, FinishSpillFiles(spill_writers_));
     spill_writers_.clear();
     return Status::OK();
   }
@@ -266,16 +266,14 @@ Status GApplyOp::OpenUnit(ExecContext* ctx) {
     return st;
   }
   unit_open_ = true;
-  unit_open_ns_ = NowNs();
+  if (ctx->profiling()) unit_open_ns_ = NowNs();
   pgq_rows_.Reset();
-  if (!run_lifted_) ctx->counters().pgq_executions++;
+  if (!run_lifted_) profile_.work.pgq_executions++;
   return Status::OK();
 }
 
 Status GApplyOp::CloseUnit(ExecContext* ctx) {
-  const uint64_t unit_ns = NowNs() - unit_open_ns_;
-  ctx->counters().gapply_pgq_ns += unit_ns;
-  if (ctx->profiling()) profile_.AddPhaseNs("per_group_query", unit_ns);
+  if (ctx->profiling()) profile_.work.gapply_pgq_ns += NowNs() - unit_open_ns_;
   RETURN_NOT_OK(active_pgq()->Close(ctx));
   RETURN_NOT_OK(ctx->UnbindGroup(var_name_));
   unit_open_ = false;
@@ -284,14 +282,15 @@ Status GApplyOp::CloseUnit(ExecContext* ctx) {
 
 Status GApplyOp::ExecuteBound(PhysOp* pgq, ExecContext* ctx,
                               const GroupBinding& binding, size_t unit,
-                              std::vector<Row>* out) {
+                              std::vector<Row>* out,
+                              uint64_t* pgq_executions) {
   ctx->BindGroup(var_name_, binding);
   Status st = pgq->Open(ctx);
   if (!st.ok()) {
     (void)ctx->UnbindGroup(var_name_);
     return st;
   }
-  if (!run_lifted_) ctx->counters().pgq_executions++;
+  if (!run_lifted_) ++*pgq_executions;
   RowBatch batch(ctx->batch_size());
   while (true) {
     auto next = pgq->NextBatch(ctx, &batch);
@@ -323,6 +322,8 @@ Status GApplyOp::ExecuteUnitsParallel(ExecContext* ctx) {
     size_t error_unit = 0;
     bool failed = false;
     size_t units_claimed = 0;
+    uint64_t pgq_executions = 0;
+    uint64_t busy_ns = 0;  // profiling only
   };
   std::vector<WorkerState> workers(dop);
   for (WorkerState& w : workers) {
@@ -344,13 +345,14 @@ Status GApplyOp::ExecuteUnitsParallel(ExecContext* ctx) {
   for (size_t w = 0; w < dop; ++w) {
     tasks.push_back([this, &workers, &next_unit, &abort, units, w] {
       WorkerState& ws = workers[w];
-      const uint64_t busy_start = NowNs();
+      const bool timed = ws.ctx.profiling();
+      const uint64_t busy_start = timed ? NowNs() : 0;
       while (!abort.load(std::memory_order_relaxed)) {
         const size_t u = next_unit.fetch_add(1, std::memory_order_relaxed);
         if (u >= units) break;
         ws.units_claimed++;
         Status st = ExecuteBound(ws.pgq.get(), &ws.ctx, UnitBinding(u), u,
-                                 &unit_outputs_[u]);
+                                 &unit_outputs_[u], &ws.pgq_executions);
         if (!st.ok()) {
           ws.error = std::move(st);
           ws.error_unit = u;
@@ -359,24 +361,15 @@ Status GApplyOp::ExecuteUnitsParallel(ExecContext* ctx) {
           break;
         }
       }
-      // Per-worker attribution: only a worker that actually claimed a
-      // unit reports itself. A worker that lost every race to the unit
-      // cursor must be skipped entirely — folding it in as a zero would
-      // collapse the min-busy attribution to 0 (see Counters::MergeFrom).
-      if (ws.units_claimed > 0) {
-        ExecContext::Counters busy;
-        busy.gapply_workers = 1;
-        busy.gapply_worker_busy_ns = NowNs() - busy_start;
-        busy.gapply_worker_busy_min_ns = busy.gapply_worker_busy_ns;
-        busy.gapply_worker_busy_max_ns = busy.gapply_worker_busy_ns;
-        ws.ctx.counters().MergeFrom(busy);
-      }
+      if (timed) ws.busy_ns = NowNs() - busy_start;
     });
   }
   RunTaskGroup(ctx->thread_pool(), std::move(tasks));
 
-  for (WorkerState& w : workers) {
-    ctx->counters().MergeFrom(w.ctx.counters());
+  // The clones' work reaches the tree through the template PGQ.
+  for (const WorkerState& w : workers) {
+    profile_.work.pgq_executions += w.pgq_executions;
+    if (w.units_claimed > 0) active_pgq()->MergeTreeProfileFrom(*w.pgq);
   }
   if (ctx->profiling()) {
     uint64_t pgq_rows = 0;
@@ -387,8 +380,17 @@ Status GApplyOp::ExecuteUnitsParallel(ExecContext* ctx) {
     // a bare context); credit it to this operator so rows_in stays equal to
     // the children's merged rows_out.
     profile_.rows_in += pgq_rows;
+    // Per-worker attribution: only a worker that actually claimed a unit
+    // reports itself. A worker that lost every race to the unit cursor
+    // must be skipped entirely — folding it in as a zero would collapse
+    // the min-busy attribution to 0 (see Counters::MergeFrom).
     for (const WorkerState& w : workers) {
-      if (w.units_claimed > 0) active_pgq()->MergeTreeProfileFrom(*w.pgq);
+      if (w.units_claimed == 0) continue;
+      ExecContext::Counters busy;
+      busy.gapply_workers = 1;
+      busy.gapply_worker_busy_ns = busy.gapply_worker_busy_min_ns =
+          busy.gapply_worker_busy_max_ns = w.busy_ns;
+      profile_.work.MergeFrom(busy);
     }
   }
 
@@ -473,7 +475,7 @@ Status GApplyOp::ExecuteSpilledPartition(ExecContext* ctx,
     reader.reset();
     RemoveSpillFile(path);
     ASSIGN_OR_RETURN(std::vector<std::string> sub_paths,
-                     FinishSpillFiles(ctx, writers));
+                     FinishSpillFiles(writers));
     writers.clear();
     for (size_t p = 0; p < kSpillFanout; ++p) {
       RETURN_NOT_OK(ExecuteSpilledPartition(ctx, sub_paths[p], level + 1));
@@ -503,8 +505,9 @@ Status GApplyOp::ExecuteSpilledPartition(ExecContext* ctx,
     binding.rows = group.data();
     binding.num_rows = group.size();
     const size_t gid = static_cast<size_t>(g);
-    RETURN_NOT_OK(
-        ExecuteBound(pgq_.get(), ctx, binding, gid, &unit_outputs_[gid]));
+    RETURN_NOT_OK(ExecuteBound(pgq_.get(), ctx, binding, gid,
+                               &unit_outputs_[gid],
+                               &profile_.work.pgq_executions));
   }
   RemoveSpillFile(path);
   return Status::OK();
@@ -518,11 +521,11 @@ Status GApplyOp::OpenImpl(ExecContext* ctx) {
   run_lifted_ = false;
   unit_outputs_.clear();
 
-  const uint64_t t0 = NowNs();
+  // Phase timers run only under profiling (DESIGN.md §12).
+  const bool timed = ctx->profiling();
+  const uint64_t t0 = timed ? NowNs() : 0;
   RETURN_NOT_OK(Partition(ctx));
-  const uint64_t partition_ns = NowNs() - t0;
-  ctx->counters().gapply_partition_ns += partition_ns;
-  if (ctx->profiling()) profile_.AddPhaseNs("partition", partition_ns);
+  if (timed) profile_.work.gapply_partition_ns += NowNs() - t0;
 
   if (spilled_) {
     // Spilled phase 2 runs per group, serially, one partition at a time,
@@ -530,7 +533,7 @@ Status GApplyOp::OpenImpl(ExecContext* ctx) {
     // gid order.
     buffered_exec_ = true;
     unit_outputs_.assign(num_groups(), {});
-    const uint64_t t1 = NowNs();
+    const uint64_t t1 = timed ? NowNs() : 0;
     Status st = Status::OK();
     for (const std::string& path : spill_paths_) {
       st = ExecuteSpilledPartition(ctx, path, 0);
@@ -540,9 +543,7 @@ Status GApplyOp::OpenImpl(ExecContext* ctx) {
     profile_.peak_memory =
         std::max<uint64_t>(profile_.peak_memory, mem_.peak());
     mem_.ReleaseAll();
-    const uint64_t pgq_ns = NowNs() - t1;
-    ctx->counters().gapply_pgq_ns += pgq_ns;
-    if (ctx->profiling()) profile_.AddPhaseNs("per_group_query", pgq_ns);
+    if (timed) profile_.work.gapply_pgq_ns += NowNs() - t1;
     return st;
   }
 
@@ -564,16 +565,14 @@ Status GApplyOp::OpenImpl(ExecContext* ctx) {
     }
     if (groups > 0) {
       unit_bounds_.push_back(groups);
-      ctx->counters().pgq_executions++;
+      profile_.work.pgq_executions++;
     }
   }
   if (parallelism_ > 1 && num_units() > 1) {
     buffered_exec_ = true;
-    const uint64_t t1 = NowNs();
+    const uint64_t t1 = timed ? NowNs() : 0;
     Status st = ExecuteUnitsParallel(ctx);
-    const uint64_t pgq_ns = NowNs() - t1;
-    ctx->counters().gapply_pgq_ns += pgq_ns;
-    if (ctx->profiling()) profile_.AddPhaseNs("per_group_query", pgq_ns);
+    if (timed) profile_.work.gapply_pgq_ns += NowNs() - t1;
     RETURN_NOT_OK(st);
   }
   return Status::OK();
@@ -600,9 +599,7 @@ Result<bool> GApplyOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
         output_pos_ = 0;
       }
     }
-    if (out->empty()) return false;
-    RecordBatch(ctx, out->size());
-    return true;
+    return !out->empty();
   }
 
   // Serial phase 2: pull the open unit's PGQ rows and emit them
@@ -623,9 +620,7 @@ Result<bool> GApplyOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
     out->Add(PrefixedRow(current_unit_, std::move(**next)));
     pgq_rows_.Advance();
   }
-  if (out->empty()) return false;
-  RecordBatch(ctx, out->size());
-  return true;
+  return !out->empty();
 }
 
 Status GApplyOp::CloseImpl(ExecContext* ctx) {

@@ -49,14 +49,16 @@ const char* PartitionModeName(PartitionMode mode);
 /// fans *units* — single groups, or contiguous gid ranges for a lifted PGQ
 /// — out over a worker pool. Each worker owns a deep Clone of the PGQ
 /// subplan and a private ExecContext forked from the caller's (so enclosing
-/// Apply/GApply bindings remain visible but its own bindings and counters
-/// stay private), and claims units through a shared atomic cursor.
+/// Apply/GApply bindings remain visible but its own bindings stay
+/// private), and claims units through a shared atomic cursor.
 /// Per-unit outputs are buffered per unit index and emitted in exactly the
 /// order the serial path would produce, so parallel output is bit-for-bit
-/// identical to serial output; worker counters are merged back into the
-/// caller's context, so global counters stay exact. If any unit fails, the
-/// error of the smallest failing unit is reported (again matching what
-/// serial execution would surface first).
+/// identical to serial output. After the join, each clone's runtime profile
+/// is folded into the template PGQ (MergeTreeProfileFrom) and the workers'
+/// per-group executions into this operator's, so every unit of work is
+/// counted exactly once in the plan tree. If any unit fails, the error of
+/// the smallest failing unit is reported (again matching what serial
+/// execution would surface first).
 ///
 /// Under a memory budget (DESIGN.md §16), hash-mode partitioning whose
 /// member rows exceed the query's MemoryTracker budget spills members to
@@ -111,14 +113,16 @@ class GApplyOp : public PhysOp {
   Status CloseUnit(ExecContext* ctx);
 
   /// Runs `pgq` to completion under `binding` for unit `unit`, appending
-  /// key-prefixed output rows to `*out`. Thread-safe w.r.t. other units:
-  /// reads only the partition buffer, mutates only `ctx` and `*out`.
+  /// key-prefixed output rows to `*out` and counting a per-group execution
+  /// in `*pgq_executions`. Thread-safe w.r.t. other units: reads only the
+  /// partition buffer, mutates only `ctx`, `*out` and `*pgq_executions`.
   Status ExecuteBound(PhysOp* pgq, ExecContext* ctx,
                       const GroupBinding& binding, size_t unit,
-                      std::vector<Row>* out);
+                      std::vector<Row>* out, uint64_t* pgq_executions);
 
   /// Phase-2 fan-out: executes every unit on a worker pool, filling
-  /// unit_outputs_, and merges worker counters into `ctx`.
+  /// unit_outputs_, and folds the worker clones' profiles into the
+  /// template PGQ.
   Status ExecuteUnitsParallel(ExecContext* ctx);
 
   /// Flips hash-mode partitioning to spill mode: extracts the group keys
@@ -157,7 +161,7 @@ class GApplyOp : public PhysOp {
   std::vector<size_t> unit_bounds_;
   size_t current_unit_ = 0;
   bool unit_open_ = false;
-  uint64_t unit_open_ns_ = 0;  // steady_clock stamp of the OpenUnit call
+  uint64_t unit_open_ns_ = 0;  // OpenUnit's clock stamp, profiling only
 
   // Buffered-output state (parallel and spilled phase 2): per-unit output
   // rows, streamed by NextBatch in unit order.

@@ -239,7 +239,7 @@ Status HashJoinOp::SpillBuildAndJoin(ExecContext* ctx, RowBatch* pending,
   }
   RETURN_NOT_OK(right_->Close(ctx));
   ASSIGN_OR_RETURN(std::vector<std::string> build_paths,
-                   FinishSpillFiles(ctx, writers));
+                   FinishSpillFiles(writers));
 
   // 2. Partition the probe side, each row tagged with its global probe
   // index so step 4 can merge the per-partition outputs back into the
@@ -258,7 +258,7 @@ Status HashJoinOp::SpillBuildAndJoin(ExecContext* ctx, RowBatch* pending,
     }
   }
   ASSIGN_OR_RETURN(std::vector<std::string> probe_paths,
-                   FinishSpillFiles(ctx, writers));
+                   FinishSpillFiles(writers));
   writers.clear();
 
   // 3. Join every partition pair into index-tagged output runs.
@@ -334,7 +334,7 @@ Status HashJoinOp::JoinPartition(ExecContext* ctx,
   }
   build_reader.reset();
   ASSIGN_OR_RETURN(std::vector<std::string> build_paths,
-                   FinishSpillFiles(ctx, writers));
+                   FinishSpillFiles(writers));
 
   // Repartition the probe side with the same salt.
   ASSIGN_OR_RETURN(writers, OpenSpillFanout(ctx->spill()));
@@ -350,7 +350,7 @@ Status HashJoinOp::JoinPartition(ExecContext* ctx,
   }
   probe_reader.reset();
   ASSIGN_OR_RETURN(std::vector<std::string> probe_paths,
-                   FinishSpillFiles(ctx, writers));
+                   FinishSpillFiles(writers));
   writers.clear();
   RemoveSpillFile(build_path);
   RemoveSpillFile(probe_path);
@@ -398,7 +398,7 @@ Status HashJoinOp::JoinLoadedPartition(ExecContext* ctx,
     }
   }
   const bool keep = out_writer->rows_written() > 0;
-  RETURN_NOT_OK(FinishSpillFile(ctx, out_writer.get()));
+  RETURN_NOT_OK(FinishSpillFile(out_writer.get()));
   if (keep) {
     output_runs_.push_back(out_path);
   } else {
@@ -434,9 +434,7 @@ Result<bool> HashJoinOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
       if (!has) break;
       out->Add(std::move(row));
     }
-    if (out->empty()) return false;
-    RecordBatch(ctx, out->size());
-    return true;
+    return !out->empty();
   }
   Row joined;
   while (!out->full()) {
@@ -467,9 +465,7 @@ Result<bool> HashJoinOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
     have_matches_ = false;
     probe_.Advance();
   }
-  if (out->empty()) return false;
-  RecordBatch(ctx, out->size());
-  return true;
+  return !out->empty();
 }
 
 Status HashJoinOp::CloseImpl(ExecContext* ctx) {
@@ -541,9 +537,7 @@ Result<bool> NestedLoopJoinOp::NextBatchImpl(ExecContext* ctx,
     left_rows_.Advance();
     right_pos_ = 0;
   }
-  if (out->empty()) return false;
-  RecordBatch(ctx, out->size());
-  return true;
+  return !out->empty();
 }
 
 Status NestedLoopJoinOp::CloseImpl(ExecContext* ctx) {

@@ -95,7 +95,7 @@ Status SegmentScanOp::OpenImpl(ExecContext* ctx) {
   return cursor_.Open(ctx, var_name_, group_arity_);
 }
 
-Result<bool> SegmentScanOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
+Result<bool> SegmentScanOp::NextBatchImpl(ExecContext*, RowBatch* out) {
   out->Clear();
   while (!out->full() && !cursor_.done()) {
     Row row = SegmentRow(cursor_.row(), columns_, columns_.size() + 1);
@@ -104,8 +104,7 @@ Result<bool> SegmentScanOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
     cursor_.Advance();
   }
   if (out->empty()) return false;
-  ctx->counters().group_rows_scanned += out->size();
-  RecordBatch(ctx, out->size());
+  profile_.work.group_rows_scanned += out->size();
   return true;
 }
 
@@ -170,7 +169,7 @@ Result<bool> SegmentAggOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
         RETURN_NOT_OK(
             AccumulateRow(aggs_, accs, binding_.rows[i], *ctx->eval()));
       }
-      ctx->counters().group_rows_scanned += end - binding_.offsets[next_gid_];
+      profile_.work.group_rows_scanned += end - binding_.offsets[next_gid_];
     } else {
       while (true) {
         ASSIGN_OR_RETURN(const Row* head,
@@ -186,9 +185,7 @@ Result<bool> SegmentAggOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
     row.push_back(Value::Int(static_cast<int64_t>(next_gid_++)));
     out->Add(std::move(row));
   }
-  if (out->empty()) return false;
-  RecordBatch(ctx, out->size());
-  return true;
+  return !out->empty();
 }
 
 Status SegmentAggOp::CloseImpl(ExecContext* ctx) {
@@ -247,9 +244,7 @@ Result<bool> SegmentExistsOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
     }
     ++next_gid_;
   }
-  if (out->empty()) return false;
-  RecordBatch(ctx, out->size());
-  return true;
+  return !out->empty();
 }
 
 Status SegmentExistsOp::CloseImpl(ExecContext* ctx) {
@@ -351,10 +346,8 @@ Result<bool> GidApplyOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
       outer_rows_.Advance();
     }
   }
-  ctx->counters().group_rows_scanned += outer_rows;
-  if (out->empty()) return false;
-  RecordBatch(ctx, out->size());
-  return true;
+  profile_.work.group_rows_scanned += outer_rows;
+  return !out->empty();
 }
 
 Status GidApplyOp::CloseImpl(ExecContext* ctx) {
@@ -448,9 +441,7 @@ Result<bool> GidUnionAllOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
       ++branch_;
     }
   }
-  if (out->empty()) return false;
-  RecordBatch(ctx, out->size());
-  return true;
+  return !out->empty();
 }
 
 Status GidUnionAllOp::CloseImpl(ExecContext* ctx) {

@@ -19,39 +19,33 @@ uint64_t ProfileNowNs() {
           .count());
 }
 
-}  // namespace
-
-void OpRuntimeProfile::AddPhaseNs(const std::string& name, uint64_t ns) {
-  for (auto& phase : phases) {
-    if (phase.first == name) {
-      phase.second += ns;
-      return;
-    }
-  }
-  phases.emplace_back(name, ns);
+/// Runs `impl`, the entry point of `op`, with `op` on top of the profiler
+/// consumer stack, adding its wall time to `*ns`.
+template <typename Impl>
+auto ProfiledCall(ExecContext* ctx, PhysOp* op, uint64_t* ns, Impl impl) {
+  ctx->profiler_consumers().push_back(op);
+  const uint64_t t0 = ProfileNowNs();
+  auto result = impl();
+  *ns += ProfileNowNs() - t0;
+  ctx->profiler_consumers().pop_back();
+  return result;
 }
 
+}  // namespace
+
 void OpRuntimeProfile::MergeFrom(const OpRuntimeProfile& other) {
+  work.MergeFrom(other.work);
   opens += other.opens;
   batch_calls += other.batch_calls;
-  rows_out += other.rows_out;
-  batches_out += other.batches_out;
   rows_in += other.rows_in;
   open_ns += other.open_ns;
   next_ns += other.next_ns;
   close_ns += other.close_ns;
-  morsels_pruned += other.morsels_pruned;
-  morsels_scanned += other.morsels_scanned;
-  spill_bytes += other.spill_bytes;
-  spill_partitions += other.spill_partitions;
   peak_memory = std::max(peak_memory, other.peak_memory);
   // Worker clones compile the same expressions: keep the per-clone
   // instruction count rather than summing it.
   expr_instructions = std::max(expr_instructions, other.expr_instructions);
   workers_merged += other.workers_merged == 0 ? 1 : other.workers_merged;
-  for (const auto& phase : other.phases) {
-    AddPhaseNs(phase.first, phase.second);
-  }
 }
 
 void PhysOp::MergeTreeProfileFrom(const PhysOp& other) {
@@ -67,59 +61,49 @@ void PhysOp::MergeTreeProfileFrom(const PhysOp& other) {
   }
 }
 
+ExecContext::Counters SumWorkCounters(const PhysOp& root) {
+  ExecContext::Counters total = root.runtime_profile().work;
+  for (const PhysOp* child : root.children()) {
+    total.MergeFrom(SumWorkCounters(*child));
+  }
+  return total;
+}
+
 Status PhysOp::ProfiledOpen(ExecContext* ctx) {
   profile_.opens++;
-  std::vector<PhysOp*>& consumers = ctx->profiler_consumers();
-  consumers.push_back(this);
-  const uint64_t t0 = ProfileNowNs();
-  Status st = OpenImpl(ctx);
-  profile_.open_ns += ProfileNowNs() - t0;
-  consumers.pop_back();
-  return st;
+  return ProfiledCall(ctx, this, &profile_.open_ns,
+                      [&] { return OpenImpl(ctx); });
 }
 
 Result<bool> PhysOp::ProfiledNextBatch(ExecContext* ctx, RowBatch* out) {
   profile_.batch_calls++;
-  std::vector<PhysOp*>& consumers = ctx->profiler_consumers();
+  const std::vector<PhysOp*>& consumers = ctx->profiler_consumers();
   PhysOp* consumer = consumers.empty() ? nullptr : consumers.back();
-  consumers.push_back(this);
-  const uint64_t t0 = ProfileNowNs();
-  Result<bool> produced = NextBatchImpl(ctx, out);
-  profile_.next_ns += ProfileNowNs() - t0;
-  ctx->profiler_consumers().pop_back();
-  if (produced.ok() && *produced) {
-    profile_.rows_out += out->size();
-    profile_.batches_out++;
-    if (consumer != nullptr) consumer->profile_.rows_in += out->size();
+  Result<bool> produced = ProfiledCall(
+      ctx, this, &profile_.next_ns, [&] { return NextBatchImpl(ctx, out); });
+  if (produced.ok() && *produced && consumer != nullptr) {
+    consumer->profile_.rows_in += out->size();
   }
   return produced;
 }
 
 Status PhysOp::ProfiledClose(ExecContext* ctx) {
-  std::vector<PhysOp*>& consumers = ctx->profiler_consumers();
-  consumers.push_back(this);
-  const uint64_t t0 = ProfileNowNs();
-  Status st = CloseImpl(ctx);
-  profile_.close_ns += ProfileNowNs() - t0;
-  consumers.pop_back();
-  return st;
+  return ProfiledCall(ctx, this, &profile_.close_ns,
+                      [&] { return CloseImpl(ctx); });
 }
 
-Status PhysOp::FinishSpillFile(ExecContext* ctx, SpillWriter* writer) {
+Status PhysOp::FinishSpillFile(SpillWriter* writer) {
   RETURN_NOT_OK(writer->Finish());
-  ctx->counters().spill_bytes += writer->bytes_written();
-  ctx->counters().spill_partitions += 1;
-  profile_.spill_bytes += writer->bytes_written();
-  profile_.spill_partitions += 1;
+  profile_.work.spill_bytes += writer->bytes_written();
+  profile_.work.spill_partitions += 1;
   return Status::OK();
 }
 
 Result<std::vector<std::string>> PhysOp::FinishSpillFiles(
-    ExecContext* ctx,
     const std::vector<std::unique_ptr<SpillWriter>>& writers) {
   std::vector<std::string> paths;
   for (const auto& w : writers) {
-    RETURN_NOT_OK(FinishSpillFile(ctx, w.get()));
+    RETURN_NOT_OK(FinishSpillFile(w.get()));
     paths.push_back(w->path());
   }
   return paths;

@@ -14,23 +14,33 @@ namespace gapply {
 
 class SpillWriter;
 
-/// Per-operator runtime profile, collected by the non-virtual PhysOp entry
-/// points while `ExecContext::profiling()` is on. All time fields are
-/// *cumulative* (inclusive of children): the scoped timer around OpenImpl /
+/// Per-operator runtime profile: the one place an operator's work is booked
+/// (DESIGN.md §12).
+///
+/// `work` holds the operator's own work counters. The operator that does
+/// the work books it there on every execution, profiled or not; the
+/// NextBatch wrapper books the rows and batches every operator produces.
+/// Only the timers in `work` (the `*_ns` and `gapply_worker*` fields) wait
+/// for `ExecContext::profiling()`. Query totals are the sum over the tree
+/// (SumWorkCounters).
+///
+/// The other fields are collected by the non-virtual PhysOp entry points
+/// only while profiling is on. Their time fields are *cumulative*
+/// (inclusive of children): the scoped timer around OpenImpl /
 /// NextBatchImpl / CloseImpl also covers the child pulls those
 /// implementations issue. Self time is derived at snapshot time
 /// (profile.h) as cumulative minus the children's cumulative.
 ///
-/// Parallel operators execute deep clones of a subtree on workers; their
-/// clones' profiles are folded back into the template subtree with
-/// PhysOp::MergeTreeProfileFrom, bumping workers_merged. A merged subtree's
-/// cumulative time is summed worker *busy* time and may legitimately exceed
-/// its parent's wall-clock time.
+/// Parallel operators execute deep clones of a subtree on workers; after
+/// every parallel execution the clones' profiles are folded back into the
+/// template subtree with PhysOp::MergeTreeProfileFrom, bumping
+/// workers_merged, so the template tree counts each clone's work exactly
+/// once. A merged subtree's cumulative time is summed worker *busy* time
+/// and may legitimately exceed its parent's wall-clock time.
 struct OpRuntimeProfile {
+  ExecContext::Counters work;
   uint64_t opens = 0;
   uint64_t batch_calls = 0;
-  uint64_t rows_out = 0;
-  uint64_t batches_out = 0;
   /// Rows this operator pulled from its children (credited by the child's
   /// entry point to the operator that called it, so it is measured
   /// independently of the children's rows_out).
@@ -41,28 +51,18 @@ struct OpRuntimeProfile {
   /// Number of worker-clone profiles folded into this node (0 = executed
   /// in place, serially).
   uint64_t workers_merged = 0;
-  /// Zone-map pruning (TableScan with pushed-down predicates only): morsels
-  /// skipped off their zone maps vs. morsels actually read.
-  uint64_t morsels_pruned = 0;
-  uint64_t morsels_scanned = 0;
   /// Total bytecode instructions across this operator's compiled
   /// expression programs (Filter / Project / predicate-bearing TableScan);
   /// zero for operators without one.
   uint64_t expr_instructions = 0;
-  /// Out-of-core execution (DESIGN.md §16): bytes this operator wrote to
-  /// spill files, spill partitions/runs it created, and the peak bytes it
-  /// had reserved from the query's MemoryTracker. Zero when the operator
-  /// stayed in memory.
-  uint64_t spill_bytes = 0;
-  uint64_t spill_partitions = 0;
+  /// Peak bytes this operator had reserved from the query's MemoryTracker
+  /// (DESIGN.md §16); zero when it stayed unbudgeted.
   uint64_t peak_memory = 0;
-  /// Named per-phase attribution (e.g. GApply "partition" /
-  /// "per_group_query", Exchange "partition" / "merge"), in nanoseconds.
-  std::vector<std::pair<std::string, uint64_t>> phases;
 
+  uint64_t rows_out() const { return work.batch_rows_produced; }
+  uint64_t batches_out() const { return work.batches_produced; }
   uint64_t cumulative_ns() const { return open_ns + next_ns + close_ns; }
 
-  void AddPhaseNs(const std::string& name, uint64_t ns);
   void MergeFrom(const OpRuntimeProfile& other);
 };
 
@@ -97,16 +97,22 @@ class PhysOp {
 
   /// The three execution entry points are non-virtual: they dispatch to the
   /// protected *Impl virtuals, and when `ctx->profiling()` is on they wrap
-  /// the call in a scoped timer plus row accounting (see OpRuntimeProfile).
-  /// With profiling off the wrapper is a single branch.
+  /// the call in a scoped timer plus rows_in accounting (see
+  /// OpRuntimeProfile). With profiling off the wrapper is a single branch,
+  /// plus NextBatch's booking of the batch it produced.
   Status Open(ExecContext* ctx) {
     if (!ctx->profiling()) return OpenImpl(ctx);
     return ProfiledOpen(ctx);
   }
   /// Fills `*out` with the next batch of rows; see the class contract.
   Result<bool> NextBatch(ExecContext* ctx, RowBatch* out) {
-    if (!ctx->profiling()) return NextBatchImpl(ctx, out);
-    return ProfiledNextBatch(ctx, out);
+    Result<bool> produced = ctx->profiling() ? ProfiledNextBatch(ctx, out)
+                                             : NextBatchImpl(ctx, out);
+    if (produced.ok() && *produced) {
+      profile_.work.batches_produced++;
+      profile_.work.batch_rows_produced += out->size();
+    }
+    return produced;
   }
   Status Close(ExecContext* ctx) {
     if (!ctx->profiling()) return CloseImpl(ctx);
@@ -118,8 +124,8 @@ class PhysOp {
 
   /// Folds the runtime profile of `other` — a structurally identical Clone
   /// of this operator tree that a parallel worker executed — into this
-  /// tree, node by node. Called after the workers have been joined, so no
-  /// synchronization is needed.
+  /// tree, node by node. Parallel operators call it for every worker clone
+  /// once the workers have been joined, so no synchronization is needed.
   void MergeTreeProfileFrom(const PhysOp& other);
 
   /// Optimizer cardinality estimate for this operator's output, stamped
@@ -156,19 +162,10 @@ class PhysOp {
   virtual Result<bool> NextBatchImpl(ExecContext* ctx, RowBatch* out) = 0;
   virtual Status CloseImpl(ExecContext* ctx) = 0;
 
-  /// Books a produced batch into the context counters. Every NextBatch
-  /// implementation calls it before returning true.
-  static void RecordBatch(ExecContext* ctx, size_t rows) {
-    ctx->counters().batches_produced++;
-    ctx->counters().batch_rows_produced += rows;
-  }
-
-  /// Finishes a spill file and books its bytes into the context counters
-  /// and this operator's profile.
-  Status FinishSpillFile(ExecContext* ctx, SpillWriter* writer);
+  /// Finishes a spill file and books its bytes into this operator's work.
+  Status FinishSpillFile(SpillWriter* writer);
   /// FinishSpillFile on every writer; returns their paths in order.
   Result<std::vector<std::string>> FinishSpillFiles(
-      ExecContext* ctx,
       const std::vector<std::unique_ptr<SpillWriter>>& writers);
 
   Schema schema_;
@@ -183,6 +180,11 @@ class PhysOp {
 };
 
 using PhysOpPtr = std::unique_ptr<PhysOp>;
+
+/// The query's work totals: every operator's `work` counters summed over
+/// the (already executed) tree. Worker clones are not in the tree; their
+/// work reached it through MergeTreeProfileFrom.
+ExecContext::Counters SumWorkCounters(const PhysOp& root);
 
 /// \brief Reads a child's output one row at a time, pulling it one batch at
 /// a time. The cursor buffers at most one child batch; rows the caller has

@@ -2,6 +2,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <utility>
 
 #include "src/common/string_util.h"
 
@@ -22,10 +23,27 @@ std::string FormatEstRows(double est) {
   return buf;
 }
 
+/// Phase attribution from the operator's phase timers, under the names
+/// EXPLAIN ANALYZE and the profile JSON have always used. Each node is one
+/// operator, so at most one operator's phase pair is nonzero.
+std::vector<std::pair<const char*, uint64_t>> Phases(
+    const ExecContext::Counters& work) {
+  std::vector<std::pair<const char*, uint64_t>> phases;
+  const auto add = [&](const char* name, uint64_t ns) {
+    if (ns > 0) phases.emplace_back(name, ns);
+  };
+  add("partition", work.gapply_partition_ns);
+  add("per_group_query", work.gapply_pgq_ns);
+  add("partition", work.exchange_partition_ns);
+  add("merge", work.exchange_merge_ns);
+  return phases;
+}
+
 void RenderTo(const ProfileNode& node, const ProfileRenderOptions& options,
               int indent, std::string* out) {
   *out += Repeat("  ", indent) + node.name;
-  *out += " rows=" + std::to_string(node.profile.rows_out);
+  const ExecContext::Counters& work = node.profile.work;
+  *out += " rows=" + std::to_string(node.profile.rows_out());
   if (node.estimated_rows >= 0) {
     *out += " est=" + FormatEstRows(node.estimated_rows);
   }
@@ -33,17 +51,16 @@ void RenderTo(const ProfileNode& node, const ProfileRenderOptions& options,
   // Deterministic (not timing-derived), so printed regardless of
   // show_timings; scans without pushed predicates keep both at zero and
   // print nothing.
-  if (node.profile.morsels_pruned > 0 || node.profile.morsels_scanned > 0) {
-    *out += " morsels_pruned=" + std::to_string(node.profile.morsels_pruned) +
-            " morsels_scanned=" + std::to_string(node.profile.morsels_scanned);
+  if (work.morsels_pruned > 0 || work.morsels_scanned > 0) {
+    *out += " morsels_pruned=" + std::to_string(work.morsels_pruned) +
+            " morsels_scanned=" + std::to_string(work.morsels_scanned);
   }
   // Spill volume is a deterministic function of (input, budget) for a
   // given plan, so it prints with the stable fields; zero (the unbudgeted
   // common case) prints nothing.
-  if (node.profile.spill_bytes > 0 || node.profile.spill_partitions > 0) {
-    *out += " spill_bytes=" + std::to_string(node.profile.spill_bytes) +
-            " spill_partitions=" +
-            std::to_string(node.profile.spill_partitions);
+  if (work.spill_bytes > 0 || work.spill_partitions > 0) {
+    *out += " spill_bytes=" + std::to_string(work.spill_bytes) +
+            " spill_partitions=" + std::to_string(work.spill_partitions);
   }
   // Compiled expression programs: the instruction count is deterministic,
   // so it is always printed.
@@ -58,8 +75,8 @@ void RenderTo(const ProfileNode& node, const ProfileRenderOptions& options,
             " next=" + FormatMs(node.profile.next_ns) +
             " close=" + FormatMs(node.profile.close_ns);
     *out += " rows_in=" + std::to_string(node.profile.rows_in);
-    if (node.profile.batches_out > 0) {
-      *out += " batches=" + std::to_string(node.profile.batches_out);
+    if (node.profile.batches_out() > 0) {
+      *out += " batches=" + std::to_string(node.profile.batches_out());
     }
     *out += " calls=" + std::to_string(node.profile.batch_calls);
     if (node.profile.workers_merged > 0) {
@@ -72,10 +89,11 @@ void RenderTo(const ProfileNode& node, const ProfileRenderOptions& options,
       *out += " peak_memory=" + std::to_string(node.profile.peak_memory);
     }
     *out += "]";
-    if (!node.profile.phases.empty()) {
+    const auto phases = Phases(work);
+    if (!phases.empty()) {
       *out += "\n" + Repeat("  ", indent) + "  phases:";
-      for (const auto& phase : node.profile.phases) {
-        *out += " " + phase.first + "=" + FormatMs(phase.second);
+      for (const auto& [name, ns] : phases) {
+        *out += std::string(" ") + name + "=" + FormatMs(ns);
       }
     }
   }
@@ -113,44 +131,35 @@ std::string RenderProfileText(const ProfileNode& node,
 
 JsonValue ProfileToJson(const ProfileNode& node) {
   JsonValue obj = JsonValue::Object();
+  const auto count = [&](const char* key, uint64_t value) {
+    obj.Set(key, JsonValue::Int(static_cast<int64_t>(value)));
+  };
+  const OpRuntimeProfile& p = node.profile;
   obj.Set("op", JsonValue::Str(node.name));
-  obj.Set("dop", JsonValue::Int(static_cast<int64_t>(node.dop)));
+  count("dop", node.dop);
   if (node.estimated_rows >= 0) {
     obj.Set("estimated_rows", JsonValue::Double(node.estimated_rows));
   }
-  obj.Set("rows_out", JsonValue::Int(static_cast<int64_t>(node.profile.rows_out)));
-  obj.Set("rows_in", JsonValue::Int(static_cast<int64_t>(node.profile.rows_in)));
-  obj.Set("batches_out",
-          JsonValue::Int(static_cast<int64_t>(node.profile.batches_out)));
-  obj.Set("opens", JsonValue::Int(static_cast<int64_t>(node.profile.opens)));
-  obj.Set("batch_calls",
-          JsonValue::Int(static_cast<int64_t>(node.profile.batch_calls)));
-  obj.Set("workers_merged",
-          JsonValue::Int(static_cast<int64_t>(node.profile.workers_merged)));
-  obj.Set("morsels_pruned",
-          JsonValue::Int(static_cast<int64_t>(node.profile.morsels_pruned)));
-  obj.Set("morsels_scanned",
-          JsonValue::Int(static_cast<int64_t>(node.profile.morsels_scanned)));
-  obj.Set("spill_bytes",
-          JsonValue::Int(static_cast<int64_t>(node.profile.spill_bytes)));
-  obj.Set("spill_partitions",
-          JsonValue::Int(static_cast<int64_t>(node.profile.spill_partitions)));
-  obj.Set("peak_memory",
-          JsonValue::Int(static_cast<int64_t>(node.profile.peak_memory)));
-  if (node.profile.expr_instructions > 0) {
-    obj.Set("expr_instructions",
-            JsonValue::Int(static_cast<int64_t>(node.profile.expr_instructions)));
-  }
-  obj.Set("total_ns",
-          JsonValue::Int(static_cast<int64_t>(node.profile.cumulative_ns())));
-  obj.Set("self_ns", JsonValue::Int(static_cast<int64_t>(node.self_ns)));
-  obj.Set("open_ns", JsonValue::Int(static_cast<int64_t>(node.profile.open_ns)));
-  obj.Set("next_ns", JsonValue::Int(static_cast<int64_t>(node.profile.next_ns)));
-  obj.Set("close_ns",
-          JsonValue::Int(static_cast<int64_t>(node.profile.close_ns)));
+  count("rows_out", p.rows_out());
+  count("rows_in", p.rows_in);
+  count("batches_out", p.batches_out());
+  count("opens", p.opens);
+  count("batch_calls", p.batch_calls);
+  count("workers_merged", p.workers_merged);
+  count("morsels_pruned", p.work.morsels_pruned);
+  count("morsels_scanned", p.work.morsels_scanned);
+  count("spill_bytes", p.work.spill_bytes);
+  count("spill_partitions", p.work.spill_partitions);
+  count("peak_memory", p.peak_memory);
+  if (p.expr_instructions > 0) count("expr_instructions", p.expr_instructions);
+  count("total_ns", p.cumulative_ns());
+  count("self_ns", node.self_ns);
+  count("open_ns", p.open_ns);
+  count("next_ns", p.next_ns);
+  count("close_ns", p.close_ns);
   JsonValue phases = JsonValue::Object();
-  for (const auto& phase : node.profile.phases) {
-    phases.Set(phase.first, JsonValue::Int(static_cast<int64_t>(phase.second)));
+  for (const auto& [name, ns] : Phases(p.work)) {
+    phases.Set(name, JsonValue::Int(static_cast<int64_t>(ns)));
   }
   obj.Set("phases", std::move(phases));
   JsonValue children = JsonValue::Array();
@@ -180,7 +189,7 @@ Status ValidateNode(const ProfileNode& node) {
   uint64_t children_cumulative = 0;
   bool children_merged = node.profile.workers_merged > 0;
   for (const ProfileNode& child : node.children) {
-    children_rows_out += child.profile.rows_out;
+    children_rows_out += child.profile.rows_out();
     children_cumulative += child.profile.cumulative_ns();
     if (SubtreeMergedWorkers(child)) children_merged = true;
   }

@@ -54,7 +54,7 @@ Status TableScanOp::SetMorsel(size_t begin, size_t end) {
   return Status::OK();
 }
 
-void TableScanOp::SkipPrunedChunks(ExecContext* ctx, size_t end) {
+void TableScanOp::SkipPrunedChunks(size_t end) {
   const ColumnarTable& ct = table_->columnar();
   while (pos_ < end) {
     if (pos_ < chunk_end_) return;  // already inside a checked chunk
@@ -62,18 +62,16 @@ void TableScanOp::SkipPrunedChunks(ExecContext* ctx, size_t end) {
     chunk_end_ = std::min(end, (m + 1) * ColumnarTable::kMorselRows);
     if (preds_.empty()) return;  // nothing to prune on
     if (ct.CanPruneMorsel(m, preds_)) {
-      ctx->counters().morsels_pruned++;
-      if (ctx->profiling()) profile_.morsels_pruned++;
+      profile_.work.morsels_pruned++;
       pos_ = chunk_end_;
       continue;
     }
-    ctx->counters().morsels_scanned++;
-    if (ctx->profiling()) profile_.morsels_scanned++;
+    profile_.work.morsels_scanned++;
     return;
   }
 }
 
-Result<bool> TableScanOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
+Result<bool> TableScanOp::NextBatchImpl(ExecContext*, RowBatch* out) {
   // No pushed predicates: the dense arrays buy nothing over the row store
   // (the streams are bit-for-bit identical), so both storage modes take the
   // row-store copy and never force the columnar mirror to materialize.
@@ -82,15 +80,14 @@ Result<bool> TableScanOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
     if (!ScanIntoBatch(rows.data(), rows.size(), &pos_, end_, out)) {
       return false;
     }
-    ctx->counters().rows_scanned += out->size();
-    RecordBatch(ctx, out->size());
+    profile_.work.rows_scanned += out->size();
     return true;
   }
   out->Clear();
   const ColumnarTable& ct = table_->columnar();
   const size_t end = std::min(end_, ct.num_rows());
   while (out->size() < out->capacity() && pos_ < end) {
-    SkipPrunedChunks(ctx, end);
+    SkipPrunedChunks(end);
     if (pos_ >= end) break;
     // Scan at most the remaining capacity's worth of input per round so
     // unselective predicates still produce ~full, never overshooting
@@ -107,8 +104,7 @@ Result<bool> TableScanOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
     pos_ = stop;
   }
   if (out->empty()) return false;
-  ctx->counters().rows_scanned += out->size();
-  RecordBatch(ctx, out->size());
+  profile_.work.rows_scanned += out->size();
   return true;
 }
 
@@ -153,11 +149,10 @@ Status GroupScanOp::OpenImpl(ExecContext* ctx) {
   return Status::OK();
 }
 
-Result<bool> GroupScanOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
+Result<bool> GroupScanOp::NextBatchImpl(ExecContext*, RowBatch* out) {
   if (!open_) return Status::Internal("GroupScan not opened");
   if (!ScanIntoBatch(rows_, end_, &pos_, end_, out)) return false;
-  ctx->counters().group_rows_scanned += out->size();
-  RecordBatch(ctx, out->size());
+  profile_.work.group_rows_scanned += out->size();
   return true;
 }
 
@@ -183,11 +178,10 @@ Status ValuesOp::OpenImpl(ExecContext*) {
   return Status::OK();
 }
 
-Result<bool> ValuesOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
+Result<bool> ValuesOp::NextBatchImpl(ExecContext*, RowBatch* out) {
   if (!ScanIntoBatch(rows_.data(), rows_.size(), &pos_, rows_.size(), out)) {
     return false;
   }
-  RecordBatch(ctx, out->size());
   return true;
 }
 

@@ -81,7 +81,7 @@ class TableScanOp : public PhysOp {
   /// establishes `chunk_end_` for the chunk `pos_` lands in, booking the
   /// pruned/scanned counters once per chunk visit. On return either
   /// `pos_ >= end` or `pos_` sits inside a checked, scannable chunk.
-  void SkipPrunedChunks(ExecContext* ctx, size_t end);
+  void SkipPrunedChunks(size_t end);
 
   const Table* table_;
   std::string alias_;

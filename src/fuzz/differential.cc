@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <string_view>
 #include <utility>
 
 #include "src/common/memory_tracker.h"
@@ -36,6 +37,22 @@ std::string DescribeDivergence(std::vector<Row> a, std::vector<Row> b,
            (have_a ? RowToString(a[i]) : "<missing>") + " candidate=" +
            (have_b ? RowToString(b[i]) : "<missing>");
     ++shown;
+  }
+  return out;
+}
+
+/// Lists the work counters (the Counters fields but the timers) on which
+/// `a` and `b` differ ("" = none).
+std::string DescribeWorkDivergence(const ExecContext::Counters& a,
+                                   const ExecContext::Counters& b) {
+  std::string out;
+  for (const auto& [name, field] : ExecContext::Counters::kSummed) {
+    if (std::string_view(name).ends_with("_ns") || a.*field == b.*field) {
+      continue;
+    }
+    out += std::string(out.empty() ? "work counters differ: " : ", ") +
+           name + " " + std::to_string(a.*field) + " vs " +
+           std::to_string(b.*field);
   }
   return out;
 }
@@ -189,22 +206,25 @@ std::vector<OraclePair> BuildOracleMatrix(const OracleMatrixOptions& options) {
                      CompareMode::kSequence});
 
   // Profiler oracle: profiling must be invisible to results (sequence
-  // compare against the identical unprofiled spec) and the profile itself
-  // must satisfy the counter invariants — RunSpec validates it and turns a
-  // violation into an execution error. Run serial and parallel (the merged
-  // worker-clone path has its own invariant rules).
+  // compare against the identical unprofiled spec) and to the work the
+  // query books (the ledger is always on; only timers wait for profiling),
+  // and the profile itself must satisfy the counter invariants — RunSpec
+  // validates it and turns a violation into an execution error. Run serial
+  // and parallel (the merged worker-clone path has its own invariant
+  // rules).
   ExecSpec profiled = base;
   profiled.name = "exec:profile=on";
   profiled.profile = true;
-  oracles.push_back(
-      {"exec:profile-differential", base, profiled, CompareMode::kSequence});
+  oracles.push_back({"exec:profile-differential", base, profiled,
+                     CompareMode::kSequence, /*compare_work=*/true});
 
   ExecSpec par_plain = parallel_spec(4, 1024);
   ExecSpec par_profiled = par_plain;
   par_profiled.name += ",profile=on";
   par_profiled.profile = true;
   oracles.push_back({"exec:profile-differential-parallel", par_plain,
-                     par_profiled, CompareMode::kSequence});
+                     par_profiled, CompareMode::kSequence,
+                     /*compare_work=*/true});
 
   // Memory-budget oracle (DESIGN.md §16): a budget tiny enough that every
   // blocking operator spills must still reproduce the unlimited run bit
@@ -238,7 +258,8 @@ std::vector<OraclePair> BuildOracleMatrix(const OracleMatrixOptions& options) {
 }
 
 Result<QueryResult> RunSpec(const LogicalOp& plan, const Catalog& catalog,
-                            const StatsManager& stats, const ExecSpec& spec) {
+                            const StatsManager& stats, const ExecSpec& spec,
+                            ExecContext::Counters* work) {
   LogicalOpPtr working = plan.Clone();
   if (spec.optimize) {
     Optimizer optimizer(&catalog, &stats, spec.opt);
@@ -263,6 +284,7 @@ Result<QueryResult> RunSpec(const LogicalOp& plan, const Catalog& catalog,
   if (result.ok() && spec.profile) {
     RETURN_NOT_OK(ValidateProfile(CollectProfile(*phys)));
   }
+  if (work != nullptr) *work = SumWorkCounters(*phys);
   return result;
 }
 
@@ -271,20 +293,29 @@ Result<std::vector<Mismatch>> RunOracles(
     const std::vector<OraclePair>& oracles) {
   // Dedup cache: specs with the same key execute once. A node-based map,
   // NOT a vector — callers hold references across later insertions.
-  std::map<std::string, Result<QueryResult>> cache;
-  auto run = [&](const ExecSpec& spec) -> const Result<QueryResult>& {
+  struct SpecRun {
+    Result<QueryResult> result;
+    ExecContext::Counters work;
+  };
+  std::map<std::string, SpecRun> cache;
+  auto run = [&](const ExecSpec& spec) -> const SpecRun& {
     const std::string key = spec.Key();
     auto it = cache.find(key);
     if (it == cache.end()) {
-      it = cache.emplace(key, RunSpec(plan, catalog, stats, spec)).first;
+      ExecContext::Counters work;
+      Result<QueryResult> result =
+          RunSpec(plan, catalog, stats, spec, &work);
+      it = cache.emplace(key, SpecRun{std::move(result), work}).first;
     }
     return it->second;
   };
 
   std::vector<Mismatch> mismatches;
   for (const OraclePair& oracle : oracles) {
-    const Result<QueryResult>& base = run(oracle.baseline);
-    const Result<QueryResult>& cand = run(oracle.candidate);
+    const SpecRun& base_run = run(oracle.baseline);
+    const SpecRun& cand_run = run(oracle.candidate);
+    const Result<QueryResult>& base = base_run.result;
+    const Result<QueryResult>& cand = cand_run.result;
     if (!base.ok() || !cand.ok()) {
       if (!base.ok() && !cand.ok() &&
           base.status().ToString() == cand.status().ToString()) {
@@ -303,13 +334,20 @@ Result<std::vector<Mismatch>> RunOracles(
     const bool same = oracle.mode == CompareMode::kSequence
                           ? SameRowSequence(base->rows, cand->rows)
                           : SameRowMultiset(base->rows, cand->rows);
+    const std::string sides = "baseline(" + oracle.baseline.name +
+                              ") vs candidate(" + oracle.candidate.name +
+                              "): ";
     if (!same) {
       mismatches.push_back(
-          {oracle.name, "baseline(" + oracle.baseline.name + ") vs candidate(" +
-                            oracle.candidate.name + "): " +
-                            DescribeDivergence(base->rows, cand->rows,
-                                               oracle.mode)});
+          {oracle.name,
+           sides + DescribeDivergence(base->rows, cand->rows, oracle.mode)});
+      continue;
     }
+    const std::string work =
+        oracle.compare_work
+            ? DescribeWorkDivergence(base_run.work, cand_run.work)
+            : "";
+    if (!work.empty()) mismatches.push_back({oracle.name, sides + work});
   }
   return mismatches;
 }

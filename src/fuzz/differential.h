@@ -55,6 +55,9 @@ struct OraclePair {
   ExecSpec baseline;
   ExecSpec candidate;
   CompareMode mode = CompareMode::kMultiset;
+  /// Also require equal work counters (every ExecContext::Counters field
+  /// except the timers), for pairs that must do the same work.
+  bool compare_work = false;
 };
 
 struct OracleMatrixOptions {
@@ -83,9 +86,10 @@ struct Mismatch {
 };
 
 /// Lowers + executes `plan` under `spec` (cloning first; `plan` is not
-/// consumed).
+/// consumed). `work` (optional) receives the plan tree's work totals.
 Result<QueryResult> RunSpec(const LogicalOp& plan, const Catalog& catalog,
-                            const StatsManager& stats, const ExecSpec& spec);
+                            const StatsManager& stats, const ExecSpec& spec,
+                            ExecContext::Counters* work = nullptr);
 
 /// Runs every oracle over `plan`, deduplicating identical specs, and
 /// returns all disagreements (empty = every oracle passed). An execution

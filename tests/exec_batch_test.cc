@@ -61,7 +61,7 @@ std::vector<Row> RunBatchPath(PhysOp* root, size_t batch_size,
   }
   Status close = root->Close(&ctx);
   EXPECT_TRUE(close.ok()) << close.ToString();
-  if (counters != nullptr) *counters = ctx.counters();
+  if (counters != nullptr) *counters = SumWorkCounters(*root);
   return rows;
 }
 
@@ -889,7 +889,7 @@ TEST(ColumnarStorageEdgeTest, PruningInsideExchangeMorselDriver) {
   Result<QueryResult> r = ExecuteToVector(&ex, &ctx);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   tutil::ExpectSameSequence(r->rows, expected, "exchange-pruning");
-  EXPECT_GT(ctx.counters().morsels_pruned, 0u);
+  EXPECT_GT(SumWorkCounters(ex).morsels_pruned, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -140,12 +140,14 @@ TEST(ExecEdgeCases, CachedApplyRecomputesPerOpen) {
   ExecContext ctx;
   auto r1 = ExecuteToVector(&apply, &ctx);
   ASSERT_TRUE(r1.ok());
-  const uint64_t invocations_after_first = ctx.counters().apply_invocations;
+  const uint64_t invocations_after_first =
+      SumWorkCounters(apply).apply_invocations;
   EXPECT_EQ(invocations_after_first, 1u);  // inner ran once, not per row
   auto r2 = ExecuteToVector(&apply, &ctx);
   ASSERT_TRUE(r2.ok());
   EXPECT_TRUE(SameRowMultiset(r1->rows, r2->rows));
-  EXPECT_EQ(ctx.counters().apply_invocations, 2u);  // once more per Open
+  EXPECT_EQ(SumWorkCounters(apply).apply_invocations,
+            2u);  // once more per Open
 }
 
 TEST(ExecEdgeCases, DistinctOnZeroColumnRows) {

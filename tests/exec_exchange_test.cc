@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -123,13 +124,14 @@ TEST_F(ExchangeDeterminismTest, WorkerRowsAccountForEveryRow) {
   ExchangeOp ex(ScanSpine(big_.get(), dim_.get()), /*parallelism=*/4,
                 /*morsel_rows=*/64);
   ExecContext ctx;
+  ctx.set_profiling(true);  // the phase timers run only under profiling
   ASSIGN_OR_FAIL(QueryResult got, ExecuteToVector(&ex, &ctx));
   EXPECT_EQ(got.rows.size(), big_->num_rows());
   uint64_t attributed = 0;
   for (uint64_t r : ex.worker_rows()) attributed += r;
   EXPECT_EQ(attributed, big_->num_rows());
-  EXPECT_EQ(ctx.counters().exchange_rows, big_->num_rows());
-  EXPECT_GT(ctx.counters().exchange_partition_ns, 0u);
+  EXPECT_EQ(ex.runtime_profile().rows_out(), big_->num_rows());
+  EXPECT_GT(ex.runtime_profile().work.exchange_partition_ns, 0u);
 }
 
 TEST_F(ExchangeDeterminismTest, RejectsBlockingSegment) {
@@ -436,14 +438,27 @@ TEST_F(ExchangeEngineTest, SetParallelismKeepsResultsBitForBit) {
 
 TEST_F(ExchangeEngineTest, ParallelPlanCountsExchangeRows) {
   ASSERT_TRUE(db_.Query("set parallelism = 4").ok());
+  QueryOptions options = ExchangeFriendly();
+  options.profile = true;  // the phase timers run only under profiling
   QueryStats stats;
   ASSIGN_OR_FAIL(
       QueryResult r,
       db_.Query("select ps_suppkey, sum(ps_availqty) from partsupp "
                 "group by ps_suppkey",
-                ExchangeFriendly(), &stats));
+                options, &stats));
   ASSERT_FALSE(r.rows.empty());
-  EXPECT_GT(stats.counters.exchange_rows, 0u);
+  // The rows the Exchange produced are its profile's rows_out.
+  const std::function<uint64_t(const ProfileNode&)> exchange_rows =
+      [&](const ProfileNode& node) {
+        uint64_t rows = node.name.rfind("Exchange", 0) == 0
+                            ? node.profile.rows_out()
+                            : 0;
+        for (const ProfileNode& child : node.children) {
+          rows += exchange_rows(child);
+        }
+        return rows;
+      };
+  EXPECT_GT(exchange_rows(stats.profile), 0u);
   EXPECT_GT(stats.counters.exchange_partition_ns, 0u);
 }
 

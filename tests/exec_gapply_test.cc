@@ -196,8 +196,9 @@ TEST(GApplyTest, PgqCountersTrackExecutions) {
   GApplyOp op(std::move(outer), {0}, "g", AggPgq(group_schema, "g"));
   ExecContext ctx;
   ASSERT_TRUE(ExecuteToVector(&op, &ctx).ok());
-  EXPECT_EQ(ctx.counters().pgq_executions, 9u);
-  EXPECT_EQ(ctx.counters().group_rows_scanned, 50u);
+  const ExecContext::Counters work = SumWorkCounters(op);
+  EXPECT_EQ(work.pgq_executions, 9u);
+  EXPECT_EQ(work.group_rows_scanned, 50u);
 }
 
 // Nested GApply: outer groups by a, inner GApply (inside the PGQ) groups the
@@ -435,7 +436,7 @@ class LiftedGApplyTest : public ::testing::Test {
     }
     Result<QueryResult> r = ExecuteToVector(plan, &ctx);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
-    return {r.ok() ? std::move(*r) : QueryResult{}, ctx.counters()};
+    return {r.ok() ? std::move(*r) : QueryResult{}, SumWorkCounters(*plan)};
   }
 
   /// Runs `sql` per group (lifting removed) and lifted at DOP {1, 4},

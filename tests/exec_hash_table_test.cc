@@ -224,7 +224,7 @@ std::vector<Row> Execute(PhysOp* plan, const Config& config,
   }
   Result<QueryResult> r = ExecuteToVector(plan, &ctx);
   EXPECT_TRUE(r.ok()) << config.Label() << ": " << r.status().ToString();
-  if (counters != nullptr) *counters = ctx.counters();
+  if (counters != nullptr) *counters = SumWorkCounters(*plan);
   return r.ok() ? std::move(r->rows) : std::vector<Row>{};
 }
 

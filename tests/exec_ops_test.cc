@@ -36,7 +36,7 @@ TEST(TableScanTest, ScansAllRowsAndCounts) {
   auto result = ExecuteToVector(&scan, &ctx);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->rows.size(), 5u);
-  EXPECT_EQ(ctx.counters().rows_scanned, 5u);
+  EXPECT_EQ(SumWorkCounters(scan).rows_scanned, 5u);
   EXPECT_EQ(result->schema.column(0).FullName(), "t.k");
 }
 

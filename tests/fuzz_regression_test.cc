@@ -193,7 +193,7 @@ TEST(FuzzRegressionTest, TinyBudgetPinnedSeedsSpillAndMatchUnlimited) {
     ctx.set_memory(&memory);
     ctx.set_spill(&spill);
     ASSIGN_OR_FAIL(QueryResult budgeted, ExecuteToVector(phys.get(), &ctx));
-    total_spill_bytes += ctx.counters().spill_bytes;
+    total_spill_bytes += SumWorkCounters(*phys).spill_bytes;
 
     EXPECT_TRUE(SameRowSequence(base.rows, budgeted.rows))
         << "seed " << seed << ": budgeted run diverged from unlimited\nsql: "

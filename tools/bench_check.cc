@@ -15,7 +15,13 @@
 // and are skipped, as are per-operator profile times in ns (too noisy to
 // gate on; they are carried for inspection, not for gating).
 //
-// The gate is hardware-aware: when the two files disagree on
+// Work-counter leaves (a key named "pgq_executions") are gated exactly:
+// the count of per-group query executions is a deterministic function of
+// the plan and the data, so any difference fails, on any hardware. A
+// change that silently stopped loop-lifting a PGQ shows up here even when
+// its timings sit under the noise floor.
+//
+// The timing gate is hardware-aware: when the two files disagree on
 // "hardware_concurrency" the run is on different iron than the baseline,
 // so the ratio threshold is doubled and the mismatch reported.
 //
@@ -54,6 +60,7 @@ struct CheckState {
   const Options* opts = nullptr;
   double threshold = 1.25;  // after any hardware-mismatch relaxation
   int compared = 0;
+  int counters = 0;
   int regressions = 0;
   std::vector<std::string> messages;
 };
@@ -63,6 +70,10 @@ bool IsTimingKey(const std::string& key) {
   if (key.find("ratio") != std::string::npos) return false;
   return key == "ms" || (key.size() > 3 &&
                          key.compare(key.size() - 3, 3, "_ms") == 0);
+}
+
+bool IsExactCounterKey(const std::string& key) {
+  return key == "pgq_executions";
 }
 
 bool IsThroughputKey(const std::string& key) {
@@ -111,6 +122,18 @@ void Walk(const JsonValue& base, const JsonValue& cur, const std::string& path,
   std::string key = path.substr(dot + 1);
   const size_t bracket = key.find('[');
   if (bracket != std::string::npos) key.resize(bracket);
+  if (IsExactCounterKey(key)) {
+    state->counters++;
+    if (base.number_value() != cur.number_value()) {
+      state->regressions++;
+      char buf[512];
+      std::snprintf(buf, sizeof(buf),
+                    "  COUNTER CHANGED %s: %.0f -> %.0f (gated exactly)",
+                    path.c_str(), base.number_value(), cur.number_value());
+      state->messages.push_back(buf);
+    }
+    return;
+  }
   if (IsThroughputKey(key)) {
     // Higher is better: an injected slowdown divides throughput.
     const double base_qps = base.number_value();
@@ -194,9 +217,9 @@ int CheckFile(const Options& opts, const std::string& name) {
   }
   Walk(*base, *cur, name, &state);
 
-  std::printf("%-32s %3d timings, threshold %.2fx%s: %s\n", name.c_str(),
-              state.compared, state.threshold,
-              relaxed ? " (hw mismatch, relaxed)" : "",
+  std::printf("%-32s %3d timings, threshold %.2fx%s, %d exact counters: %s\n",
+              name.c_str(), state.compared, state.threshold,
+              relaxed ? " (hw mismatch, relaxed)" : "", state.counters,
               state.regressions == 0 ? "OK" : "REGRESSED");
   for (const std::string& msg : state.messages) {
     std::printf("%s\n", msg.c_str());
