@@ -80,17 +80,6 @@ void BM_HashGroupBy(benchmark::State& state) {
 }
 BENCHMARK(BM_HashGroupBy);
 
-void BM_SortedGroupBy(benchmark::State& state) {
-  auto plan = MustBuild(
-      PlanBuilder::Scan(*SharedDb()->catalog(), "partsupp")
-          .GroupBy({"ps_suppkey"},
-                   {{AggKind::kAvg, "ps_supplycost", "a", false}}));
-  QueryOptions options;
-  options.lowering.stream_group_by = true;
-  RunPlan(state, *plan, options);
-}
-BENCHMARK(BM_SortedGroupBy);
-
 // GApply with an aggregate-only PGQ, optimizer off: what GApplyToGroupBy
 // saves (compare with BM_HashGroupBy).
 void BM_GApplyAggregatePgq(benchmark::State& state) {

@@ -167,12 +167,11 @@ PhysOpPtr MakeScanFilterProject(const Table* table) {
 }
 
 // Same scan → filter → project pipeline at 50% selectivity (v > 500), but
-// the scan reads the row store (columnar path off) and the filter stays an
+// the scan reads the row store (no pushed predicates) and the filter stays an
 // explicit FilterOp — the pre-columnar engine shape, for the storage-layer
 // comparison below.
 PhysOpPtr MakeRowStoreScanFilterProject(const Table* table) {
   auto scan = std::make_unique<TableScanOp>(table);
-  scan->set_use_columnar(false);
   const Schema s = scan->output_schema();
   auto filter = std::make_unique<FilterOp>(
       std::move(scan), Gt(Col(s, "v"), Lit(int64_t{500})));

@@ -62,7 +62,6 @@ PhysOpPtr MakeColumnarPlan(const Table* table, int64_t cutoff) {
 
 PhysOpPtr MakeRowStorePlan(const Table* table, int64_t cutoff) {
   auto scan = std::make_unique<TableScanOp>(table);
-  scan->set_use_columnar(false);
   const Schema s = scan->output_schema();
   return std::make_unique<FilterOp>(std::move(scan),
                                     Lt(Col(s, "k"), Lit(cutoff)));

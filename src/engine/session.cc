@@ -277,8 +277,6 @@ std::string Session::CacheFingerprint(const QueryOptions& options) const {
   fp += lowering.force_partition_mode.has_value()
             ? std::to_string(static_cast<int>(*lowering.force_partition_mode))
             : "-";
-  fp += ";sg";
-  fp += lowering.stream_group_by ? '1' : '0';
   fp += ";mb" + std::to_string(ResolveMemoryBudget(options));
   fp += ";r";
   const Optimizer::Options& opt = options.optimizer;

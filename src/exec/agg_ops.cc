@@ -455,86 +455,9 @@ std::string HashGroupByOp::DebugName() const {
   return out + ")";
 }
 
-StreamGroupByOp::StreamGroupByOp(PhysOpPtr child, std::vector<int> key_columns,
-                                 std::vector<AggregateDesc> aggs)
-    : PhysOp(HashGroupByOp::MakeOutputSchema(child->output_schema(),
-                                             key_columns, aggs)),
-      child_(std::move(child)),
-      key_columns_(std::move(key_columns)),
-      aggs_(std::move(aggs)) {}
-
-Status StreamGroupByOp::OpenImpl(ExecContext* ctx) {
-  in_group_ = false;
-  input_.Reset();
-  return child_->Open(ctx);
-}
-
-Status StreamGroupByOp::StartGroup(const Row& row) {
-  accs_ = MakeAccumulators(aggs_);
-  current_key_ = ExtractKey(row, key_columns_);
-  in_group_ = true;
-  return Status::OK();
-}
-
-Status StreamGroupByOp::Accumulate(ExecContext* ctx, const Row& row) {
-  return AccumulateRow(aggs_, accs_, row, *ctx->eval());
-}
-
-Row StreamGroupByOp::FinishGroup() {
-  Row out = current_key_;
-  for (const auto& acc : accs_) out.push_back(acc->Finish());
-  in_group_ = false;
-  return out;
-}
-
-bool StreamGroupByOp::SameKeyAsCurrent(const Row& row) const {
-  for (size_t i = 0; i < key_columns_.size(); ++i) {
-    if (!row[static_cast<size_t>(key_columns_[i])].Equals(current_key_[i])) {
-      return false;
-    }
-  }
-  return true;
-}
-
-Result<bool> StreamGroupByOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
-  out->Clear();
-  while (!out->full()) {
-    ASSIGN_OR_RETURN(const Row* next,
-                     input_.Peek(ctx, child_.get(), out->capacity()));
-    if (next == nullptr) {
-      if (in_group_) out->Add(FinishGroup());
-      break;
-    }
-    input_.Advance();
-    const Row& row = *next;
-    if (!in_group_) {
-      RETURN_NOT_OK(StartGroup(row));
-      RETURN_NOT_OK(Accumulate(ctx, row));
-    } else if (SameKeyAsCurrent(row)) {
-      RETURN_NOT_OK(Accumulate(ctx, row));
-    } else {
-      // Group boundary: emit the finished group, then start the new one.
-      out->Add(FinishGroup());
-      RETURN_NOT_OK(StartGroup(row));
-      RETURN_NOT_OK(Accumulate(ctx, row));
-    }
-  }
-  return !out->empty();
-}
-
-Status StreamGroupByOp::CloseImpl(ExecContext* ctx) {
-  accs_.clear();
-  input_.Reset();
-  return child_->Close(ctx);
-}
-
 PhysOpPtr HashGroupByOp::Clone() const {
   return std::make_unique<HashGroupByOp>(child_->Clone(), key_columns_,
                                          CloneAggregates(aggs_), parallelism_);
-}
-
-std::string StreamGroupByOp::DebugName() const {
-  return "StreamGroupBy(aggs=[" + AggList(aggs_) + "])";
 }
 
 ScalarAggOp::ScalarAggOp(PhysOpPtr child, std::vector<AggregateDesc> aggs)
@@ -569,11 +492,6 @@ Result<bool> ScalarAggOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
 }
 
 Status ScalarAggOp::CloseImpl(ExecContext* ctx) { return child_->Close(ctx); }
-
-PhysOpPtr StreamGroupByOp::Clone() const {
-  return std::make_unique<StreamGroupByOp>(child_->Clone(), key_columns_,
-                                           CloneAggregates(aggs_));
-}
 
 std::string ScalarAggOp::DebugName() const {
   return "ScalarAgg(" + AggList(aggs_) + ")";

@@ -58,7 +58,7 @@ class HashGroupByOp : public PhysOp {
   size_t profile_dop() const override { return parallelism_; }
   void set_parallelism(size_t dop) { parallelism_ = dop == 0 ? 1 : dop; }
 
-  /// Shared with StreamGroupByOp: keys' columns followed by agg outputs.
+  /// Shared with ScalarAggOp: keys' columns followed by agg outputs.
   static Schema MakeOutputSchema(const Schema& input,
                                  const std::vector<int>& key_columns,
                                  const std::vector<AggregateDesc>& aggs);
@@ -93,43 +93,6 @@ class HashGroupByOp : public PhysOp {
   MemoryReservation mem_;
   std::vector<Row> output_;
   size_t pos_ = 0;
-};
-
-/// \brief Streaming GROUP BY over input already clustered on the key columns
-/// (e.g. below a Sort). Emits each group's row as soon as the group ends —
-/// the non-blocking alternative the paper contrasts with GApply's blocking
-/// behaviour (§5.2, "GApply is blocked ... the conversion to groupby
-/// helps").
-class StreamGroupByOp : public PhysOp {
- public:
-  StreamGroupByOp(PhysOpPtr child, std::vector<int> key_columns,
-                  std::vector<AggregateDesc> aggs);
-
-  Status OpenImpl(ExecContext* ctx) override;
-  Result<bool> NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
-  Status CloseImpl(ExecContext* ctx) override;
-  std::string DebugName() const override;
-  PhysOpPtr Clone() const override;
-  std::vector<const PhysOp*> children() const override { return {child_.get()}; }
-
- private:
-  Status StartGroup(const Row& row);
-  Status Accumulate(ExecContext* ctx, const Row& row);
-  Row FinishGroup();
-  /// True iff `row`'s key columns equal current_key_ — compared in place,
-  /// with no key-row materialization.
-  bool SameKeyAsCurrent(const Row& row) const;
-
-  PhysOpPtr child_;
-  std::vector<int> key_columns_;
-  std::vector<AggregateDesc> aggs_;
-
-  std::vector<std::unique_ptr<AggAccumulator>> accs_;
-  Row current_key_;
-  bool in_group_ = false;
-
-  // Rows past a group boundary wait here for the next call.
-  ChildCursor input_;
 };
 
 /// \brief Aggregation without grouping: exactly one output row, even on

@@ -6,7 +6,6 @@
 #include <functional>
 #include <iterator>
 #include <limits>
-#include <unordered_map>
 #include <utility>
 
 #include "src/common/hash_table.h"
@@ -20,12 +19,14 @@ namespace {
 
 Schema MakeGApplySchema(const Schema& outer,
                         const std::vector<int>& grouping_columns,
-                        const Schema& pgq) {
+                        const Schema& pgq, bool lifted) {
   Schema out;
   for (int c : grouping_columns) {
     out.AddColumn(outer.column(static_cast<size_t>(c)));
   }
-  return Schema::Concat(out, pgq);
+  const size_t n = pgq.num_columns() - (lifted ? 1 : 0);
+  for (size_t i = 0; i < n; ++i) out.AddColumn(pgq.column(i));
+  return out;
 }
 
 Row ExtractKey(const Row& row, const std::vector<int>& cols) {
@@ -53,6 +54,33 @@ size_t PartitionOfGid(uint64_t gid, int level) {
   return SpillPartitionOf(std::hash<uint64_t>{}(gid), level);
 }
 
+/// Clusters `rows` by gid with a stable counting scatter, in place: row i
+/// has gid `gids[i]`, and `counts[g]` rows have gid g. On return gid g's
+/// rows sit at `rows[(*offsets)[g], (*offsets)[g + 1])` in their original
+/// order. Each gids entry becomes its row's destination (its gid's next
+/// free slot, taken in row order), and following the permutation's cycles
+/// moves every row there, so no second row array is allocated.
+Status ScatterByGid(std::vector<Row>* rows, std::vector<uint32_t> gids,
+                    std::vector<size_t> counts, std::vector<size_t>* offsets) {
+  if (rows->size() > std::numeric_limits<uint32_t>::max()) {
+    return Status::NotImplemented("GApply partition of more than 2^32 rows");
+  }
+  offsets->assign(counts.size() + 1, 0);
+  for (size_t g = 0; g < counts.size(); ++g) {
+    (*offsets)[g + 1] = (*offsets)[g] + counts[g];
+    counts[g] = (*offsets)[g];
+  }
+  for (uint32_t& slot : gids) slot = static_cast<uint32_t>(counts[slot]++);
+  for (size_t i = 0; i < rows->size(); ++i) {
+    while (gids[i] != i) {
+      const size_t dest = gids[i];
+      std::swap((*rows)[i], (*rows)[dest]);
+      std::swap(gids[i], gids[dest]);
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 const char* PartitionModeName(PartitionMode mode) {
@@ -61,18 +89,18 @@ const char* PartitionModeName(PartitionMode mode) {
 
 GApplyOp::GApplyOp(PhysOpPtr outer, std::vector<int> grouping_columns,
                    std::string var_name, PhysOpPtr pgq, PartitionMode mode,
-                   size_t parallelism)
+                   size_t parallelism, bool lifted)
     : PhysOp(MakeGApplySchema(outer->output_schema(), grouping_columns,
-                              pgq->output_schema())),
+                              pgq->output_schema(), lifted)),
       outer_(std::move(outer)),
       grouping_columns_(std::move(grouping_columns)),
       var_name_(std::move(var_name)),
       pgq_(std::move(pgq)),
       mode_(mode),
-      parallelism_(std::max<size_t>(1, parallelism)) {}
+      parallelism_(std::max<size_t>(1, parallelism)),
+      lifted_(lifted) {}
 
 std::vector<const PhysOp*> GApplyOp::children() const {
-  if (lifted_ != nullptr) return {outer_.get(), lifted_.get(), pgq_.get()};
   return {outer_.get(), pgq_.get()};
 }
 
@@ -200,34 +228,40 @@ Status GApplyOp::PartitionByHash(ExecContext* ctx, RowBatch* batch) {
     return Status::OK();
   }
 
-  // Pass 2: a stable counting scatter into gid order, in place. Each gids
-  // entry becomes its row's destination (its gid's next free slot, taken
-  // in input order), and following the permutation's cycles moves every
-  // row there, so no second row array is allocated.
-  if (input.size() > std::numeric_limits<uint32_t>::max()) {
-    return Status::NotImplemented("GApply partition of more than 2^32 rows");
-  }
-  offsets_.assign(counts.size() + 1, 0);
-  for (size_t g = 0; g < counts.size(); ++g) {
-    offsets_[g + 1] = offsets_[g] + counts[g];
-    counts[g] = offsets_[g];
-  }
-  for (uint32_t& slot : gids) slot = static_cast<uint32_t>(counts[slot]++);
-  for (size_t i = 0; i < input.size(); ++i) {
-    while (gids[i] != i) {
-      const size_t dest = gids[i];
-      std::swap(input[i], input[dest]);
-      std::swap(gids[i], gids[dest]);
-    }
-  }
+  // Pass 2: a stable counting scatter into gid order.
+  RETURN_NOT_OK(
+      ScatterByGid(&input, std::move(gids), std::move(counts), &offsets_));
   members_ = std::move(input);
   return Status::OK();
+}
+
+void GApplyOp::PlanUnits(size_t dop) {
+  unit_bounds_.clear();
+  if (!lifted_) return;
+  // One lifted execution covers every group of the buffer. Serially that
+  // is one unit; in parallel, contiguous gid ranges of about equal row
+  // counts, a few per worker so a skewed range does not idle the others.
+  const size_t groups = buffer_groups();
+  unit_bounds_.push_back(0);
+  if (dop > 1 && groups > 1) {
+    const size_t target =
+        std::max<size_t>(1, members_.size() / (dop * kLiftedUnitsPerWorker));
+    for (size_t g = 1; g < groups; ++g) {
+      if (offsets_[g] - offsets_[unit_bounds_.back()] >= target) {
+        unit_bounds_.push_back(g);
+      }
+    }
+  }
+  if (groups > 0) {
+    unit_bounds_.push_back(groups);
+    profile_.work.pgq_executions++;
+  }
 }
 
 GroupBinding GApplyOp::UnitBinding(size_t u) const {
   GroupBinding binding;
   binding.schema = &outer_->output_schema();
-  if (run_lifted_) {
+  if (lifted_) {
     binding.rows = members_.data();
     binding.num_rows = members_.size();
     binding.offsets = offsets_.data();
@@ -240,18 +274,16 @@ GroupBinding GApplyOp::UnitBinding(size_t u) const {
   return binding;
 }
 
-Row GApplyOp::PrefixedRow(size_t unit, Row pgq_row) const {
-  const size_t gid = run_lifted_ ? GidOf(pgq_row) : unit;
-  const size_t n = pgq_row.size() - (run_lifted_ ? 1 : 0);
+size_t GApplyOp::RowGid(size_t unit, const Row& pgq_row) const {
+  return lifted_ ? GidOf(pgq_row) : unit;
+}
+
+Row GApplyOp::PrefixedRow(size_t gid, Row pgq_row) const {
+  const size_t n = pgq_row.size() - (lifted_ ? 1 : 0);
   Row full;
   full.reserve(grouping_columns_.size() + n);
-  if (spilled_) {
-    const Row& key = group_keys_[gid];
-    full.insert(full.end(), key.begin(), key.end());
-  } else {
-    const Row& first = members_[offsets_[gid]];
-    for (int c : grouping_columns_) full.push_back(first[static_cast<size_t>(c)]);
-  }
+  const Row& first = members_[offsets_[gid]];
+  for (int c : grouping_columns_) full.push_back(first[static_cast<size_t>(c)]);
   full.insert(full.end(), std::make_move_iterator(pgq_row.begin()),
               std::make_move_iterator(pgq_row.begin() +
                                       static_cast<std::ptrdiff_t>(n)));
@@ -260,7 +292,7 @@ Row GApplyOp::PrefixedRow(size_t unit, Row pgq_row) const {
 
 Status GApplyOp::OpenUnit(ExecContext* ctx) {
   ctx->BindGroup(var_name_, UnitBinding(current_unit_));
-  Status st = active_pgq()->Open(ctx);
+  Status st = pgq_->Open(ctx);
   if (!st.ok()) {
     (void)ctx->UnbindGroup(var_name_);
     return st;
@@ -268,29 +300,27 @@ Status GApplyOp::OpenUnit(ExecContext* ctx) {
   unit_open_ = true;
   if (ctx->profiling()) unit_open_ns_ = NowNs();
   pgq_rows_.Reset();
-  if (!run_lifted_) profile_.work.pgq_executions++;
+  if (!lifted_) profile_.work.pgq_executions++;
   return Status::OK();
 }
 
 Status GApplyOp::CloseUnit(ExecContext* ctx) {
   if (ctx->profiling()) profile_.work.gapply_pgq_ns += NowNs() - unit_open_ns_;
-  RETURN_NOT_OK(active_pgq()->Close(ctx));
+  RETURN_NOT_OK(pgq_->Close(ctx));
   RETURN_NOT_OK(ctx->UnbindGroup(var_name_));
   unit_open_ = false;
   return Status::OK();
 }
 
-Status GApplyOp::ExecuteBound(PhysOp* pgq, ExecContext* ctx,
-                              const GroupBinding& binding, size_t unit,
-                              std::vector<Row>* out,
+Status GApplyOp::ExecuteBound(PhysOp* pgq, ExecContext* ctx, size_t unit,
                               uint64_t* pgq_executions) {
-  ctx->BindGroup(var_name_, binding);
+  ctx->BindGroup(var_name_, UnitBinding(unit));
   Status st = pgq->Open(ctx);
   if (!st.ok()) {
     (void)ctx->UnbindGroup(var_name_);
     return st;
   }
-  if (!run_lifted_) ++*pgq_executions;
+  if (!lifted_) ++*pgq_executions;
   RowBatch batch(ctx->batch_size());
   while (true) {
     auto next = pgq->NextBatch(ctx, &batch);
@@ -301,7 +331,9 @@ Status GApplyOp::ExecuteBound(PhysOp* pgq, ExecContext* ctx,
     }
     if (!*next) break;
     for (Row& pgq_row : batch.rows()) {
-      out->push_back(PrefixedRow(unit, std::move(pgq_row)));
+      const size_t gid = RowGid(unit, pgq_row);
+      unit_outputs_[spilled_ ? buffer_gids_[gid] : unit].push_back(
+          PrefixedRow(gid, std::move(pgq_row)));
     }
   }
   st = pgq->Close(ctx);
@@ -313,7 +345,6 @@ Status GApplyOp::ExecuteBound(PhysOp* pgq, ExecContext* ctx,
 Status GApplyOp::ExecuteUnitsParallel(ExecContext* ctx) {
   const size_t units = num_units();
   const size_t dop = std::min(parallelism_, units);
-  unit_outputs_.assign(units, {});
 
   struct WorkerState {
     PhysOpPtr pgq;
@@ -327,7 +358,7 @@ Status GApplyOp::ExecuteUnitsParallel(ExecContext* ctx) {
   };
   std::vector<WorkerState> workers(dop);
   for (WorkerState& w : workers) {
-    w.pgq = active_pgq()->Clone();
+    w.pgq = pgq_->Clone();
     w.ctx = ctx->ForkForWorker();
   }
 
@@ -351,8 +382,7 @@ Status GApplyOp::ExecuteUnitsParallel(ExecContext* ctx) {
         const size_t u = next_unit.fetch_add(1, std::memory_order_relaxed);
         if (u >= units) break;
         ws.units_claimed++;
-        Status st = ExecuteBound(ws.pgq.get(), &ws.ctx, UnitBinding(u), u,
-                                 &unit_outputs_[u], &ws.pgq_executions);
+        Status st = ExecuteBound(ws.pgq.get(), &ws.ctx, u, &ws.pgq_executions);
         if (!st.ok()) {
           ws.error = std::move(st);
           ws.error_unit = u;
@@ -369,7 +399,7 @@ Status GApplyOp::ExecuteUnitsParallel(ExecContext* ctx) {
   // The clones' work reaches the tree through the template PGQ.
   for (const WorkerState& w : workers) {
     profile_.work.pgq_executions += w.pgq_executions;
-    if (w.units_claimed > 0) active_pgq()->MergeTreeProfileFrom(*w.pgq);
+    if (w.units_claimed > 0) pgq_->MergeTreeProfileFrom(*w.pgq);
   }
   if (ctx->profiling()) {
     uint64_t pgq_rows = 0;
@@ -417,7 +447,7 @@ Status GApplyOp::StartMemberSpill(ExecContext* ctx, std::vector<Row>* input,
   }
   // Flush the buffered member rows in input order: each gid's rows stay in
   // outer input order within its partition file, which is all the
-  // per-partition gid bucketing in phase 2 relies on.
+  // per-partition scatter in phase 2 relies on.
   for (size_t i = 0; i < input->size(); ++i) {
     const uint32_t gid = (*gids)[i];
     RETURN_NOT_OK(spill_writers_[PartitionOfGid(gid, 0)]->WriteIndexedRow(
@@ -435,7 +465,8 @@ Status GApplyOp::ExecuteSpilledPartition(ExecContext* ctx,
   // Load the partition under its own reservation; overflow below the
   // depth cap repartitions the gids at the next salt level.
   MemoryReservation part_mem(mem_.tracker());
-  std::vector<std::pair<uint64_t, Row>> rows;
+  std::vector<Row> rows;
+  std::vector<uint32_t> gids;
   ASSIGN_OR_RETURN(std::unique_ptr<SpillReader> reader,
                    SpillReader::Open(path));
   uint64_t gid = 0;
@@ -454,7 +485,10 @@ Status GApplyOp::ExecuteSpilledPartition(ExecContext* ctx,
         part_mem.ForceGrow(bytes);
       }
     }
-    if (!overflow) rows.emplace_back(gid, std::move(row));
+    if (!overflow) {
+      rows.push_back(std::move(row));
+      gids.push_back(static_cast<uint32_t>(gid));
+    }
   }
 
   if (overflow) {
@@ -463,7 +497,9 @@ Status GApplyOp::ExecuteSpilledPartition(ExecContext* ctx,
     const auto route = [&](uint64_t g, const Row& r) -> Status {
       return writers[PartitionOfGid(g, level + 1)]->WriteIndexedRow(g, r);
     };
-    for (const auto& [g, r] : rows) RETURN_NOT_OK(route(g, r));
+    for (size_t i = 0; i < rows.size(); ++i) {
+      RETURN_NOT_OK(route(gids[i], rows[i]));
+    }
     rows.clear();
     part_mem.ReleaseAll();
     RETURN_NOT_OK(route(gid, row));
@@ -486,29 +522,33 @@ Status GApplyOp::ExecuteSpilledPartition(ExecContext* ctx,
   profile_.peak_memory =
       std::max<uint64_t>(profile_.peak_memory, part_mem.peak());
 
-  // Bucket by gid in file order (= outer input order per group), then run
-  // the PGQ once per group. Execution order across groups is irrelevant for
-  // determinism: outputs land in per-gid slots and are drained in gid
-  // order by the buffered-output path.
-  std::unordered_map<uint64_t, std::vector<Row>> members;
-  std::vector<uint64_t> order;
-  for (auto& [g, r] : rows) {
-    auto [it, inserted] = members.try_emplace(g);
-    if (inserted) order.push_back(g);
-    it->second.push_back(std::move(r));
+  // The partition becomes the partition buffer: buffer gid i is its i-th
+  // smallest gid, and the scatter keeps each gid's rows in file order
+  // (= outer input order). Its units then run as in memory, serially;
+  // their outputs land in per-gid slots, drained in gid order by the
+  // buffered-output path.
+  buffer_gids_ = gids;
+  std::sort(buffer_gids_.begin(), buffer_gids_.end());
+  buffer_gids_.erase(std::unique(buffer_gids_.begin(), buffer_gids_.end()),
+                     buffer_gids_.end());
+  std::vector<size_t> counts(buffer_gids_.size(), 0);
+  for (uint32_t& g : gids) {
+    g = static_cast<uint32_t>(
+        std::lower_bound(buffer_gids_.begin(), buffer_gids_.end(), g) -
+        buffer_gids_.begin());
+    ++counts[g];
   }
-  rows.clear();
-  for (uint64_t g : order) {
-    const std::vector<Row>& group = members[g];
-    GroupBinding binding;
-    binding.schema = &outer_->output_schema();
-    binding.rows = group.data();
-    binding.num_rows = group.size();
-    const size_t gid = static_cast<size_t>(g);
-    RETURN_NOT_OK(ExecuteBound(pgq_.get(), ctx, binding, gid,
-                               &unit_outputs_[gid],
-                               &profile_.work.pgq_executions));
+  RETURN_NOT_OK(
+      ScatterByGid(&rows, std::move(gids), std::move(counts), &offsets_));
+  members_ = std::move(rows);
+  PlanUnits(/*dop=*/1);
+  for (size_t u = 0; u < num_units(); ++u) {
+    RETURN_NOT_OK(
+        ExecuteBound(pgq_.get(), ctx, u, &profile_.work.pgq_executions));
   }
+  members_.clear();
+  offsets_.clear();
+  buffer_gids_.clear();
   RemoveSpillFile(path);
   return Status::OK();
 }
@@ -518,7 +558,6 @@ Status GApplyOp::OpenImpl(ExecContext* ctx) {
   output_pos_ = 0;
   unit_open_ = false;
   buffered_exec_ = false;
-  run_lifted_ = false;
   unit_outputs_.clear();
 
   // Phase timers run only under profiling (DESIGN.md §12).
@@ -528,11 +567,10 @@ Status GApplyOp::OpenImpl(ExecContext* ctx) {
   if (timed) profile_.work.gapply_partition_ns += NowNs() - t0;
 
   if (spilled_) {
-    // Spilled phase 2 runs per group, serially, one partition at a time,
-    // into per-gid output slots — the buffered drain below emits them in
-    // gid order.
+    // Spilled phase 2 runs one partition at a time, serially, into per-gid
+    // output slots — the buffered drain below emits them in gid order.
     buffered_exec_ = true;
-    unit_outputs_.assign(num_groups(), {});
+    unit_outputs_.assign(num_groups_, {});
     const uint64_t t1 = timed ? NowNs() : 0;
     Status st = Status::OK();
     for (const std::string& path : spill_paths_) {
@@ -547,29 +585,10 @@ Status GApplyOp::OpenImpl(ExecContext* ctx) {
     return st;
   }
 
-  if (lifted_ != nullptr) {
-    // One lifted execution covers every group. Serially that is one unit;
-    // in parallel, contiguous gid ranges of about equal row counts, a few
-    // per worker so a skewed range does not idle the others.
-    run_lifted_ = true;
-    const size_t groups = num_groups();
-    unit_bounds_.assign(1, 0);
-    if (parallelism_ > 1 && groups > 1) {
-      const size_t target = std::max<size_t>(
-          1, members_.size() / (parallelism_ * kLiftedUnitsPerWorker));
-      for (size_t g = 1; g < groups; ++g) {
-        if (offsets_[g] - offsets_[unit_bounds_.back()] >= target) {
-          unit_bounds_.push_back(g);
-        }
-      }
-    }
-    if (groups > 0) {
-      unit_bounds_.push_back(groups);
-      profile_.work.pgq_executions++;
-    }
-  }
+  PlanUnits(parallelism_);
   if (parallelism_ > 1 && num_units() > 1) {
     buffered_exec_ = true;
+    unit_outputs_.assign(num_units(), {});
     const uint64_t t1 = timed ? NowNs() : 0;
     Status st = ExecuteUnitsParallel(ctx);
     if (timed) profile_.work.gapply_pgq_ns += NowNs() - t1;
@@ -607,7 +626,7 @@ Result<bool> GApplyOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
   // rows that do not fit wait in pgq_rows_ for the next call.
   while (current_unit_ < num_units() && !out->full()) {
     if (!unit_open_) RETURN_NOT_OK(OpenUnit(ctx));
-    auto next = pgq_rows_.Peek(ctx, active_pgq(), out->capacity());
+    auto next = pgq_rows_.Peek(ctx, pgq_.get(), out->capacity());
     if (!next.ok()) {
       (void)CloseUnit(ctx);
       return next.status();
@@ -617,7 +636,8 @@ Result<bool> GApplyOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
       ++current_unit_;
       continue;
     }
-    out->Add(PrefixedRow(current_unit_, std::move(**next)));
+    const size_t gid = RowGid(current_unit_, **next);
+    out->Add(PrefixedRow(gid, std::move(**next)));
     pgq_rows_.Advance();
   }
   return !out->empty();
@@ -630,6 +650,7 @@ Status GApplyOp::CloseImpl(ExecContext* ctx) {
   group_keys_.clear();
   members_.clear();
   offsets_.clear();
+  buffer_gids_.clear();
   unit_bounds_.clear();
   unit_outputs_.clear();
   spill_writers_.clear();
@@ -653,16 +674,14 @@ std::string GApplyOp::DebugName() const {
   if (parallelism_ > 1) {
     out += ", parallelism=" + std::to_string(parallelism_);
   }
-  if (lifted_ != nullptr) out += ", lifted";
+  if (lifted_) out += ", lifted";
   return out + ")";
 }
 
 PhysOpPtr GApplyOp::Clone() const {
-  auto clone = std::make_unique<GApplyOp>(outer_->Clone(), grouping_columns_,
-                                          var_name_, pgq_->Clone(), mode_,
-                                          parallelism_);
-  if (lifted_ != nullptr) clone->set_lifted_pgq(lifted_->Clone());
-  return clone;
+  return std::make_unique<GApplyOp>(outer_->Clone(), grouping_columns_,
+                                    var_name_, pgq_->Clone(), mode_,
+                                    parallelism_, lifted_);
 }
 
 }  // namespace gapply

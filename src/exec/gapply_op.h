@@ -30,19 +30,18 @@ const char* PartitionModeName(PartitionMode mode);
 /// Phase 2 (Execute) implements
 ///   ⋃_{c ∈ distinct(π_C(outer))} ({c} × PGQ(σ_{C=c}(outer)))
 /// and prefixes each PGQ output row with its group's grouping-column
-/// values, in gid order. It takes one of two forms:
-///  - *loop-lifted* (DESIGN.md §17), when lowering supplied a lifted PGQ
-///    (set_lifted_pgq): the lifted plan runs once over a whole gid range,
-///    reading the buffer through a segmented binding of `var_name` and
-///    carrying each row's gid in a trailing column;
+/// values, in gid order. Lowering hands the operator one PGQ plan, in one
+/// of two forms:
+///  - *loop-lifted* (DESIGN.md §17): the plan runs once over a whole gid
+///    range, reading the buffer through a segmented binding of `var_name`
+///    and carrying each row's gid in a trailing column;
 ///  - *per group*: the group's slice of the buffer is bound to `var_name`
 ///    and `pgq` (whose GroupScan leaves read that binding) is re-opened and
-///    drained once per group. This serves PGQ shapes lowering cannot lift
-///    and spilled partitions.
+///    drained once per group. This serves PGQ shapes lowering cannot lift.
 /// Both produce bit-for-bit the same rows in the same order.
 ///
 /// Output schema: grouping columns (as named in the outer schema) followed
-/// by the PGQ output schema.
+/// by the PGQ output schema (without a lifted PGQ's trailing gid).
 ///
 /// Parallel execution (the paper's §3 observation that no group's evaluation
 /// depends on another's, made operational): with `parallelism` > 1, phase 2
@@ -63,62 +62,72 @@ const char* PartitionModeName(PartitionMode mode);
 /// Under a memory budget (DESIGN.md §16), hash-mode partitioning whose
 /// member rows exceed the query's MemoryTracker budget spills members to
 /// disk as (gid, row) records partitioned by a gid hash — the group keys
-/// stay in memory. Phase 2 then executes one partition at a time, per
-/// group: its rows are bucketed by gid in file order (= outer input order
-/// per group, since every gid lives in exactly one partition per level)
-/// and the PGQ runs serially per group into per-gid output slots emitted
-/// in gid order — bit-for-bit the in-memory output. Sort-mode
-/// partitioning stays in-memory (the sort below it is what spills).
+/// stay in memory. Phase 2 then runs one spill partition at a time,
+/// serially: its records are scattered into a partition-local buffer
+/// (gids ascending, each gid's rows in file order = outer input order,
+/// since every gid lives in exactly one partition per level) and
+/// run through the same units as the in-memory buffer — one lifted unit
+/// over the partition's gids, or one unit per gid. Outputs land in
+/// per-gid slots emitted in gid order — bit-for-bit the in-memory output.
+/// Sort-mode partitioning stays in-memory (the sort below it is what
+/// spills).
 class GApplyOp : public PhysOp {
  public:
+  /// `lifted`: `pgq` is the loop-lifted form of the PGQ (lifted_ops.h),
+  /// with the per-group form's output columns plus a trailing gid.
   GApplyOp(PhysOpPtr outer, std::vector<int> grouping_columns,
            std::string var_name, PhysOpPtr pgq,
-           PartitionMode mode = PartitionMode::kHash, size_t parallelism = 1);
+           PartitionMode mode = PartitionMode::kHash, size_t parallelism = 1,
+           bool lifted = false);
 
   Status OpenImpl(ExecContext* ctx) override;
   Result<bool> NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
   Status CloseImpl(ExecContext* ctx) override;
   std::string DebugName() const override;
   PhysOpPtr Clone() const override;
-  /// Outer, then the lifted PGQ (when present), then the per-group PGQ.
+  /// Outer, then the PGQ.
   std::vector<const PhysOp*> children() const override;
 
   size_t parallelism() const { return parallelism_; }
   size_t profile_dop() const override { return parallelism_; }
 
-  /// Installs the loop-lifted form of the PGQ (lifted_ops.h): same output
-  /// columns as `pgq` plus a trailing gid. Lowering calls this for PGQ
-  /// shapes it can lift; without it every group runs `pgq`.
-  void set_lifted_pgq(PhysOpPtr lifted) { lifted_ = std::move(lifted); }
-  bool lifted() const { return lifted_ != nullptr; }
+  bool lifted() const { return lifted_; }
 
  private:
   Status Partition(ExecContext* ctx);
   Status PartitionByHash(ExecContext* ctx, RowBatch* batch);
 
-  size_t num_groups() const { return num_groups_; }
-  size_t num_units() const {
-    return run_lifted_ ? unit_bounds_.size() - 1 : num_groups();
+  /// Groups in the partition buffer.
+  size_t buffer_groups() const {
+    return offsets_.empty() ? 0 : offsets_.size() - 1;
   }
-  PhysOp* active_pgq() const {
-    return run_lifted_ ? lifted_.get() : pgq_.get();
+  /// Splits the partition buffer into phase-2 units: one per group for a
+  /// per-group PGQ; for a lifted PGQ one gid range, or at `dop` > 1 a few
+  /// per worker, booking the lifted execution.
+  void PlanUnits(size_t dop);
+  size_t num_units() const {
+    return lifted_ ? unit_bounds_.size() - 1 : buffer_groups();
   }
   /// The binding unit `u` runs under: one group's slice of the buffer, or
   /// a segmented gid range for the lifted PGQ.
   GroupBinding UnitBinding(size_t u) const;
-  /// Prefixes a PGQ row with its group's key (dropping a lifted row's gid).
-  Row PrefixedRow(size_t unit, Row pgq_row) const;
+  /// The buffer gid of a PGQ row that unit `unit` produced.
+  size_t RowGid(size_t unit, const Row& pgq_row) const;
+  /// Prefixes a PGQ row of buffer gid `gid` with its group's key (dropping
+  /// a lifted row's gid).
+  Row PrefixedRow(size_t gid, Row pgq_row) const;
 
   Status OpenUnit(ExecContext* ctx);
   Status CloseUnit(ExecContext* ctx);
 
-  /// Runs `pgq` to completion under `binding` for unit `unit`, appending
-  /// key-prefixed output rows to `*out` and counting a per-group execution
-  /// in `*pgq_executions`. Thread-safe w.r.t. other units: reads only the
-  /// partition buffer, mutates only `ctx`, `*out` and `*pgq_executions`.
-  Status ExecuteBound(PhysOp* pgq, ExecContext* ctx,
-                      const GroupBinding& binding, size_t unit,
-                      std::vector<Row>* out, uint64_t* pgq_executions);
+  /// Runs `pgq` (pgq_ or a worker's clone of it) to completion for unit
+  /// `unit`, appending key-prefixed output rows to the unit's output slot
+  /// (a spilled buffer's rows to their gid's slot) and counting a
+  /// per-group execution in `*pgq_executions`. Thread-safe w.r.t. other
+  /// units: reads only the partition buffer, mutates only `ctx`, the
+  /// unit's slot and `*pgq_executions`.
+  Status ExecuteBound(PhysOp* pgq, ExecContext* ctx, size_t unit,
+                      uint64_t* pgq_executions);
 
   /// Phase-2 fan-out: executes every unit on a worker pool, filling
   /// unit_outputs_, and folds the worker clones' profiles into the
@@ -133,8 +142,8 @@ class GApplyOp : public PhysOp {
                           std::vector<uint32_t>* gids,
                           const std::vector<size_t>& first_row);
   /// Phase 2 over one spill partition: loads its (gid, row) records
-  /// (recursively repartitioning on overflow), buckets them by gid and
-  /// runs the per-group PGQ per group into unit_outputs_.
+  /// (recursively repartitioning on overflow) into the partition buffer
+  /// and runs its units into unit_outputs_.
   Status ExecuteSpilledPartition(ExecContext* ctx, const std::string& path,
                                  int level);
 
@@ -142,29 +151,31 @@ class GApplyOp : public PhysOp {
   std::vector<int> grouping_columns_;
   std::string var_name_;
   PhysOpPtr pgq_;
-  PhysOpPtr lifted_;  // nullptr: the PGQ runs per group
   PartitionMode mode_;
   size_t parallelism_;
+  bool lifted_;
 
   // The partition buffer: member rows clustered by gid, gid g's rows at
   // members_[offsets_[g], offsets_[g + 1]). A group's key is read off its
-  // first row; only a spilled partitioning, whose rows are on disk, keeps
-  // the keys (by gid) in group_keys_.
+  // first row. In memory the buffer holds all num_groups_ groups. A
+  // spilled partitioning holds one spill partition at a time, and buffer
+  // gid g is group buffer_gids_[g]; it keeps every group's key (by gid) in
+  // group_keys_ while it partitions.
   size_t num_groups_ = 0;
   std::vector<Row> members_;
   std::vector<size_t> offsets_;
+  std::vector<uint32_t> buffer_gids_;
   std::vector<Row> group_keys_;
 
-  // Phase-2 units. Lifted: unit u covers gids [unit_bounds_[u],
-  // unit_bounds_[u + 1]). Per group: unit u is group u.
-  bool run_lifted_ = false;
+  // Phase-2 units. Lifted: unit u covers buffer gids [unit_bounds_[u],
+  // unit_bounds_[u + 1]). Per group: unit u is buffer gid u.
   std::vector<size_t> unit_bounds_;
   size_t current_unit_ = 0;
   bool unit_open_ = false;
   uint64_t unit_open_ns_ = 0;  // OpenUnit's clock stamp, profiling only
 
-  // Buffered-output state (parallel and spilled phase 2): per-unit output
-  // rows, streamed by NextBatch in unit order.
+  // Buffered-output state (parallel and spilled phase 2): per-unit (per
+  // gid when spilled) output rows, streamed by NextBatch in slot order.
   bool buffered_exec_ = false;
   std::vector<std::vector<Row>> unit_outputs_;
   size_t output_pos_ = 0;

@@ -501,9 +501,8 @@ Result<PhysOpPtr> LowerNode(const LogicalOp& node, const LoweringOptions& opts,
   switch (node.type()) {
     case LogicalOpType::kScan: {
       const auto& scan = static_cast<const LogicalScan&>(node);
-      auto op = std::make_unique<TableScanOp>(scan.table(), scan.alias());
-      op->set_use_columnar(opts.columnar_storage.value_or(true));
-      return PhysOpPtr(std::move(op));
+      return PhysOpPtr(
+          std::make_unique<TableScanOp>(scan.table(), scan.alias()));
     }
     case LogicalOpType::kGroupScan: {
       const auto& scan = static_cast<const LogicalGroupScan&>(node);
@@ -577,15 +576,6 @@ Result<PhysOpPtr> LowerNode(const LogicalOp& node, const LoweringOptions& opts,
       const auto& gb = static_cast<const LogicalGroupBy&>(node);
       ASSIGN_OR_RETURN(PhysOpPtr child, Lower(*gb.child(0), opts, exchange_dop));
       child = MaybeWrapExchange(std::move(child), opts, exchange_dop);
-      if (opts.stream_group_by) {
-        std::vector<SortKey> keys;
-        keys.reserve(gb.keys().size());
-        for (int k : gb.keys()) keys.push_back({k, true});
-        auto sorted =
-            std::make_unique<SortOp>(std::move(child), std::move(keys));
-        return PhysOpPtr(std::make_unique<StreamGroupByOp>(
-            std::move(sorted), gb.keys(), CloneAggregates(gb.aggs())));
-      }
       return PhysOpPtr(std::make_unique<HashGroupByOp>(
           std::move(child), gb.keys(), CloneAggregates(gb.aggs()),
           exchange_dop));
@@ -641,23 +631,26 @@ Result<PhysOpPtr> LowerNode(const LogicalOp& node, const LoweringOptions& opts,
       const auto& ga = static_cast<const LogicalGApply&>(node);
       ASSIGN_OR_RETURN(PhysOpPtr outer, Lower(*ga.outer(), opts, exchange_dop));
       outer = MaybeWrapExchange(std::move(outer), opts, exchange_dop);
-      ASSIGN_OR_RETURN(PhysOpPtr pgq, Lower(*ga.pgq(), opts, 1));
-      const PartitionMode mode =
-          opts.force_partition_mode.value_or(ga.mode());
-      const size_t dop = std::max<size_t>(1, opts.gapply_parallelism);
-      auto op = std::make_unique<GApplyOp>(std::move(outer),
-                                           ga.grouping_columns(), ga.var(),
-                                           std::move(pgq), mode, dop);
-      if (CanLift(*ga.pgq(), ga.var(), /*skipped=*/false)) {
+      const bool lifted = !opts.per_group_gapply &&
+                          CanLift(*ga.pgq(), ga.var(), /*skipped=*/false);
+      PhysOpPtr pgq;
+      if (lifted) {
         ASSIGN_OR_RETURN(
-            LiftedPlan lifted,
+            LiftedPlan plan,
             LowerLifted(*ga.pgq(), ga.var(), opts,
                         std::vector<bool>(
                             ga.pgq()->output_schema().num_columns(), true),
                         /*narrow=*/false));
-        op->set_lifted_pgq(std::move(lifted.op));
+        pgq = std::move(plan.op);
+      } else {
+        ASSIGN_OR_RETURN(pgq, Lower(*ga.pgq(), opts, 1));
       }
-      return PhysOpPtr(std::move(op));
+      const PartitionMode mode =
+          opts.force_partition_mode.value_or(ga.mode());
+      const size_t dop = std::max<size_t>(1, opts.gapply_parallelism);
+      return PhysOpPtr(std::make_unique<GApplyOp>(
+          std::move(outer), ga.grouping_columns(), ga.var(), std::move(pgq),
+          mode, dop, lifted));
     }
   }
   return Status::Internal("unknown logical operator in lowering");

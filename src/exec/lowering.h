@@ -15,8 +15,11 @@ struct LoweringOptions {
   /// compare sort- vs hash-partitioning on identical plans).
   std::optional<PartitionMode> force_partition_mode;
 
-  /// Lower GroupBy as Sort + StreamGroupBy instead of HashGroupBy.
-  bool stream_group_by = false;
+  /// Lowers every GApply's PGQ per group, also where a loop-lifted form
+  /// exists (DESIGN.md §17). Tests and the fuzzer use this for the
+  /// per-group reference that lifted execution must reproduce bit for bit;
+  /// no session sets it.
+  bool per_group_gapply = false;
 
   /// Degree of parallelism for every GApply's per-group execution phase.
   /// 0 means "engine default" (Database substitutes its session setting,

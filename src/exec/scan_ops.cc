@@ -127,7 +127,6 @@ std::string TableScanOp::DebugName() const {
 PhysOpPtr TableScanOp::Clone() const {
   auto clone = std::make_unique<TableScanOp>(table_, alias_);
   clone->preds_ = preds_;
-  clone->use_columnar_ = use_columnar_;
   return clone;
 }
 

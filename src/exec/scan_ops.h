@@ -47,8 +47,10 @@ class TableScanOp : public PhysOp {
   const Table* table() const { return table_; }
   size_t num_rows() const { return table_->num_rows(); }
 
-  /// Conjuncts this scan evaluates itself (columnar path only; lowering
-  /// pushes them only when the session storage mode is columnar). Compiled
+  /// Conjuncts this scan evaluates itself. The read path follows them
+  /// alone: pushed predicates take the columnar path (the row store cannot
+  /// evaluate them), an empty set takes the row store; lowering pushes
+  /// them only when the session storage mode is columnar. Compiled
   /// at Open into a scan program over the dense representation
   /// (ExprProgram::CompileScanPredicates). Accumulates — an unoptimized
   /// plan lowers stacked Selects one at a time, and each absorbed Filter
@@ -59,13 +61,6 @@ class TableScanOp : public PhysOp {
   const std::vector<ScanPredicate>& pushed_predicates() const {
     return preds_;
   }
-
-  /// Records the session's storage choice on the operator (lowering gates
-  /// predicate extraction on it). Execution-wise the read path follows the
-  /// predicates alone: pushed predicates take the columnar path (the row
-  /// store cannot evaluate them), an empty set takes the row store.
-  void set_use_columnar(bool on) { use_columnar_ = on; }
-  bool use_columnar() const { return use_columnar_; }
 
   void EnableMorselMode() { morsel_mode_ = true; }
   bool morsel_mode() const { return morsel_mode_; }
@@ -94,7 +89,6 @@ class TableScanOp : public PhysOp {
   /// `pos_ >= chunk_end_` means the next chunk still needs its zone-map
   /// check. Reset by Open/SetMorsel.
   size_t chunk_end_ = 0;
-  bool use_columnar_ = true;
   bool morsel_mode_ = false;
 };
 

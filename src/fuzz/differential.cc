@@ -41,13 +41,15 @@ std::string DescribeDivergence(std::vector<Row> a, std::vector<Row> b,
   return out;
 }
 
-/// Lists the work counters (the Counters fields but the timers) on which
-/// `a` and `b` differ ("" = none).
+/// Lists the work counters (the Counters fields but the timers and
+/// `exempt`) on which `a` and `b` differ ("" = none).
 std::string DescribeWorkDivergence(const ExecContext::Counters& a,
-                                   const ExecContext::Counters& b) {
+                                   const ExecContext::Counters& b,
+                                   const std::vector<std::string>& exempt) {
   std::string out;
   for (const auto& [name, field] : ExecContext::Counters::kSummed) {
-    if (std::string_view(name).ends_with("_ns") || a.*field == b.*field) {
+    if (std::string_view(name).ends_with("_ns") || a.*field == b.*field ||
+        std::find(exempt.begin(), exempt.end(), name) != exempt.end()) {
       continue;
     }
     out += std::string(out.empty() ? "work counters differ: " : ", ") +
@@ -72,7 +74,7 @@ std::string ExecSpec::Key() const {
   key += !lowering.force_partition_mode.has_value() ? "d"
          : *lowering.force_partition_mode == PartitionMode::kSort ? "s"
                                                                   : "h";
-  key += lowering.stream_group_by ? ";sg" : "";
+  key += lowering.per_group_gapply ? ";pg" : "";
   key += ";dop=" + std::to_string(lowering.gapply_parallelism) + "," +
          std::to_string(lowering.exchange_parallelism);
   key += ";xmin=" + std::to_string(lowering.exchange_min_rows);
@@ -174,12 +176,6 @@ std::vector<OraclePair> BuildOracleMatrix(const OracleMatrixOptions& options) {
     oracles.push_back({s.name, base, s, CompareMode::kMultiset});
   }
 
-  ExecSpec stream = base;
-  stream.name = "exec:stream-groupby";
-  stream.lowering.stream_group_by = true;
-  oracles.push_back(
-      {"exec:hash-vs-stream-groupby", base, stream, CompareMode::kMultiset});
-
   // Storage oracle: columnar scans (dense arrays, predicate pushdown,
   // zone-map pruning) must reproduce the row-store stream bit for bit —
   // both layouts preserve insertion order, so this is a sequence compare.
@@ -253,6 +249,26 @@ std::vector<OraclePair> BuildOracleMatrix(const OracleMatrixOptions& options) {
   oracles.push_back({"exec:spill-vs-unlimited-parallel",
                      parallel_spec(4, 1024), par_spilled,
                      CompareMode::kSequence});
+
+  // Lifting oracle (DESIGN.md §17): a loop-lifted PGQ must reproduce the
+  // per-group run bit for bit, serially, in parallel and spilled, and do
+  // the same work outside the PGQ plan. Inside it the two forms differ by
+  // design: the lifted plan runs once over all groups, in fewer and fuller
+  // batches, with no Apply re-execution, and reads every group row where
+  // a per-group Exists stops at its first.
+  const std::vector<std::string> pgq_plan_counters = {
+      "pgq_executions", "group_rows_scanned", "apply_invocations",
+      "batches_produced", "batch_rows_produced"};
+  for (const ExecSpec& lifted : {base, parallel_spec(4, 1024), spilled}) {
+    ExecSpec per_group = lifted;
+    per_group.name += ",per-group";
+    per_group.lowering.per_group_gapply = true;
+    std::string name = "exec:lifted-vs-per-group";
+    if (lifted.lowering.gapply_parallelism > 1) name += "-parallel";
+    if (lifted.memory_budget > 0) name += ",budget=4k";
+    oracles.push_back({name, lifted, per_group, CompareMode::kSequence,
+                       /*compare_work=*/true, pgq_plan_counters});
+  }
 
   return oracles;
 }
@@ -345,7 +361,8 @@ Result<std::vector<Mismatch>> RunOracles(
     }
     const std::string work =
         oracle.compare_work
-            ? DescribeWorkDivergence(base_run.work, cand_run.work)
+            ? DescribeWorkDivergence(base_run.work, cand_run.work,
+                                     oracle.work_exempt)
             : "";
     if (!work.empty()) mismatches.push_back({oracle.name, sides + work});
   }

@@ -56,8 +56,10 @@ struct OraclePair {
   ExecSpec candidate;
   CompareMode mode = CompareMode::kMultiset;
   /// Also require equal work counters (every ExecContext::Counters field
-  /// except the timers), for pairs that must do the same work.
+  /// except the timers and `work_exempt`), for pairs that must do the same
+  /// work.
   bool compare_work = false;
+  std::vector<std::string> work_exempt = {};  // kSummed names
 };
 
 struct OracleMatrixOptions {
@@ -74,7 +76,7 @@ struct OracleMatrixOptions {
 
 /// The full oracle matrix: per-rule opt-vs-unopt, full optimizer (gated
 /// and ungated), batch-size sweep (raw and optimized), DOP×batch, sort-vs-hash
-/// GApply partitioning, hash-vs-stream aggregation, and tiny-budget
+/// GApply partitioning, lifted-vs-per-group GApply, and tiny-budget
 /// spill-vs-unlimited (serial and parallel).
 std::vector<OraclePair> BuildOracleMatrix(const OracleMatrixOptions& options);
 

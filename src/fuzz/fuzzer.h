@@ -37,7 +37,7 @@ struct CaseResult {
   std::vector<std::string> features;
   std::vector<Mismatch> mismatches;
   /// The baseline plan ran a loop-lifted GApply (DESIGN.md §17), so the
-  /// budget oracles compared lifted (unlimited) with per-group (spilled).
+  /// lifted-vs-per-group oracles compared two different PGQ plans.
   bool lifted = false;
   /// Set when the generator produced SQL that failed to parse or bind —
   /// always a bug in the generator/printer, reported fatally.

@@ -397,8 +397,8 @@ class QueryGen {
   GenSelect GenPgq(const std::string& var, const Scope& scope, int depth) {
     const int roll = static_cast<int>(rng_->UniformInt(0, 99));
     // Weighted towards the shapes lowering loop-lifts (DESIGN.md §17) —
-    // scalar subqueries, EXISTS and unions of aggregates — so the budget
-    // oracles keep comparing lifted runs against spilled per-group runs.
+    // scalar subqueries, EXISTS and unions of aggregates — so the
+    // lifted-vs-per-group oracles keep comparing two different PGQ plans.
     // Deep recursion collapses to the three simple shapes.
     if (depth <= 2) {
       if (roll < 18) return GenPgqScalarSubquery(var, scope);

@@ -1,10 +1,9 @@
 // Differential tests for the batch execution layer: every operator must
 // produce, at every batch size, exactly the rows a plain std:: loop over the
 // generated input computes — the same multiset always, and the same
-// sequence where the operator promises an order (Sort, StreamGroupBy,
-// Apply, GApply's gid order). The references share no code with the
-// operators under test. Every emitted batch is also held to the hard
-// capacity bound.
+// sequence where the operator promises an order (Sort, Apply, GApply's
+// gid order). The references share no code with the operators under test.
+// Every emitted batch is also held to the hard capacity bound.
 
 #include <gtest/gtest.h>
 
@@ -364,30 +363,6 @@ TEST_F(BatchDifferentialTest, HashGroupBy) {
       expected);
 }
 
-TEST_F(BatchDifferentialTest, StreamGroupByOverSortedInput) {
-  std::vector<Row> expected;
-  std::vector<std::pair<int64_t, std::vector<Row>>> groups = GroupByK(rows_);
-  std::sort(groups.begin(), groups.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [k, group] : groups) {
-    Row agg = CountSumAvg(group);
-    expected.push_back({Value::Int(k), agg[0], agg[1]});
-  }
-  ExpectBatchesMatch(
-      [this]() -> PhysOpPtr {
-        auto scan = std::make_unique<TableScanOp>(table_.get());
-        const Schema s = scan->output_schema();
-        auto sort = std::make_unique<SortOp>(
-            std::move(scan), std::vector<SortKey>{{0, true}});
-        std::vector<AggregateDesc> aggs;
-        aggs.push_back(CountStar("cnt"));
-        aggs.push_back(Sum(Col(s, "v"), "sum_v"));
-        return std::make_unique<StreamGroupByOp>(
-            std::move(sort), std::vector<int>{0}, std::move(aggs));
-      },
-      expected, /*ordered=*/true);
-}
-
 TEST_F(BatchDifferentialTest, ScalarAgg) {
   const Row agg = CountSumAvg(rows_);
   ExpectBatchesMatch(
@@ -668,11 +643,10 @@ class ColumnarStorageTest : public ::testing::Test {
     table_ = MakeTable("t", MixedSchema(), MixedRows(&rng, 2000, 0.1));
   }
 
-  /// Row-store baseline: scan with the columnar path off, predicates (if
-  /// any) evaluated by an ordinary FilterOp above it.
+  /// Row-store baseline: a scan with no pushed predicates reads the row
+  /// store; predicates (if any) are evaluated by a FilterOp above it.
   PhysOpPtr RowStorePlan(const std::vector<ScanPredicate>& preds) {
     auto scan = std::make_unique<TableScanOp>(table_.get());
-    scan->set_use_columnar(false);
     if (preds.empty()) return scan;
     ExprPtr pred = PredsToExpr(scan->output_schema(), preds);
     return std::make_unique<FilterOp>(std::move(scan), std::move(pred));
@@ -777,7 +751,6 @@ TEST_F(ColumnarStorageTest, PushedPredicatesUnderResidualFilter) {
   };
 
   auto row_scan = std::make_unique<TableScanOp>(table_.get());
-  row_scan->set_use_columnar(false);
   const Schema s = row_scan->output_schema();
   auto baseline = std::make_unique<FilterOp>(
       std::move(row_scan),
@@ -804,7 +777,6 @@ TEST(ColumnarStorageEdgeTest, NullHeavyTable) {
   };
   for (const auto& preds : pred_sets) {
     auto row_scan = std::make_unique<TableScanOp>(table.get());
-    row_scan->set_use_columnar(false);
     auto baseline = std::make_unique<FilterOp>(
         std::move(row_scan), PredsToExpr(table->schema(), preds));
     const std::vector<Row> expected = RunBatchPath(baseline.get(), 1024);
@@ -829,7 +801,6 @@ TEST(ColumnarStorageEdgeTest, AllStringTable) {
       {0, value_ops::CmpOp::kGe, Value::Str("y")},
       {1, value_ops::CmpOp::kNe, Value::Str("w")}};
   auto row_scan = std::make_unique<TableScanOp>(table.get());
-  row_scan->set_use_columnar(false);
   auto baseline = std::make_unique<FilterOp>(std::move(row_scan),
                                              PredsToExpr(schema, preds));
   const std::vector<Row> expected = RunBatchPath(baseline.get(), 1024);
@@ -875,7 +846,6 @@ TEST(ColumnarStorageEdgeTest, PruningInsideExchangeMorselDriver) {
        Value::Int(static_cast<int64_t>(n) - 50)}};
 
   auto row_scan = std::make_unique<TableScanOp>(table.get());
-  row_scan->set_use_columnar(false);
   auto baseline = std::make_unique<FilterOp>(std::move(row_scan),
                                              PredsToExpr(schema, preds));
   const std::vector<Row> expected = RunBatchPath(baseline.get(), 1024);

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <utility>
 
 #include "src/common/memory_tracker.h"
@@ -360,8 +362,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, GApplyPropertyTest,
 
 // ---------------------------------------------------------------------------
 // Loop-lifted GApply (DESIGN.md §17). Lowering lifts the PGQ shapes it can;
-// the lifted run must reproduce per-group execution of the same plan row
-// for row, in order, for every partition mode, DOP and batch size.
+// the lifted run must reproduce per-group execution of the same plan
+// (LoweringOptions::per_group_gapply) row for row, in order, for every
+// partition mode, DOP, batch size and memory budget.
 // ---------------------------------------------------------------------------
 
 class LiftedGApplyTest : public ::testing::Test {
@@ -396,7 +399,7 @@ class LiftedGApplyTest : public ::testing::Test {
   }
 
   PhysOpPtr LowerSql(const std::string& sql, PartitionMode mode,
-                     size_t dop) {
+                     size_t dop, bool per_group = false) {
     Result<LogicalOpPtr> plan = sql::ParseAndBind(catalog_, sql);
     EXPECT_TRUE(plan.ok()) << plan.status().ToString() << "\n" << sql;
     if (!plan.ok()) return nullptr;
@@ -404,6 +407,7 @@ class LiftedGApplyTest : public ::testing::Test {
     opts.force_partition_mode = mode;
     opts.gapply_parallelism = dop;
     opts.exchange_parallelism = 1;
+    opts.per_group_gapply = per_group;
     Result<PhysOpPtr> phys = LowerPlan(**plan, opts);
     EXPECT_TRUE(phys.ok()) << phys.status().ToString();
     return phys.ok() ? std::move(*phys) : nullptr;
@@ -439,19 +443,19 @@ class LiftedGApplyTest : public ::testing::Test {
     return {r.ok() ? std::move(*r) : QueryResult{}, SumWorkCounters(*plan)};
   }
 
-  /// Runs `sql` per group (lifting removed) and lifted at DOP {1, 4},
-  /// batch {1, 1024}, hash and sort partitioning; demands identical row
-  /// sequences and one PGQ execution per lifted run. Returns the row count.
+  /// Runs `sql` per group (the per-group reference lowering) and lifted at
+  /// DOP {1, 4}, batch {1, 1024}, hash and sort partitioning; demands
+  /// identical schemas and row sequences, one PGQ plan under the GApply and
+  /// one PGQ execution per lifted run. Returns the row count.
   size_t ExpectLiftedMatchesPerGroup(const std::string& sql) {
     size_t rows = 0;
     for (PartitionMode mode : {PartitionMode::kHash, PartitionMode::kSort}) {
-      PhysOpPtr per_group = LowerSql(sql, mode, 1);
+      PhysOpPtr per_group = LowerSql(sql, mode, 1, /*per_group=*/true);
       if (per_group == nullptr) return 0;
       GApplyOp* ga = FindGApply(per_group.get());
       EXPECT_NE(ga, nullptr);
       if (ga == nullptr) return 0;
-      EXPECT_TRUE(ga->lifted()) << per_group->DebugString();
-      ga->set_lifted_pgq(nullptr);
+      EXPECT_FALSE(ga->lifted()) << per_group->DebugString();
       const Run expected = Execute(per_group.get(), 1024);
       EXPECT_GT(expected.counters.pgq_executions, 1u);
       rows = expected.result.rows.size();
@@ -459,9 +463,15 @@ class LiftedGApplyTest : public ::testing::Test {
       for (size_t dop : {size_t{1}, size_t{4}}) {
         for (size_t batch : {size_t{1}, size_t{1024}}) {
           PhysOpPtr lifted = LowerSql(sql, mode, dop);
+          const GApplyOp* lifted_ga = FindGApply(lifted.get());
+          EXPECT_TRUE(lifted_ga->lifted());
+          EXPECT_EQ(lifted_ga->children().size(), 2u);
           const std::string explain = lifted->DebugString();
           EXPECT_NE(explain.find(", lifted)"), std::string::npos) << explain;
+          EXPECT_EQ(explain.find("GroupScan($"), std::string::npos) << explain;
           const Run got = Execute(lifted.get(), batch);
+          EXPECT_EQ(got.result.schema.ToString(),
+                    expected.result.schema.ToString());
           EXPECT_TRUE(SameRowSequence(got.result.rows, expected.result.rows))
               << "mode=" << PartitionModeName(mode) << " dop=" << dop
               << " batch=" << batch << "\n" << sql << "\ngot:\n"
@@ -548,7 +558,25 @@ TEST_F(LiftedGApplyTest, NonLiftableShapesRunPerGroup) {
   }
 }
 
+/// The spill partitions a spilled GApply over `groups` hash-assigned gids
+/// runs when every non-empty partition above level `depth` overflows: the
+/// distinct partition paths of its gids, each a non-empty leaf.
+size_t SpillLeavesRun(uint64_t groups, int depth) {
+  std::set<std::vector<size_t>> paths;
+  for (uint64_t gid = 0; gid < groups; ++gid) {
+    std::vector<size_t> path;
+    for (int level = 0; level <= depth; ++level) {
+      path.push_back(SpillPartitionOf(std::hash<uint64_t>{}(gid), level));
+    }
+    paths.insert(std::move(path));
+  }
+  return paths.size();
+}
+
 TEST_F(LiftedGApplyTest, SpilledPartitionRunsPerGroup) {
+  // A spilled liftable PGQ runs lifted once per spill partition it loads,
+  // recursive repartition leaves included; only the per-group reference
+  // runs once per group.
   const std::string sql =
       "select gapply(select s, d from g where d > (select avg(d) from g)) "
       "from t group by k : g";
@@ -558,19 +586,46 @@ TEST_F(LiftedGApplyTest, SpilledPartitionRunsPerGroup) {
   const Run unlimited = Execute(plan.get(), 1024);
   EXPECT_EQ(unlimited.counters.pgq_executions, 1u);
   EXPECT_EQ(unlimited.counters.spill_bytes, 0u);
-  PhysOpPtr per_group = LowerSql(sql, PartitionMode::kHash, 1);
-  FindGApply(per_group.get())->set_lifted_pgq(nullptr);
+  PhysOpPtr per_group = LowerSql(sql, PartitionMode::kHash, 1,
+                                 /*per_group=*/true);
   const uint64_t groups = Execute(per_group.get(), 1024).counters.pgq_executions;
-  EXPECT_GT(groups, 1u);
+  ASSERT_GT(groups, uint64_t{kSpillFanout});
 
-  for (size_t dop : {size_t{1}, size_t{4}}) {
-    PhysOpPtr budgeted_plan = LowerSql(sql, PartitionMode::kHash, dop);
-    const Run spilled = Execute(budgeted_plan.get(), 1024, /*budget=*/512);
-    EXPECT_GT(spilled.counters.spill_bytes, 0u);
-    EXPECT_EQ(spilled.counters.pgq_executions, groups);
-    EXPECT_TRUE(
-        SameRowSequence(spilled.result.rows, unlimited.result.rows))
-        << "dop=" << dop;
+  // 16 KB holds every level-0 partition of the ~60 KB input; 64 B holds no
+  // row, so every partition repartitions down to the depth cap.
+  struct Budget {
+    size_t bytes;
+    int leaf_level;
+  };
+  for (const Budget& budget : {Budget{16 << 10, 0},
+                               Budget{64, kMaxSpillDepth - 1}}) {
+    const size_t leaves = SpillLeavesRun(groups, budget.leaf_level);
+    EXPECT_LT(leaves, groups);
+    for (size_t dop : {size_t{1}, size_t{4}}) {
+      for (size_t batch : {size_t{1}, size_t{1024}}) {
+        PhysOpPtr lifted = LowerSql(sql, PartitionMode::kHash, dop);
+        const Run spilled = Execute(lifted.get(), batch, budget.bytes);
+        const std::string where = "budget=" + std::to_string(budget.bytes) +
+                                  " dop=" + std::to_string(dop) +
+                                  " batch=" + std::to_string(batch);
+        EXPECT_GT(spilled.counters.spill_bytes, 0u) << where;
+        if (budget.leaf_level == 0) {
+          EXPECT_EQ(spilled.counters.spill_partitions, kSpillFanout) << where;
+        } else {
+          EXPECT_GT(spilled.counters.spill_partitions, kSpillFanout) << where;
+        }
+        EXPECT_EQ(spilled.counters.pgq_executions, leaves) << where;
+        EXPECT_TRUE(
+            SameRowSequence(spilled.result.rows, unlimited.result.rows))
+            << where;
+      }
+    }
+    PhysOpPtr reference = LowerSql(sql, PartitionMode::kHash, 1,
+                                   /*per_group=*/true);
+    const Run spilled_reference = Execute(reference.get(), 1024, budget.bytes);
+    EXPECT_EQ(spilled_reference.counters.pgq_executions, groups);
+    EXPECT_TRUE(SameRowSequence(spilled_reference.result.rows,
+                                unlimited.result.rows));
   }
 }
 

@@ -228,23 +228,6 @@ TEST(HashGroupByTest, CountIgnoresNullsCountStarDoesNot) {
                    {Value::Int(3), Value::Int(1), Value::Int(1)}});
 }
 
-TEST(StreamGroupByTest, MatchesHashGroupByOnSortedInput) {
-  auto table = SmallTable();
-  const Schema& s = table->schema();
-  std::vector<AggregateDesc> aggs1, aggs2;
-  for (auto* aggs : {&aggs1, &aggs2}) {
-    aggs->push_back(Min(Col(s, "d"), "min_d"));
-    aggs->push_back(Max(Col(s, "v"), "max_v"));
-  }
-  StreamGroupByOp stream(
-      std::make_unique<SortOp>(std::make_unique<TableScanOp>(table.get()),
-                               std::vector<SortKey>{{0, true}}),
-      {0}, std::move(aggs1));
-  HashGroupByOp hash(std::make_unique<TableScanOp>(table.get()), {0},
-                     std::move(aggs2));
-  EXPECT_TRUE(SameRowMultiset(RunPlan(&stream).rows, RunPlan(&hash).rows));
-}
-
 TEST(ScalarAggTest, EmptyInputYieldsOneRow) {
   Schema s({{"v", TypeId::kInt64, "t"}});
   auto table = MakeTable("t", s, {});

@@ -204,21 +204,5 @@ TEST_F(PlanTest, LoweringHonorsForcedPartitionMode) {
   EXPECT_NE((*phys)->DebugName().find("partition=sort"), std::string::npos);
 }
 
-TEST_F(PlanTest, StreamGroupByLoweringMatchesHash) {
-  auto make_plan = [&]() {
-    return PlanBuilder::Scan(catalog_, "partsupp")
-        .GroupBy({"ps_suppkey"},
-                 {{AggKind::kMax, "ps_supplycost", "m", false}})
-        .Build();
-  };
-  auto p1 = make_plan();
-  ASSERT_TRUE(p1.ok());
-  LoweringOptions stream;
-  stream.stream_group_by = true;
-  QueryResult hash_result = Execute(**p1);
-  QueryResult stream_result = Execute(**p1, stream);
-  EXPECT_TRUE(SameRowMultiset(hash_result.rows, stream_result.rows));
-}
-
 }  // namespace
 }  // namespace gapply
