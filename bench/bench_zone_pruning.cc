@@ -3,7 +3,9 @@
 // selectivity the columnar scan with the predicate pushed down is timed
 // against the row-store scan + Filter baseline, and the scan's
 // morsels_pruned / morsels_scanned counters report how much of the table
-// the zone maps let it skip.
+// the zone maps let it skip. The key column is sorted, so each scanned
+// morsel is also narrowed by binary search, and scan_rows_evaluated (gated
+// exactly by bench_check) counts the rows the scan program still evaluated.
 //
 // Acceptance criterion (deterministic, enforced even in smoke mode): at
 // s <= 0.01 the pruned-morsel fraction must exceed 0.9 — a clustered
@@ -36,6 +38,7 @@ struct SweepRecord {
   double speedup_vs_row = 0;
   uint64_t morsels_pruned = 0;
   uint64_t morsels_scanned = 0;
+  uint64_t scan_rows_evaluated = 0;
   double pruned_fraction = 0;
 };
 
@@ -125,10 +128,11 @@ void WriteJson(const std::vector<SweepRecord>& records, size_t table_rows,
         "    {\"label\": \"s=%g\", \"selectivity\": %g, \"rows_out\": %zu, "
         "\"ms\": %.4f, \"row_ms\": %.4f, \"speedup_vs_row\": %.4f, "
         "\"morsels_pruned\": %llu, \"morsels_scanned\": %llu, "
-        "\"pruned_fraction\": %.4f}%s\n",
+        "\"scan_rows_evaluated\": %llu, \"pruned_fraction\": %.4f}%s\n",
         r.selectivity, r.selectivity, r.rows_out, r.ms, r.row_ms,
         r.speedup_vs_row, static_cast<unsigned long long>(r.morsels_pruned),
         static_cast<unsigned long long>(r.morsels_scanned),
+        static_cast<unsigned long long>(r.scan_rows_evaluated),
         r.pruned_fraction, i + 1 == records.size() ? "" : ",");
   }
   std::fprintf(f, "  ],\n%s\n}\n", ProfilesJsonMember().c_str());
@@ -169,6 +173,7 @@ void Run() {
     rec.speedup_vs_row = rowstore.ms / columnar.ms;
     rec.morsels_pruned = columnar.counters.morsels_pruned;
     rec.morsels_scanned = columnar.counters.morsels_scanned;
+    rec.scan_rows_evaluated = columnar.counters.scan_rows_evaluated;
     const uint64_t visited = rec.morsels_pruned + rec.morsels_scanned;
     rec.pruned_fraction =
         visited == 0 ? 0
@@ -176,11 +181,12 @@ void Run() {
                            static_cast<double>(visited);
     std::printf(
         "s=%-6g %8zu rows  columnar %8.3f ms  row %8.3f ms  "
-        "speedup %5.2fx  pruned %llu/%llu (%.1f%%)\n",
+        "speedup %5.2fx  pruned %llu/%llu (%.1f%%)  evaluated %llu\n",
         s, rec.rows_out, rec.ms, rec.row_ms, rec.speedup_vs_row,
         static_cast<unsigned long long>(rec.morsels_pruned),
         static_cast<unsigned long long>(visited),
-        100.0 * rec.pruned_fraction);
+        100.0 * rec.pruned_fraction,
+        static_cast<unsigned long long>(rec.scan_rows_evaluated));
     // The pruning bar is a counting argument, not a timing — enforce it
     // unconditionally.
     if (s <= 0.01 && rec.pruned_fraction <= 0.9) {

@@ -127,6 +127,9 @@ JsonValue AnalyzeJson(size_t rows, const QueryStats& stats) {
   counters.Set("morsels_scanned",
                JsonValue::Int(static_cast<int64_t>(
                    stats.counters.morsels_scanned)));
+  counters.Set("scan_rows_evaluated",
+               JsonValue::Int(static_cast<int64_t>(
+                   stats.counters.scan_rows_evaluated)));
   counters.Set("plan_cache_checked", JsonValue::Bool(stats.plan_cache_checked));
   counters.Set("plan_cache_hit", JsonValue::Bool(stats.plan_cache_hit));
   counters.Set("plan_cache_hits",

@@ -72,6 +72,9 @@ class ExecContext {
     // either pruned (skipped wholesale off its zone maps) or scanned.
     uint64_t morsels_scanned = 0;
     uint64_t morsels_pruned = 0;
+    // Rows of scanned morsels the pushed scan program evaluated, after
+    // sorted-column narrowing (ColumnarTable::NarrowMorsel).
+    uint64_t scan_rows_evaluated = 0;
     uint64_t pgq_executions = 0;     // per-group query invocations
     uint64_t apply_invocations = 0;  // inner re-executions by Apply
     uint64_t rows_sorted = 0;
@@ -120,6 +123,7 @@ class ExecContext {
         {"group_rows_scanned", &Counters::group_rows_scanned},
         {"morsels_scanned", &Counters::morsels_scanned},
         {"morsels_pruned", &Counters::morsels_pruned},
+        {"scan_rows_evaluated", &Counters::scan_rows_evaluated},
         {"pgq_executions", &Counters::pgq_executions},
         {"apply_invocations", &Counters::apply_invocations},
         {"rows_sorted", &Counters::rows_sorted},

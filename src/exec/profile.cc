@@ -53,7 +53,9 @@ void RenderTo(const ProfileNode& node, const ProfileRenderOptions& options,
   // print nothing.
   if (work.morsels_pruned > 0 || work.morsels_scanned > 0) {
     *out += " morsels_pruned=" + std::to_string(work.morsels_pruned) +
-            " morsels_scanned=" + std::to_string(work.morsels_scanned);
+            " morsels_scanned=" + std::to_string(work.morsels_scanned) +
+            " scan_rows_evaluated=" +
+            std::to_string(work.scan_rows_evaluated);
   }
   // Spill volume is a deterministic function of (input, budget) for a
   // given plan, so it prints with the stable fields; zero (the unbudgeted
@@ -148,6 +150,7 @@ JsonValue ProfileToJson(const ProfileNode& node) {
   count("workers_merged", p.workers_merged);
   count("morsels_pruned", p.work.morsels_pruned);
   count("morsels_scanned", p.work.morsels_scanned);
+  count("scan_rows_evaluated", p.work.scan_rows_evaluated);
   count("spill_bytes", p.work.spill_bytes);
   count("spill_partitions", p.work.spill_partitions);
   count("peak_memory", p.peak_memory);

@@ -33,6 +33,7 @@ Status TableScanOp::OpenImpl(ExecContext*) {
   pos_ = 0;
   end_ = morsel_mode_ ? 0 : table_->num_rows();
   chunk_end_ = 0;
+  morsel_end_ = 0;
   scan_program_.reset();
   if (!preds_.empty()) {
     ASSIGN_OR_RETURN(scan_program_, ExprProgram::CompileScanPredicates(
@@ -50,7 +51,9 @@ Status TableScanOp::SetMorsel(size_t begin, size_t end) {
   }
   pos_ = std::min(begin, table_->num_rows());
   end_ = std::min(end, table_->num_rows());
-  chunk_end_ = pos_;  // force the zone-map check for the new range
+  // Force the zone-map check for the new range.
+  chunk_end_ = pos_;
+  morsel_end_ = pos_;
   return Status::OK();
 }
 
@@ -58,16 +61,21 @@ void TableScanOp::SkipPrunedChunks(size_t end) {
   const ColumnarTable& ct = table_->columnar();
   while (pos_ < end) {
     if (pos_ < chunk_end_) return;  // already inside a checked chunk
+    if (pos_ < morsel_end_) {
+      // Past the narrowed range: no later row of this chunk can match.
+      pos_ = morsel_end_;
+      continue;
+    }
     const size_t m = pos_ / ColumnarTable::kMorselRows;
-    chunk_end_ = std::min(end, (m + 1) * ColumnarTable::kMorselRows);
-    if (preds_.empty()) return;  // nothing to prune on
+    morsel_end_ = std::min(end, (m + 1) * ColumnarTable::kMorselRows);
+    chunk_end_ = morsel_end_;
     if (ct.CanPruneMorsel(m, preds_)) {
       profile_.work.morsels_pruned++;
       pos_ = chunk_end_;
       continue;
     }
     profile_.work.morsels_scanned++;
-    return;
+    ct.NarrowMorsel(m, preds_, &pos_, &chunk_end_);
   }
 }
 
@@ -95,6 +103,7 @@ Result<bool> TableScanOp::NextBatchImpl(ExecContext*, RowBatch* out) {
     const size_t stop =
         std::min(chunk_end_, pos_ + (out->capacity() - out->size()));
     selection_.clear();
+    profile_.work.scan_rows_evaluated += stop - pos_;
     RETURN_NOT_OK(scan_program_->FilterRange(pos_, stop, &selection_));
     for (const uint32_t i : selection_) {
       Row row;

@@ -22,9 +22,13 @@ namespace gapply {
 ///  - columnar: engaged by pushdown (`PushPredicates`, filled in by
 ///    lowering from the Filter above the scan when the session storage
 ///    mode is columnar). The scan then (a) skips whole storage morsels
-///    whose zone maps refute a conjunct — booked in the `morsels_pruned` /
-///    `morsels_scanned` counters — and (b) evaluates the surviving
-///    conjuncts over the dense arrays, emitting only matching rows.
+///    whose zone maps refute a conjunct (booked in the `morsels_pruned` /
+///    `morsels_scanned` counters), (b) narrows each surviving morsel by
+///    binary search on every int64 `=`/`<`/`<=`/`>`/`>=` conjunct whose
+///    column is sorted there (ZoneMap::sorted), and (c) evaluates all the
+///    conjuncts over the dense arrays of the rows left, emitting only
+///    matching rows. The rows handed to the program are booked in
+///    `scan_rows_evaluated`.
 /// Both paths produce bit-for-bit the same stream for the same (possibly
 /// empty) predicate set.
 ///
@@ -73,9 +77,12 @@ class TableScanOp : public PhysOp {
 
  private:
   /// Advances `pos_` past consecutive zone-map-pruned storage morsels and
-  /// establishes `chunk_end_` for the chunk `pos_` lands in, booking the
-  /// pruned/scanned counters once per chunk visit. On return either
-  /// `pos_ >= end` or `pos_` sits inside a checked, scannable chunk.
+  /// narrowed-away rows, and establishes `chunk_end_` for the chunk `pos_`
+  /// lands in, booking the pruned/scanned counters once per chunk visit.
+  /// A scanned chunk is narrowed by ColumnarTable::NarrowMorsel to the
+  /// rows a sorted conjunct can keep. On return either `pos_ >= end` or
+  /// [pos_, chunk_end_) is a non-empty run of rows the program must
+  /// evaluate.
   void SkipPrunedChunks(size_t end);
 
   const Table* table_;
@@ -85,10 +92,16 @@ class TableScanOp : public PhysOp {
   std::vector<uint32_t> selection_;            // scratch for FilterRange
   size_t pos_ = 0;
   size_t end_ = 0;
-  /// End of the storage-morsel chunk the cursor currently sits in;
-  /// `pos_ >= chunk_end_` means the next chunk still needs its zone-map
-  /// check. Reset by Open/SetMorsel.
+  /// End of the rows of the current chunk the scan program must evaluate:
+  /// the chunk's end, or less after NarrowMorsel. `pos_ >= chunk_end_`
+  /// means the cursor has left those rows. Reset by Open/SetMorsel.
   size_t chunk_end_ = 0;
+  /// End of the storage-morsel chunk the cursor currently sits in (the
+  /// intersection of one storage morsel and the scan range); rows in
+  /// [chunk_end_, morsel_end_) were narrowed away and are skipped, and
+  /// `pos_ >= morsel_end_` means the next chunk still needs its zone-map
+  /// check.
+  size_t morsel_end_ = 0;
   bool morsel_mode_ = false;
 };
 

@@ -1,5 +1,6 @@
 #include "src/fuzz/data_gen.h"
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 
@@ -65,6 +66,57 @@ void FillRows(FuzzTable* table, size_t n, const std::vector<std::string>& words,
       row.push_back(DrawValue(col, words, rng));
     }
     table->rows.push_back(std::move(row));
+  }
+}
+
+/// Sometimes reorders the values of one NULL-free int64 fact column into
+/// non-decreasing order, and sometimes then breaks that order with one
+/// NULL or one descent. The column keeps its multiset of values, but each
+/// row now pairs it with other values of the other columns, so groups on
+/// this column get different members and groups on other columns see
+/// different values. Draws only from `side`, so the main stream, and with
+/// it every seed's schema and features, stays as it was.
+void MaybeSortColumn(FuzzDataset* ds, Rng* side) {
+  FuzzTable& fact = ds->fact;
+  std::vector<size_t> candidates;
+  for (size_t c = 0; c < fact.columns.size(); ++c) {
+    const FuzzColumn& col = fact.columns[c];
+    if (col.type == TypeId::kInt64 && col.null_fraction == 0) {
+      candidates.push_back(c);
+    }
+  }
+  if (fact.rows.size() < 2 || candidates.empty() || !side->Bernoulli(0.4)) {
+    return;
+  }
+  const size_t c = candidates[static_cast<size_t>(
+      side->UniformInt(0, static_cast<int64_t>(candidates.size()) - 1))];
+  std::vector<int64_t> values;
+  values.reserve(fact.rows.size());
+  for (const Row& row : fact.rows) values.push_back(row[c].int_val());
+  std::sort(values.begin(), values.end());
+  for (size_t i = 0; i < values.size(); ++i) {
+    fact.rows[i][c] = Value::Int(values[i]);
+  }
+  fact.columns[c].sorted = true;
+  ds->features.push_back("sorted-col");
+  if (!side->Bernoulli(0.3)) return;
+  const size_t n = values.size();
+  const size_t start = static_cast<size_t>(
+      side->UniformInt(1, static_cast<int64_t>(n) - 1));
+  // Never a NULL in fk: the declared foreign key must stay honest.
+  if (fact.columns[c].name != "fk" && side->Bernoulli(0.5)) {
+    fact.rows[start][c] = Value::Null();
+    ds->features.push_back("sorted-col-null");
+    return;
+  }
+  // Swapping an ascending neighbour pair makes exactly one descent.
+  for (size_t k = 0; k < n - 1; ++k) {
+    const size_t r = 1 + (start - 1 + k) % (n - 1);
+    if (values[r - 1] < values[r]) {
+      std::swap(fact.rows[r - 1][c], fact.rows[r][c]);
+      ds->features.push_back("sorted-col-descent");
+      return;
+    }
   }
 }
 
@@ -207,6 +259,9 @@ FuzzDataset GenerateDataset(Rng* rng) {
     ds.features.push_back("dup-rows");
   }
 
+  // A side stream seeded off (not drawn from) the main one.
+  Rng side(Rng(*rng).Next() ^ 0x50f7edc011ull);
+  MaybeSortColumn(&ds, &side);
   return ds;
 }
 

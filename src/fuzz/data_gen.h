@@ -30,6 +30,11 @@ struct FuzzColumn {
   int64_t int_max = 0;
   double dbl_min = 0.0;
   double dbl_max = 0.0;
+  /// An int64 fact column whose rows were reordered to be non-decreasing
+  /// (with duplicate runs), so pushed scans narrow on it by binary search;
+  /// sometimes one NULL or one descent then breaks the order. The query
+  /// generator ands `=` and range conjuncts on it onto WHERE predicates.
+  bool sorted = false;
 };
 
 struct FuzzTable {

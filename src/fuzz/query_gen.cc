@@ -122,7 +122,9 @@ struct GenSelect {
 
 class QueryGen {
  public:
-  QueryGen(const FuzzDataset& ds, Rng* rng) : ds_(ds), rng_(rng) {}
+  // `side_` is seeded off (not drawn from) the main stream.
+  QueryGen(const FuzzDataset& ds, Rng* rng)
+      : ds_(ds), rng_(rng), side_(Rng(*rng).Next() ^ 0x5a17edc0ull) {}
 
   GeneratedQuery Generate() {
     GeneratedQuery out;
@@ -261,7 +263,42 @@ class QueryGen {
     return Bin(Cmp(), Col(col->name), SLit(LiteralFor(*col)));
   }
 
-  SqlExprPtr Pred(const Scope& scope, int depth = 0) {
+  /// A predicate; on a dataset with a sorted column in `scope`, often with
+  /// an `=`/range conjunct on that column and-ed on top, where a scan
+  /// below can take it as a pushed conjunct and narrow by binary search.
+  /// The conjunct draws from `side_` only, after the predicate is drawn, so
+  /// the main stream, and with it the rest of the query and its features,
+  /// is what it would be on an unsorted dataset.
+  SqlExprPtr Pred(const Scope& scope) {
+    SqlExprPtr pred = DrawnPred(scope, 0);
+    const auto sorted = std::find_if(
+        scope.begin(), scope.end(),
+        [](const FuzzColumn* c) { return c->sorted; });
+    if (sorted == scope.end() || !side_.Bernoulli(0.6)) return pred;
+    const FuzzColumn& col = **sorted;
+    static const BinaryOp kCmps[] = {BinaryOp::kEq, BinaryOp::kEq,
+                                     BinaryOp::kLt, BinaryOp::kLe,
+                                     BinaryOp::kGt, BinaryOp::kGe,
+                                     BinaryOp::kNe};
+    const BinaryOp op = kCmps[side_.UniformInt(0, 6)];
+    // Mostly a key some row holds, so `=` and the range ends land on a
+    // duplicate run rather than outside the zone map's range.
+    const size_t c = static_cast<size_t>(&col - ds_.fact.columns.data());
+    const std::vector<Row>& rows = ds_.fact.rows;
+    const Value& held = rows[static_cast<size_t>(
+        side_.UniformInt(0, static_cast<int64_t>(rows.size()) - 1))][c];
+    const int64_t v = !held.is_null() && side_.Bernoulli(0.7)
+                          ? held.int_val()
+                          : side_.UniformInt(col.int_min - 1, col.int_max + 1);
+    // Now and then a double literal, which never narrows an int column.
+    Value lit = side_.Bernoulli(0.1)
+                    ? Value::Double(static_cast<double>(v) + 0.5)
+                    : Value::Int(v);
+    return Bin(BinaryOp::kAnd, Bin(op, Col(col.name), SLit(std::move(lit))),
+               std::move(pred));
+  }
+
+  SqlExprPtr DrawnPred(const Scope& scope, int depth) {
     if (depth >= 2 || rng_->Bernoulli(0.55)) {
       SqlExprPtr atom = PredAtom(scope);
       if (rng_->Bernoulli(0.12)) atom = Un(UnaryOp::kNot, std::move(atom));
@@ -269,7 +306,7 @@ class QueryGen {
     }
     const BinaryOp op =
         rng_->Bernoulli(0.6) ? BinaryOp::kAnd : BinaryOp::kOr;
-    return Bin(op, Pred(scope, depth + 1), Pred(scope, depth + 1));
+    return Bin(op, DrawnPred(scope, depth + 1), DrawnPred(scope, depth + 1));
   }
 
   /// One aggregate call over the scope, e.g. sum(v0), count(distinct s1).
@@ -673,6 +710,7 @@ class QueryGen {
 
   const FuzzDataset& ds_;
   Rng* rng_;
+  Rng side_;
   std::set<std::string> features_;
   int alias_counter_ = 0;
 };

@@ -124,11 +124,18 @@ ColumnarTable::ColumnarTable(const Schema& schema) {
 void ColumnarTable::AppendRow(const Row& row) {
   const bool new_morsel = num_rows_ % kMorselRows == 0;
   for (size_t c = 0; c < columns_.size(); ++c) {
-    columns_[c].Append(row[c]);
+    ColumnVector& col = columns_[c];
+    col.Append(row[c]);
     std::vector<ZoneMap>& zones = zones_[c];
     if (new_morsel) zones.emplace_back();
     ZoneMap& zone = zones.back();
     const Value& v = row[c];
+    if (col.type() == TypeId::kInt64) {
+      const std::vector<int64_t>& ints = col.ints();
+      zone.sorted = !v.is_null() &&
+                    (new_morsel || (zone.sorted && ints[num_rows_ - 1] <=
+                                                       ints[num_rows_]));
+    }
     if (v.is_null()) {
       ++zone.null_count;
       continue;
@@ -159,6 +166,37 @@ bool ColumnarTable::CanPruneMorsel(
     if (RangeRefutes(p.op, zone.min, zone.max, p.literal)) return true;
   }
   return false;
+}
+
+void ColumnarTable::NarrowMorsel(size_t m,
+                                 const std::vector<ScanPredicate>& preds,
+                                 size_t* begin, size_t* end) const {
+  for (const ScanPredicate& p : preds) {
+    if (*begin >= *end) return;
+    const size_t c = static_cast<size_t>(p.column);
+    if (p.op == CmpOp::kNe || !zones_[c][m].sorted ||
+        p.literal.type() != TypeId::kInt64) {
+      continue;
+    }
+    const int64_t lit = p.literal.int_val();
+    const int64_t* ints = columns_[c].ints().data();
+    const int64_t* lo = ints + *begin;
+    const int64_t* hi = ints + *end;
+    const auto row = [ints](const int64_t* it) {
+      return static_cast<size_t>(it - ints);
+    };
+    switch (p.op) {
+      case CmpOp::kEq:
+        *end = row(std::upper_bound(lo, hi, lit));
+        *begin = row(std::lower_bound(lo, hi, lit));
+        break;
+      case CmpOp::kLt: *end = row(std::lower_bound(lo, hi, lit)); break;
+      case CmpOp::kLe: *end = row(std::upper_bound(lo, hi, lit)); break;
+      case CmpOp::kGt: *begin = row(std::upper_bound(lo, hi, lit)); break;
+      case CmpOp::kGe: *begin = row(std::lower_bound(lo, hi, lit)); break;
+      case CmpOp::kNe: break;
+    }
+  }
 }
 
 std::vector<CompiledPredicate> ColumnarTable::CompilePredicates(

@@ -83,10 +83,17 @@ class ColumnVector {
 /// the morsel has none. Sound for pruning WHERE conjuncts because a NULL
 /// operand makes any comparison NULL, which WHERE rejects — so NULL rows
 /// can never satisfy a pushed predicate and need no min/max coverage.
+///
+/// `sorted` holds, for an int64 column only, while every row of the morsel
+/// so far is non-NULL and no smaller than the row before it. It lets a scan
+/// narrow an int64 conjunct to a row range by binary search
+/// (ColumnarTable::NarrowMorsel). One NULL or one descent clears it for
+/// good: later rows of the morsel cannot restore the order of earlier ones.
 struct ZoneMap {
   Value min;
   Value max;
   uint64_t null_count = 0;
+  bool sorted = false;
 };
 
 /// A pushed-down scan conjunct `column <op> literal`. The literal is
@@ -157,6 +164,17 @@ class ColumnarTable {
   /// morsel's value range (or the referenced column is entirely NULL there).
   /// A morsel that cannot be pruned may still contain zero matching rows.
   bool CanPruneMorsel(size_t m, const std::vector<ScanPredicate>& preds) const;
+
+  /// Narrows the row range [*begin, *end), which must lie inside morsel
+  /// `m`, to the rows that can satisfy every int64-column-vs-int64-literal
+  /// conjunct of `preds` over a `sorted` zone: `=` keeps [lb, ub), `<` and
+  /// `<=` keep a prefix, `>` and `>=` keep a suffix, where lb/ub are the
+  /// lower/upper bound of the literal. `<>`, other conjunct kinds and
+  /// unsorted (or NULL-bearing) morsels leave the range as it is. Rows cut
+  /// off fail their conjunct; the rows kept still need every conjunct
+  /// evaluated. The result may be empty (*begin == *end).
+  void NarrowMorsel(size_t m, const std::vector<ScanPredicate>& preds,
+                    size_t* begin, size_t* end) const;
 
   /// Lowers `preds` onto this table's dense representation (dictionary
   /// lookups resolved, literals widened). Call once per scan Open; the

@@ -863,6 +863,149 @@ TEST(ColumnarStorageEdgeTest, PruningInsideExchangeMorselDriver) {
 }
 
 // ---------------------------------------------------------------------------
+// Sorted-column narrowing (ColumnarTable::NarrowMorsel), on the 12,800-row
+// SortedRunRows table.
+// ---------------------------------------------------------------------------
+
+// The exact scan_rows_evaluated of a scan of `preds` over `table`: nothing
+// for a zone-pruned morsel; in a morsel whose key column 0 is sorted
+// (`sorted(m)`), the rows passing every int-literal, non-`<>` key conjunct;
+// in any other morsel, all its rows.
+uint64_t ExpectedRowsEvaluated(const Table& table,
+                               const std::vector<ScanPredicate>& preds,
+                               const std::function<bool(size_t)>& sorted) {
+  const ColumnarTable& ct = table.columnar();
+  std::vector<ScanPredicate> narrowing;
+  for (const ScanPredicate& p : preds) {
+    if (p.column == 0 && p.op != value_ops::CmpOp::kNe &&
+        p.literal.type() == TypeId::kInt64) {
+      narrowing.push_back(p);
+    }
+  }
+  uint64_t total = 0;
+  for (size_t m = 0; m < ct.num_morsels(); ++m) {
+    if (ct.CanPruneMorsel(m, preds)) continue;
+    const size_t lo = m * ColumnarTable::kMorselRows;
+    const size_t hi = std::min(lo + ColumnarTable::kMorselRows, ct.num_rows());
+    total += sorted(m) ? tutil::ScanReferenceSelection(ct, table.schema(),
+                                                       narrowing, lo, hi)
+                             .size()
+                       : hi - lo;
+  }
+  return total;
+}
+
+std::vector<Row> RunPushedScan(const Table* table,
+                               const std::vector<ScanPredicate>& preds,
+                               size_t dop, size_t batch,
+                               ExecContext::Counters* counters) {
+  auto scan = std::make_unique<TableScanOp>(table);
+  scan->PushPredicates(preds);
+  PhysOpPtr plan = std::move(scan);
+  // Exchange morsels of 997 rows start and end inside storage morsels.
+  if (dop > 1) {
+    plan = std::make_unique<ExchangeOp>(std::move(plan), dop,
+                                        /*morsel_rows=*/997);
+  }
+  return RunBatchPath(plan.get(), batch, counters);
+}
+
+std::vector<Row> RunUnpushedFilter(const Table* table,
+                                   const std::vector<ScanPredicate>& preds) {
+  auto scan = std::make_unique<TableScanOp>(table);
+  auto filter = std::make_unique<FilterOp>(
+      std::move(scan), PredsToExpr(table->schema(), preds));
+  return RunBatchPath(filter.get(), 1024);
+}
+
+TEST(SortedNarrowingTest, EveryCmpOpMatchesTheUnpushedFilter) {
+  using value_ops::CmpOp;
+  std::vector<std::vector<ScanPredicate>> pred_sets;
+  for (const CmpOp op : {CmpOp::kEq, CmpOp::kNe, CmpOp::kLt, CmpOp::kLe,
+                         CmpOp::kGt, CmpOp::kGe}) {
+    // 585's run straddles the first morsel boundary; 1300 sits in morsel
+    // 2 (broken: one descent); the last two miss every row.
+    for (const int64_t lit : {585, 1300, -5, 99999}) {
+      pred_sets.push_back({{0, op, Value::Int(lit)}});
+    }
+  }
+  pred_sets.push_back(
+      {{0, CmpOp::kGe, Value::Int(580)}, {0, CmpOp::kLt, Value::Int(1000)}});
+  pred_sets.push_back(
+      {{0, CmpOp::kEq, Value::Int(585)}, {1, CmpOp::kEq, Value::Int(3)}});
+  // An int column against a double literal never narrows.
+  pred_sets.push_back({{0, CmpOp::kGt, Value::Double(1000.5)}});
+  pred_sets.push_back({{0, CmpOp::kEq, Value::Double(585.0)}});
+  for (const bool broken : {false, true}) {
+    auto table =
+        MakeTable("t", GroupedSchema(), tutil::SortedRunRows(broken));
+    // Broken: morsel 1 holds one NULL key and morsel 2 one descent.
+    const auto sorted = [&](size_t m) { return !broken || m == 0 || m == 3; };
+    for (const auto& preds : pred_sets) {
+      const std::vector<Row> expected = RunUnpushedFilter(table.get(), preds);
+      const uint64_t want = ExpectedRowsEvaluated(*table, preds, sorted);
+      for (const size_t dop : {size_t{1}, size_t{4}}) {
+        for (const size_t batch : {size_t{1}, size_t{1024}}) {
+          const std::string where =
+              preds[0].ToString(table->schema()) + (broken ? " broken" : "") +
+              " dop=" + std::to_string(dop) +
+              " batch=" + std::to_string(batch);
+          ExecContext::Counters counters;
+          tutil::ExpectSameSequence(
+              RunPushedScan(table.get(), preds, dop, batch, &counters),
+              expected, where);
+          EXPECT_EQ(counters.scan_rows_evaluated, want) << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(SortedNarrowingTest, PointLookupEvaluatesOnlyItsRun) {
+  using value_ops::CmpOp;
+  auto clean = MakeTable("t", GroupedSchema(), tutil::SortedRunRows(false));
+  auto broken = MakeTable("t", GroupedSchema(), tutil::SortedRunRows(true));
+  const auto evaluated = [](const Table* table, int64_t key) {
+    ExecContext::Counters counters;
+    RunPushedScan(table, {{0, CmpOp::kEq, Value::Int(key)}}, 1, 1024,
+                  &counters);
+    return counters.scan_rows_evaluated;
+  };
+  // Key 585 is rows 4095..4101: one row in morsel 0, six in morsel 1.
+  EXPECT_EQ(evaluated(clean.get(), 585), 7u);
+  EXPECT_EQ(evaluated(clean.get(), 1000), 7u);
+  // Broken, morsel 1 (one NULL) and morsel 2 (whose descent to key 0
+  // widens its zone, so it no longer prunes) evaluate whole; morsel 0
+  // still narrows.
+  EXPECT_EQ(evaluated(broken.get(), 585), 1u + 2 * ColumnarTable::kMorselRows);
+  EXPECT_EQ(evaluated(broken.get(), 1000), 2 * ColumnarTable::kMorselRows);
+}
+
+TEST(SortedNarrowingTest, AppendThatBreaksOrderFallsBackToTheWholeMorsel) {
+  auto table = MakeTable("t", GroupedSchema(), tutil::SortedRunRows(false));
+  const std::vector<ScanPredicate> preds = {
+      {0, value_ops::CmpOp::kEq, Value::Int(1828)}};
+  ExecContext::Counters counters;
+  // Key 1828 is the last run, rows 12796..12799 of the 512-row tail morsel.
+  EXPECT_EQ(RunPushedScan(table.get(), preds, 1, 1024, &counters).size(), 4u);
+  EXPECT_EQ(counters.scan_rows_evaluated, 4u);
+
+  ASSERT_TRUE(
+      table->Append({Value::Int(1828), Value::Int(0), Value::Double(0)}).ok());
+  EXPECT_EQ(RunPushedScan(table.get(), preds, 1, 1024, &counters).size(), 5u);
+  EXPECT_EQ(counters.scan_rows_evaluated, 5u);
+
+  // One descent: the mirror catches up, the flag drops, and the tail
+  // morsel is evaluated whole.
+  ASSERT_TRUE(
+      table->Append({Value::Int(0), Value::Int(0), Value::Double(0)}).ok());
+  tutil::ExpectSameSequence(
+      RunPushedScan(table.get(), preds, 1, 1024, &counters),
+      RunUnpushedFilter(table.get(), preds), "after descent");
+  EXPECT_EQ(counters.scan_rows_evaluated, 514u);
+}
+
+// ---------------------------------------------------------------------------
 // SetMorsel edge cases.
 // ---------------------------------------------------------------------------
 
@@ -933,6 +1076,30 @@ TEST(TableScanMorselTest, ZeroWidthMorselYieldsNothingAndRearms) {
   // Re-arming after a zero-width morsel still works.
   ASSERT_TRUE(scan.SetMorsel(0, 50).ok());
   EXPECT_EQ(DrainScan(&scan, &ctx).size(), 50u);
+  ASSERT_TRUE(scan.Close(&ctx).ok());
+}
+
+TEST(TableScanMorselTest, NarrowsInsideRangesThatStartAndEndMidMorsel) {
+  auto table = MakeTable("t", GroupedSchema(), tutil::SortedRunRows(false));
+  TableScanOp scan(table.get());
+  scan.PushPredicates({{0, value_ops::CmpOp::kEq, Value::Int(585)}});
+  scan.EnableMorselMode();
+  ExecContext ctx;
+  ASSERT_TRUE(scan.Open(&ctx).ok());
+  // (rows out, rows evaluated) of one armed range.
+  const auto drain = [&](size_t begin, size_t end) {
+    EXPECT_TRUE(scan.SetMorsel(begin, end).ok());
+    const uint64_t before = scan.runtime_profile().work.scan_rows_evaluated;
+    const size_t rows = DrainScan(&scan, &ctx).size();
+    return std::pair<size_t, uint64_t>(
+        rows, scan.runtime_profile().work.scan_rows_evaluated - before);
+  };
+  // Key 585 is rows 4095..4101, across the first morsel boundary.
+  EXPECT_EQ(drain(4000, 4200), (std::pair<size_t, uint64_t>(7, 7)));
+  EXPECT_EQ(drain(4098, 4100), (std::pair<size_t, uint64_t>(2, 2)));
+  // Morsel 1's zone (min 585) cannot prune these; narrowing empties them.
+  EXPECT_EQ(drain(4102, 4200), (std::pair<size_t, uint64_t>(0, 0)));
+  EXPECT_EQ(drain(100, 4095), (std::pair<size_t, uint64_t>(0, 0)));
   ASSERT_TRUE(scan.Close(&ctx).ok());
 }
 

@@ -47,7 +47,12 @@ struct PinnedSeed {
 // NULL-keyed group (now a null-safe join, IS NOT DISTINCT FROM). Seeds
 // whose query changed when the generator was weighted towards loop-liftable
 // PGQs were repinned to seeds covering the same features; the bug repros
-// among them keep their exact SQL in PinnedReproSql below.
+// among them keep their exact SQL in PinnedReproSql below. When the
+// generator learned to sort a fact int column (DESIGN.md §11), seeds 660,
+// 11 and 1245 drew one: their rows were reordered and 11 and 1245 gained
+// conjuncts on that column, but each keeps the features listed here, and
+// 11 still spills under the 4 KB budget below. The other seeds here, the
+// spill pins and repro 332 regenerate byte-identical data and SQL.
 const std::vector<PinnedSeed>& PinnedSeeds() {
   static const std::vector<PinnedSeed> seeds = {
       {1, {"join", "pgq-groupby"}},
@@ -65,6 +70,7 @@ const std::vector<PinnedSeed>& PinnedSeeds() {
       {6555, {"null-keys", "pgq-exists", "pgq-star"}},
       {1245, {"nested-gapply", "pgq-exists", "dup-rows"}},
       {40, {"union-top", "join", "gapply", "order-by"}},
+      {26, {"sorted-col", "gapply", "pgq-agg"}},
   };
   return seeds;
 }
@@ -79,7 +85,9 @@ struct PinnedRepro {
 //   7631 — GroupSelectionExists fired on a GApply nested inside another
 //          GApply's per-group query, introducing a Join that cannot lower
 //          (the PGQ operator set has none; now guarded by
-//          OptimizerContext::in_pgq).
+//          OptimizerContext::in_pgq). Its dataset has since drawn a
+//          sorted column (reordered rows, same SQL); without the in_pgq
+//          guards the repro still fails with the unlowerable Join.
 //   332  — a budgeted HashJoin on an Exchange morsel spine took the Grace
 //          spill path, which drains the probe side during Open — before
 //          any morsel is armed — so the join latched end-of-stream and one
@@ -202,6 +210,33 @@ TEST(FuzzRegressionTest, TinyBudgetPinnedSeedsSpillAndMatchUnlimited) {
   EXPECT_GT(total_spill_bytes, 0u)
       << "no pinned seed spilled under a 4 KB budget — the generator or "
          "ApproxRowBytes changed; repin these seeds.";
+}
+
+// Sorted-column corpus (DESIGN.md §13): the generator sometimes sorts a
+// fact int column and ands `=`/range conjuncts on it. Seed 26 draws
+// `where ((k0 < 2) and (k0 <= 4))` under a GApply over a sorted k0.
+// Scanning `t0` once, in one storage morsel, its pushed scan must evaluate
+// fewer rows than the table holds, which only narrowing can do;
+// PinnedSeeds runs every oracle on it, the storage ones against the plain
+// Filter.
+constexpr uint64_t kSortedNarrowingSeed = 26;
+
+TEST(FuzzRegressionTest, SortedColumnPinnedSeedNarrowsItsScan) {
+  const fuzz::CaseResult r =
+      fuzz::RunOneCase(kSortedNarrowingSeed, fuzz::OracleMatrixOptions{});
+  ASSERT_TRUE(r.generator_error.empty()) << r.generator_error;
+  Rng rng(kSortedNarrowingSeed);
+  const fuzz::FuzzDataset data = fuzz::GenerateDataset(&rng);
+  Catalog catalog;
+  StatsManager stats;
+  ASSERT_TRUE(fuzz::InstallDataset(data, &catalog, &stats).ok());
+  ASSIGN_OR_FAIL(LogicalOpPtr plan, sql::ParseAndBind(catalog, r.sql));
+  ExecContext::Counters work;
+  const Result<QueryResult> result =
+      fuzz::RunSpec(*plan, catalog, stats, fuzz::ExecSpec{}, &work);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(work.morsels_scanned, 1u) << r.sql;
+  EXPECT_LT(work.scan_rows_evaluated, data.fact.rows.size()) << r.sql;
 }
 
 // Concurrent-session oracle corpus (DESIGN.md §15). A 300-case sweep of the

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/expr/bytecode.h"
@@ -265,6 +267,124 @@ TEST(ColumnarTest, FilterRangeAgreesWithRowMatches) {
     } else {
       EXPECT_EQ(selection.size(), ct.num_rows());
     }
+  }
+}
+
+constexpr value_ops::CmpOp kAllCmpOps[] = {
+    value_ops::CmpOp::kEq, value_ops::CmpOp::kNe, value_ops::CmpOp::kLt,
+    value_ops::CmpOp::kLe, value_ops::CmpOp::kGt, value_ops::CmpOp::kGe};
+
+TEST(ColumnarTest, SortedFlagMarksNonDecreasingNonNullIntMorsels) {
+  auto clean = tutil::MakeTable("t", tutil::GroupedSchema(),
+                                tutil::SortedRunRows(/*broken=*/false));
+  auto broken = tutil::MakeTable("t", tutil::GroupedSchema(),
+                                 tutil::SortedRunRows(/*broken=*/true));
+  const ColumnarTable& c = clean->columnar();
+  const ColumnarTable& b = broken->columnar();
+  ASSERT_EQ(c.num_morsels(), 4u);
+  for (size_t m = 0; m < c.num_morsels(); ++m) {
+    EXPECT_TRUE(c.zone(0, m).sorted) << "morsel " << m;
+    EXPECT_FALSE(c.zone(1, m).sorted) << "morsel " << m;  // v = row % 13
+    // d rises too, but only int64 columns carry the flag.
+    EXPECT_FALSE(c.zone(2, m).sorted) << "morsel " << m;
+    // Morsel 1 holds one NULL key, morsel 2 one descent.
+    EXPECT_EQ(b.zone(0, m).sorted, m == 0 || m == 3) << "morsel " << m;
+  }
+}
+
+TEST(ColumnarTest, SortedFlagDropsWhenAnAppendAfterAScanBreaksOrder) {
+  Table t("t", Schema({{"k", TypeId::kInt64, "t"}}));
+  for (int64_t i = 0; i < 100; ++i) {
+    ASSERT_TRUE(t.Append({Value::Int(i / 3)}).ok());
+  }
+  EXPECT_TRUE(t.columnar().zone(0, 0).sorted);
+  ASSERT_TRUE(t.Append({Value::Int(33)}).ok());  // ties the last key
+  EXPECT_TRUE(t.columnar().zone(0, 0).sorted);
+  ASSERT_TRUE(t.Append({Value::Int(32)}).ok());  // one descent
+  EXPECT_FALSE(t.columnar().zone(0, 0).sorted);
+  ASSERT_TRUE(t.Append({Value::Int(1000)}).ok());
+  EXPECT_FALSE(t.columnar().zone(0, 0).sorted);  // order never comes back
+
+  Table u("u", Schema({{"k", TypeId::kInt64, "u"}}));
+  for (int64_t i = 0; i < 10; ++i) ASSERT_TRUE(u.Append({Value::Int(i)}).ok());
+  EXPECT_TRUE(u.columnar().zone(0, 0).sorted);
+  ASSERT_TRUE(u.Append({Value::Null()}).ok());
+  EXPECT_FALSE(u.columnar().zone(0, 0).sorted);
+}
+
+TEST(ColumnarTest, NarrowMorselKeepsExactlyTheMatchingRunOfSortedMorsels) {
+  using value_ops::CmpOp;
+  for (const bool broken : {false, true}) {
+    auto table = tutil::MakeTable("t", tutil::GroupedSchema(),
+                                  tutil::SortedRunRows(broken));
+    const ColumnarTable& ct = table->columnar();
+    for (size_t m = 0; m < ct.num_morsels(); ++m) {
+      const bool sorted = !broken || m == 0 || m == 3;
+      const size_t lo = m * ColumnarTable::kMorselRows;
+      const size_t hi =
+          std::min(lo + ColumnarTable::kMorselRows, ct.num_rows());
+      // The whole morsel, and a range that starts and ends inside it.
+      for (const auto& [b0, e0] : {std::pair{lo, hi},
+                                   std::pair{lo + 3, hi - 5}}) {
+        std::vector<std::vector<ScanPredicate>> pred_sets;
+        for (const CmpOp op : kAllCmpOps) {
+          for (const int64_t lit : {-1, 0, 585, 586, 1000, 1300, 1828, 5000}) {
+            pred_sets.push_back({{0, op, Value::Int(lit)}});
+          }
+        }
+        pred_sets.push_back({{0, CmpOp::kGe, Value::Int(580)},
+                             {1, CmpOp::kNe, Value::Int(2)},
+                             {0, CmpOp::kLt, Value::Int(590)}});
+        for (const auto& preds : pred_sets) {
+          const std::string where = preds[0].ToString(table->schema()) +
+                                    " morsel " + std::to_string(m) +
+                                    " range [" + std::to_string(b0) + ", " +
+                                    std::to_string(e0) + ")" +
+                                    (broken ? " broken" : "");
+          size_t b = b0;
+          size_t e = e0;
+          ct.NarrowMorsel(m, preds, &b, &e);
+          if (!sorted || preds[0].op == CmpOp::kNe) {
+            EXPECT_EQ(b, b0) << where;
+            EXPECT_EQ(e, e0) << where;
+            continue;
+          }
+          // Rows matching the key conjuncts (the v conjunct never narrows).
+          std::vector<ScanPredicate> key_preds;
+          for (const ScanPredicate& p : preds) {
+            if (p.column == 0) key_preds.push_back(p);
+          }
+          const std::vector<uint32_t> want = tutil::ScanReferenceSelection(
+              ct, table->schema(), key_preds, b0, e0);
+          if (want.empty()) {
+            EXPECT_EQ(b, e) << where;
+            continue;
+          }
+          EXPECT_EQ(b, want.front()) << where;
+          EXPECT_EQ(e, want.back() + 1u) << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(ColumnarTest, NarrowMorselIgnoresDoubleLiteralsAndUnsortedColumns) {
+  using value_ops::CmpOp;
+  auto table = tutil::MakeTable("t", tutil::GroupedSchema(),
+                                tutil::SortedRunRows(/*broken=*/false));
+  const ColumnarTable& ct = table->columnar();
+  const size_t end = ColumnarTable::kMorselRows;
+  for (const std::vector<ScanPredicate>& preds :
+       std::vector<std::vector<ScanPredicate>>{
+           {{0, CmpOp::kEq, Value::Double(585.0)}},
+           {{0, CmpOp::kLt, Value::Double(10.5)}},
+           {{1, CmpOp::kEq, Value::Int(3)}},
+           {{2, CmpOp::kGe, Value::Double(100.0)}}}) {
+    size_t b = 0;
+    size_t e = end;
+    ct.NarrowMorsel(0, preds, &b, &e);
+    EXPECT_EQ(b, 0u) << preds[0].ToString(table->schema());
+    EXPECT_EQ(e, end) << preds[0].ToString(table->schema());
   }
 }
 

@@ -72,6 +72,27 @@ inline Schema GroupedSchema() {
                  {"d", TypeId::kDouble, "t"}});
 }
 
+/// Rows of the GroupedSchema table used by the sorted-narrowing tests:
+/// 12,800 rows (three full 4,096-row storage morsels and a 512-row tail)
+/// whose key k = row / 7 is non-decreasing in duplicate runs of 7, so the
+/// run of key 585 (rows 4095..4101) straddles the first morsel boundary;
+/// v = row % 13 is unsorted. With `broken`, row 6000 (morsel 1) gets a NULL
+/// key and row 9000 (morsel 2) key 0, one descent, so neither of those
+/// morsels counts as sorted.
+inline std::vector<Row> SortedRunRows(bool broken) {
+  constexpr size_t kRows = 12800;
+  std::vector<Row> rows;
+  rows.reserve(kRows);
+  for (size_t i = 0; i < kRows; ++i) {
+    Value k = Value::Int(static_cast<int64_t>(i / 7));
+    if (broken && i == 6000) k = Value::Null();
+    if (broken && i == 9000) k = Value::Int(0);
+    rows.push_back({std::move(k), Value::Int(static_cast<int64_t>(i % 13)),
+                    Value::Double(static_cast<double>(i) * 0.25)});
+  }
+  return rows;
+}
+
 /// The row interpreter's reading of a pushed scan conjunct: the bound
 /// expression `column <op> literal` over `schema`.
 inline ExprPtr ScanPredicateExpr(const Schema& schema,
