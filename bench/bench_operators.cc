@@ -1,7 +1,8 @@
 // Google-benchmark microbenchmarks for the core physical operators:
-// throughput of scan / filter / hash join / group-by, and the structural
-// costs specific to GApply (partitioning, per-group subplan re-opening)
-// against plain GroupBy — the overhead the GApplyToGroupBy rule removes.
+// throughput of scan / filter / hash join / lookup join / group-by, and the
+// structural costs specific to GApply (partitioning, per-group subplan
+// re-opening) against plain GroupBy — the overhead the GApplyToGroupBy
+// rule removes.
 
 #include <benchmark/benchmark.h>
 
@@ -62,14 +63,42 @@ void BM_FilterScan(benchmark::State& state) {
 }
 BENCHMARK(BM_FilterScan);
 
+// part is sorted on p_partkey, so under columnar storage this join would
+// be a lookup join; row storage keeps it a hash join.
+QueryOptions RowStorage() {
+  QueryOptions options;
+  options.lowering.columnar_storage = false;
+  return options;
+}
+
 void BM_HashJoin(benchmark::State& state) {
   auto plan = MustBuild(
       PlanBuilder::Scan(*SharedDb()->catalog(), "partsupp")
           .Join(PlanBuilder::Scan(*SharedDb()->catalog(), "part"),
                 {"ps_partkey"}, {"p_partkey"}));
-  RunPlan(state, *plan);
+  RunPlan(state, *plan, RowStorage());
 }
 BENCHMARK(BM_HashJoin);
+
+// The supplier's-parts fetch: one supplier's partsupp rows, each looked up
+// in part by binary search on p_partkey.
+constexpr const char* kSupplierPartsSql =
+    "select p_partkey, p_name, p_retailprice from partsupp, part "
+    "where ps_partkey = p_partkey and ps_suppkey = 1";
+
+LogicalOpPtr MustPlan(const std::string& sql) {
+  Result<LogicalOpPtr> r = SharedDb()->Plan(sql);
+  if (!r.ok()) {
+    std::fprintf(stderr, "bind failed: %s\n", r.status().ToString().c_str());
+    std::exit(1);
+  }
+  return std::move(r).value();
+}
+
+void BM_LookupJoin(benchmark::State& state) {
+  RunPlan(state, *MustPlan(kSupplierPartsSql));
+}
+BENCHMARK(BM_LookupJoin);
 
 void BM_HashGroupBy(benchmark::State& state) {
   auto plan = MustBuild(
@@ -149,7 +178,7 @@ void EmitJson() {
        MustBuild(PlanBuilder::Scan(*db->catalog(), "partsupp")
                      .Join(PlanBuilder::Scan(*db->catalog(), "part"),
                            {"ps_partkey"}, {"p_partkey"})),
-       {}});
+       RowStorage()});
   plans.push_back(
       {"hash_group_by",
        MustBuild(PlanBuilder::Scan(*db->catalog(), "partsupp")
@@ -172,6 +201,24 @@ void EmitJson() {
     size_t rows = 0;
     RecordTiming(p.label, TimePlanMs(db, *p.plan, p.options, &rows));
     RecordPlanProfile(db, *p.plan, p.options, p.label);
+  }
+  // The lookup join books the build rows it fetched in rows_scanned; both
+  // counters are gated exactly, so a plan that went back to reading all of
+  // part, or to evaluating more of partsupp, fails the gate.
+  {
+    LogicalOpPtr plan = MustPlan(kSupplierPartsSql);
+    QueryStats stats;
+    Result<QueryResult> r = db->Execute(*plan, QueryOptions{}, &stats);
+    if (!r.ok()) {
+      std::fprintf(stderr, "lookup_join failed: %s\n",
+                   r.status().ToString().c_str());
+      std::exit(1);
+    }
+    size_t rows = 0;
+    RecordTiming("lookup_join", TimePlanMs(db, *plan, {}, &rows),
+                 {{"rows_scanned", stats.counters.rows_scanned},
+                  {"scan_rows_evaluated", stats.counters.scan_rows_evaluated}});
+    RecordPlanProfile(db, *plan, {}, "lookup_join");
   }
   WriteBenchJson("operators", ScaleFactor(0.01), Reps());
 }

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/json.h"
@@ -160,12 +161,13 @@ inline void RecordPhysProfile(PhysOp* root, ExecContext* ctx,
 }
 
 /// One named timing measurement destined for BENCH_*.json. bench_check
-/// gates on the "ms" leaf, and exactly on a "pgq_executions" leaf (written
-/// only when nonnegative), and uses "label" for its messages.
+/// gates on the "ms" leaf, exactly on the work-counter leaves written after
+/// it (pgq_executions, rows_scanned, scan_rows_evaluated), and uses "label"
+/// for its messages.
 struct TimingRecord {
   std::string label;
   double ms = 0;
-  int64_t pgq_executions = -1;
+  std::vector<std::pair<std::string, uint64_t>> counters;
 };
 
 inline std::vector<TimingRecord>& TimingRegistry() {
@@ -174,9 +176,22 @@ inline std::vector<TimingRecord>& TimingRegistry() {
   return *registry;
 }
 
+inline void RecordTiming(
+    const std::string& label, double ms,
+    std::vector<std::pair<std::string, uint64_t>> counters) {
+  TimingRegistry().push_back({label, ms, std::move(counters)});
+}
+
+/// Writes a "pgq_executions" leaf only when `pgq_executions` is
+/// nonnegative.
 inline void RecordTiming(const std::string& label, double ms,
                          int64_t pgq_executions = -1) {
-  TimingRegistry().push_back({label, ms, pgq_executions});
+  std::vector<std::pair<std::string, uint64_t>> counters;
+  if (pgq_executions >= 0) {
+    counters.emplace_back("pgq_executions",
+                          static_cast<uint64_t>(pgq_executions));
+  }
+  RecordTiming(label, ms, std::move(counters));
 }
 
 /// Writes BENCH_<name>.json with the standard metadata header, every
@@ -218,14 +233,13 @@ inline void WriteBenchJson(const std::string& name, double sf, int reps) {
                name.c_str(), sf, reps, ThreadPool::DefaultParallelism());
   const std::vector<TimingRecord>& timings = TimingRegistry();
   for (size_t i = 0; i < timings.size(); ++i) {
-    std::string counter;
-    if (timings[i].pgq_executions >= 0) {
-      counter = ", \"pgq_executions\": " +
-                std::to_string(timings[i].pgq_executions);
+    std::string counters;
+    for (const auto& [key, count] : timings[i].counters) {
+      counters += ", \"" + key + "\": " + std::to_string(count);
     }
     std::fprintf(f, "    {\"label\": \"%s\", \"ms\": %.4f%s}%s\n",
                  JsonEscape(timings[i].label).c_str(), timings[i].ms,
-                 counter.c_str(), i + 1 == timings.size() ? "" : ",");
+                 counters.c_str(), i + 1 == timings.size() ? "" : ",");
   }
   std::fprintf(f, "  ],\n%s\n}\n", ProfilesJsonMember().c_str());
   std::fclose(f);

@@ -33,15 +33,17 @@ TableScanOp* FindExchangeMorselSource(PhysOp* op) {
   // consume the scan's initial — empty — morsel range at Open instead.
   if (dynamic_cast<FilterOp*>(op) == nullptr &&
       dynamic_cast<ProjectOp*>(op) == nullptr &&
-      dynamic_cast<HashJoinOp*>(op) == nullptr) {
+      dynamic_cast<HashJoinOp*>(op) == nullptr &&
+      dynamic_cast<LookupJoinOp*>(op) == nullptr) {
     return nullptr;
   }
   std::vector<const PhysOp*> kids = op->children();
   if (kids.empty()) return nullptr;
-  // children()[0] is Filter/Project's input and HashJoin's probe side; a
+  // children()[0] is Filter/Project's input and a join's probe side; a
   // HashJoin's build side is drained wholesale at Open and may be any
-  // subplan. The walk only ever descends into operators this Exchange
-  // owns, so shedding constness is safe.
+  // subplan, and a LookupJoin reads its build table in place. The walk
+  // only ever descends into operators this Exchange owns, so shedding
+  // constness is safe.
   return FindExchangeMorselSource(const_cast<PhysOp*>(kids[0]));
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <tuple>
 
 #include "src/common/thread_pool.h"
 #include "src/exec/exchange_op.h"
@@ -490,6 +491,119 @@ std::string HashJoinOp::DebugName() const {
   if (null_safe_) out += ", null-safe";
   out += ")";
   return out;
+}
+
+LookupJoinOp::LookupJoinOp(PhysOpPtr left, std::unique_ptr<TableScanOp> right,
+                           int left_key, int right_key, ExprPtr residual,
+                           bool null_safe)
+    : PhysOp(Schema::Concat(left->output_schema(), right->output_schema())),
+      left_(std::move(left)),
+      right_(std::move(right)),
+      left_key_(left_key),
+      right_key_(right_key),
+      residual_(std::move(residual)),
+      null_safe_(null_safe) {}
+
+Status LookupJoinOp::OpenImpl(ExecContext* ctx) {
+  probe_.Reset();
+  have_matches_ = false;
+  pending_ = 0;
+  build_program_.reset();
+  const ColumnarTable& build = right_->table()->columnar();
+  if (!build.ColumnSorted(static_cast<size_t>(right_key_))) {
+    return Status::Internal("LookupJoin build key " +
+                            KeyList(right_->output_schema(), {right_key_}) +
+                            " is not sorted");
+  }
+  build_keys_ = &build.column(static_cast<size_t>(right_key_)).ints();
+  if (!right_->pushed_predicates().empty()) {
+    ASSIGN_OR_RETURN(build_program_,
+                     ExprProgram::CompileScanPredicates(
+                         build, right_->pushed_predicates()));
+    profile_.expr_instructions = build_program_->num_instructions();
+  }
+  return left_->Open(ctx);
+}
+
+Status LookupJoinOp::LookUp(const Value& key) {
+  pending_ = 0;
+  const int64_t* first = build_keys_->data();
+  const int64_t* last = first + build_keys_->size();
+  const int64_t* lb = last;
+  const int64_t* ub = last;
+  // The probe key column is typed int64, so the key is an int64 or NULL. A
+  // sorted column holds no NULL, so a NULL key matches nothing, even
+  // null-safe.
+  if (key.type() == TypeId::kInt64) {
+    std::tie(lb, ub) = std::equal_range(first, last, key.int_val());
+  }
+  run_begin_ = static_cast<size_t>(lb - first);
+  const size_t run_end = static_cast<size_t>(ub - first);
+  if (build_program_ == nullptr) {
+    pending_ = run_end - run_begin_;
+  } else if (run_end > run_begin_) {
+    selection_.clear();
+    profile_.work.scan_rows_evaluated += run_end - run_begin_;
+    RETURN_NOT_OK(build_program_->FilterRange(run_begin_, run_end,
+                                              &selection_));
+    pending_ = selection_.size();
+  }
+  profile_.work.rows_scanned += pending_;
+  return Status::OK();
+}
+
+Result<bool> LookupJoinOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
+  out->Clear();
+  const std::vector<Row>& build_rows = right_->table()->rows();
+  Row joined;
+  while (!out->full()) {
+    ASSIGN_OR_RETURN(const Row* left_row,
+                     probe_.Peek(ctx, left_.get(), out->capacity()));
+    if (left_row == nullptr) break;
+    if (!have_matches_) {
+      RETURN_NOT_OK(LookUp((*left_row)[static_cast<size_t>(left_key_)]));
+      have_matches_ = true;
+    }
+    for (; pending_ > 0 && !out->full(); --pending_) {
+      ConcatRows(*left_row, build_rows[MatchAt(pending_ - 1)], &joined);
+      if (residual_ != nullptr) {
+        ASSIGN_OR_RETURN(bool pass,
+                         EvalPredicate(*residual_, joined, *ctx->eval()));
+        if (!pass) continue;
+      }
+      out->Add(std::move(joined));
+    }
+    if (pending_ > 0) break;  // resume mid-row
+    have_matches_ = false;
+    probe_.Advance();
+  }
+  return !out->empty();
+}
+
+Status LookupJoinOp::CloseImpl(ExecContext* ctx) {
+  probe_.Reset();
+  have_matches_ = false;
+  pending_ = 0;
+  build_program_.reset();
+  return left_->Close(ctx);
+}
+
+std::string LookupJoinOp::DebugName() const {
+  std::string out =
+      "LookupJoin(l=" + KeyList(left_->output_schema(), {left_key_}) +
+      ", r=" + KeyList(right_->output_schema(), {right_key_});
+  if (residual_ != nullptr) out += ", residual=" + residual_->ToString();
+  if (null_safe_) out += ", null-safe";
+  out += ")";
+  return out;
+}
+
+PhysOpPtr LookupJoinOp::Clone() const {
+  auto right = std::unique_ptr<TableScanOp>(
+      static_cast<TableScanOp*>(right_->Clone().release()));
+  return std::make_unique<LookupJoinOp>(
+      left_->Clone(), std::move(right), left_key_, right_key_,
+      residual_ == nullptr ? nullptr : residual_->Clone(), null_safe_);
 }
 
 NestedLoopJoinOp::NestedLoopJoinOp(PhysOpPtr left, PhysOpPtr right,

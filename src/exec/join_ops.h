@@ -9,6 +9,7 @@
 #include "src/common/memory_tracker.h"
 #include "src/common/spill_file.h"
 #include "src/exec/physical_op.h"
+#include "src/exec/scan_ops.h"
 #include "src/expr/expr.h"
 
 namespace gapply {
@@ -45,6 +46,10 @@ namespace gapply {
 /// the runs are k-way-merged on probe index. Because every key lives in
 /// exactly one partition and per-key build insertion order is preserved,
 /// the merged stream is bit-for-bit the in-memory probe output.
+///
+/// A join on one int64 key pair whose build side is a base table sorted on
+/// its key is lowered to LookupJoinOp instead, which emits the same stream
+/// without building a table (DESIGN.md §20).
 class HashJoinOp : public PhysOp {
  public:
   /// Build sides smaller than this are built serially even when a
@@ -141,6 +146,73 @@ class HashJoinOp : public PhysOp {
     bool done = false;
   };
   std::vector<RunHead> run_heads_;
+};
+
+/// \brief Inner equi-join on one int64 key pair whose build side is a bare
+/// base-table scan, sorted on its key across the whole table
+/// (ColumnarTable::ColumnSorted). Lowering picks it over HashJoinOp under
+/// columnar storage; DESIGN.md §20 has the eligibility rules.
+///
+/// Nothing is built at Open. For each probe row the operator finds the run
+/// [lb, ub) of build rows with an equal key by binary search over the key
+/// column's dense `ints()`, keeps the rows of the run that pass the build
+/// scan's pushed conjuncts (run through the scan program), and emits them
+/// from the last to the first: HashJoinOp's reverse build order, so the
+/// two joins produce the same stream. Build rows are read in place from
+/// `Table::rows()`; the build scan itself is never opened, and the join
+/// books the build rows it fetched in its own `rows_scanned` (plus the
+/// rows its scan program evaluated in `scan_rows_evaluated`).
+///
+/// The residual filters matches exactly as in HashJoinOp. A sorted column
+/// holds no NULL, so a NULL probe key matches nothing, with or without
+/// `null_safe`.
+class LookupJoinOp : public PhysOp {
+ public:
+  LookupJoinOp(PhysOpPtr left, std::unique_ptr<TableScanOp> right,
+               int left_key, int right_key, ExprPtr residual = nullptr,
+               bool null_safe = false);
+
+  Status OpenImpl(ExecContext* ctx) override;
+  Result<bool> NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
+  Status CloseImpl(ExecContext* ctx) override;
+  std::string DebugName() const override;
+  PhysOpPtr Clone() const override;
+  std::vector<const PhysOp*> children() const override {
+    return {left_.get(), right_.get()};
+  }
+
+ private:
+  /// Finds the current probe row's matches: fills `run_begin_`, or
+  /// `selection_` when the build scan has pushed conjuncts, and sets
+  /// `pending_` to their count.
+  Status LookUp(const Value& key);
+  /// Table row id of the i-th match of the current probe row (ascending).
+  size_t MatchAt(size_t i) const {
+    return build_program_ != nullptr ? selection_[i] : run_begin_ + i;
+  }
+
+  PhysOpPtr left_;
+  std::unique_ptr<TableScanOp> right_;
+  int left_key_;
+  int right_key_;
+  ExprPtr residual_;
+  bool null_safe_;
+
+  // Set at Open: the build key column's dense values, and the program
+  // compiled from the build scan's pushed conjuncts (null when it has
+  // none).
+  const std::vector<int64_t>* build_keys_ = nullptr;
+  std::unique_ptr<ExprProgram> build_program_;
+  std::vector<uint32_t> selection_;
+
+  // Probe cursor: the current probe row and its `pending_` matches not yet
+  // visited, emitted from MatchAt(pending_ - 1) down to MatchAt(0). It
+  // survives across NextBatch calls, so one probe row's matches may span
+  // several batches.
+  ChildCursor probe_;
+  bool have_matches_ = false;
+  size_t run_begin_ = 0;
+  size_t pending_ = 0;
 };
 
 /// Inner nested-loops join with an arbitrary predicate (used when no

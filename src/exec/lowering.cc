@@ -22,11 +22,13 @@ namespace {
 /// Demotes every HashJoin on the streaming spine under `op` to a serial
 /// build: inside an Exchange segment each worker clone builds its own hash
 /// table, so a nested parallel build would only add partitioning overhead.
+/// A LookupJoin builds nothing; the walk passes through its probe side.
 void DemoteSpineJoinBuilds(PhysOp* op) {
   if (auto* join = dynamic_cast<HashJoinOp*>(op)) join->set_parallelism(1);
   if (dynamic_cast<FilterOp*>(op) == nullptr &&
       dynamic_cast<ProjectOp*>(op) == nullptr &&
-      dynamic_cast<HashJoinOp*>(op) == nullptr) {
+      dynamic_cast<HashJoinOp*>(op) == nullptr &&
+      dynamic_cast<LookupJoinOp*>(op) == nullptr) {
     return;
   }
   std::vector<const PhysOp*> kids = op->children();
@@ -566,6 +568,28 @@ Result<PhysOpPtr> LowerNode(const LogicalOp& node, const LoweringOptions& opts,
       if (join.left_keys().empty()) {
         return PhysOpPtr(std::make_unique<NestedLoopJoinOp>(
             std::move(left), std::move(right), std::move(residual)));
+      }
+      // A bare base-table build side sorted on its one int64 key is looked
+      // up by binary search instead of hashed (DESIGN.md §20). The row
+      // store has no zone maps to prove the order, so `SET storage = row`
+      // keeps the hash join and never touches the columnar mirror.
+      auto* build_scan = dynamic_cast<TableScanOp*>(right.get());
+      if (build_scan != nullptr && join.left_keys().size() == 1 &&
+          opts.columnar_storage.value_or(true)) {
+        const int lk = join.left_keys()[0];
+        const int rk = join.right_keys()[0];
+        const auto int64_key = [](const PhysOp& op, int c) {
+          return op.output_schema().column(static_cast<size_t>(c)).type ==
+                 TypeId::kInt64;
+        };
+        if (int64_key(*left, lk) && int64_key(*build_scan, rk) &&
+            build_scan->table()->columnar().ColumnSorted(
+                static_cast<size_t>(rk))) {
+          right.release();
+          return PhysOpPtr(std::make_unique<LookupJoinOp>(
+              std::move(left), std::unique_ptr<TableScanOp>(build_scan), lk,
+              rk, std::move(residual), join.null_safe()));
+        }
       }
       return PhysOpPtr(std::make_unique<HashJoinOp>(
           std::move(left), std::move(right), join.left_keys(),

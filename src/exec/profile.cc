@@ -57,6 +57,16 @@ void RenderTo(const ProfileNode& node, const ProfileRenderOptions& options,
             " scan_rows_evaluated=" +
             std::to_string(work.scan_rows_evaluated);
   }
+  // An operator with children that reads base-table rows itself (a
+  // LookupJoin fetching its build rows) shows what it read; a scan's
+  // rows_scanned is its rows=.
+  if (!node.children.empty() && work.rows_scanned > 0) {
+    *out += " rows_scanned=" + std::to_string(work.rows_scanned);
+    if (work.scan_rows_evaluated > 0) {
+      *out += " scan_rows_evaluated=" +
+              std::to_string(work.scan_rows_evaluated);
+    }
+  }
   // Spill volume is a deterministic function of (input, budget) for a
   // given plan, so it prints with the stable fields; zero (the unbudgeted
   // common case) prints nothing.

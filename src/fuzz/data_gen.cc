@@ -120,6 +120,23 @@ void MaybeSortColumn(FuzzDataset* ds, Rng* side) {
   }
 }
 
+/// Sometimes shuffles the dimension table's rows. A dense pk filled by
+/// position is sorted, which makes every columnar `fk = pk` join a lookup
+/// join; a shuffled pk keeps the hash join reachable under both storage
+/// modes. Rows move whole, so the data stays FK-consistent.
+void MaybeShuffleDim(FuzzDataset* ds, Rng* side) {
+  if (!ds->dim.has_value() || ds->dim->rows.size() < 2 ||
+      !side->Bernoulli(0.5)) {
+    return;
+  }
+  std::vector<Row>& rows = ds->dim->rows;
+  for (size_t i = rows.size() - 1; i > 0; --i) {
+    std::swap(rows[i], rows[static_cast<size_t>(
+                           side->UniformInt(0, static_cast<int64_t>(i)))]);
+  }
+  ds->features.push_back("dim-shuffled");
+}
+
 Schema ToSchema(const FuzzTable& table) {
   std::vector<Column> cols;
   cols.reserve(table.columns.size());
@@ -262,6 +279,7 @@ FuzzDataset GenerateDataset(Rng* rng) {
   // A side stream seeded off (not drawn from) the main one.
   Rng side(Rng(*rng).Next() ^ 0x50f7edc011ull);
   MaybeSortColumn(&ds, &side);
+  MaybeShuffleDim(&ds, &side);
   return ds;
 }
 

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "src/exec/gapply_op.h"
+#include "src/exec/join_ops.h"
 #include "src/exec/lowering.h"
 #include "src/sql/binder.h"
 
@@ -47,12 +48,12 @@ void GenerateCase(uint64_t seed, GeneratedCase* out) {
   out->error = "query failed to bind after 8 attempts; last: " + last_error;
 }
 
-bool HasLiftedGApply(const PhysOp& op) {
-  if (const auto* ga = dynamic_cast<const GApplyOp*>(&op)) {
-    if (ga->lifted()) return true;
-  }
+/// True when `pred` holds for some operator of the tree under `op`.
+template <typename Pred>
+bool AnyOp(const PhysOp& op, const Pred& pred) {
+  if (pred(op)) return true;
   for (const PhysOp* child : op.children()) {
-    if (HasLiftedGApply(*child)) return true;
+    if (AnyOp(*child, pred)) return true;
   }
   return false;
 }
@@ -72,7 +73,15 @@ CaseResult RunOneCase(uint64_t seed, const OracleMatrixOptions& matrix) {
   result.sql = gen.query.sql;
   result.features = gen.query.features;
   Result<PhysOpPtr> baseline = LowerPlan(*gen.plan, ExecSpec().lowering);
-  result.lifted = baseline.ok() && HasLiftedGApply(**baseline);
+  result.lifted = baseline.ok() && AnyOp(**baseline, [](const PhysOp& op) {
+    const auto* ga = dynamic_cast<const GApplyOp*>(&op);
+    return ga != nullptr && ga->lifted();
+  });
+  if (baseline.ok() && AnyOp(**baseline, [](const PhysOp& op) {
+        return dynamic_cast<const LookupJoinOp*>(&op) != nullptr;
+      })) {
+    result.features.push_back("lookup-join");
+  }
   for (const std::string& f : gen.data.features) {
     result.features.push_back(f);
   }

@@ -199,6 +199,17 @@ void ColumnarTable::NarrowMorsel(size_t m,
   }
 }
 
+bool ColumnarTable::ColumnSorted(size_t c) const {
+  const std::vector<ZoneMap>& zones = zones_[c];
+  for (size_t m = 0; m < zones.size(); ++m) {
+    if (!zones[m].sorted) return false;
+    if (m > 0 && zones[m - 1].max.int_val() > zones[m].min.int_val()) {
+      return false;
+    }
+  }
+  return true;
+}
+
 std::vector<CompiledPredicate> ColumnarTable::CompilePredicates(
     const std::vector<ScanPredicate>& preds) const {
   std::vector<CompiledPredicate> out;

@@ -176,6 +176,12 @@ class ColumnarTable {
   void NarrowMorsel(size_t m, const std::vector<ScanPredicate>& preds,
                     size_t* begin, size_t* end) const;
 
+  /// True when int64 column `c` is non-decreasing, with no NULL, across the
+  /// whole table: every zone of it is `sorted` and no morsel's `max`
+  /// exceeds the next morsel's `min`. O(morsels). Vacuously true for an
+  /// empty table; false for a non-empty column of any other type.
+  bool ColumnSorted(size_t c) const;
+
   /// Lowers `preds` onto this table's dense representation (dictionary
   /// lookups resolved, literals widened). Call once per scan Open; the
   /// compiled form stays valid as long as the table is not appended to.

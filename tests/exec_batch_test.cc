@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "src/common/row_batch.h"
+#include "src/engine/database.h"
 #include "src/exec/agg_ops.h"
 #include "src/exec/apply_ops.h"
 #include "src/exec/exchange_op.h"
@@ -1101,6 +1102,265 @@ TEST(TableScanMorselTest, NarrowsInsideRangesThatStartAndEndMidMorsel) {
   EXPECT_EQ(drain(4102, 4200), (std::pair<size_t, uint64_t>(0, 0)));
   EXPECT_EQ(drain(100, 4095), (std::pair<size_t, uint64_t>(0, 0)));
   ASSERT_TRUE(scan.Close(&ctx).ok());
+}
+
+// ---------------------------------------------------------------------------
+// LookupJoinOp against HashJoinOp: the same inputs must give the same row
+// sequence at every batch size.
+// ---------------------------------------------------------------------------
+
+// Build rows (GroupedSchema) whose key is non-decreasing in runs of 1 to 9
+// rows, skipping every sixth key so some probe keys find nothing. The
+// 12-row run of `straddle` crosses the first 4,096-row storage morsel
+// boundary, and `big` repeats 1,500 times, more than a 1,024-row batch
+// holds. v = row % 13 and d = row / 4 are unsorted payloads.
+struct LookupBuild {
+  std::vector<Row> rows;
+  int64_t straddle = 0;
+  int64_t big = 0;
+  int64_t max_key = 0;
+};
+
+LookupBuild MakeLookupBuild() {
+  LookupBuild b;
+  Rng rng(7);
+  int64_t key = 0;
+  const auto add_run = [&](size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      const size_t r = b.rows.size();
+      b.rows.push_back({Value::Int(key), Value::Int(static_cast<int64_t>(r % 13)),
+                        Value::Double(static_cast<double>(r) * 0.25)});
+    }
+    b.max_key = key;
+    key += key % 6 == 5 ? 2 : 1;
+  };
+  const auto add_random_runs = [&](size_t until) {
+    while (b.rows.size() + 9 < until) {
+      add_run(static_cast<size_t>(rng.UniformInt(1, 9)));
+    }
+  };
+  add_random_runs(ColumnarTable::kMorselRows);
+  b.straddle = key;
+  add_run(12);
+  b.big = key;
+  add_run(1500);
+  add_random_runs(9000);
+  return b;
+}
+
+// Every key from -1 to one past the largest once, `straddle` and `big`
+// three times more, and five NULL keys, shuffled.
+std::vector<Row> MakeLookupProbe(const LookupBuild& b) {
+  std::vector<Value> keys;
+  for (int64_t k = -1; k <= b.max_key + 1; ++k) keys.push_back(Value::Int(k));
+  for (int i = 0; i < 3; ++i) {
+    keys.push_back(Value::Int(b.straddle));
+    keys.push_back(Value::Int(b.big));
+  }
+  for (int i = 0; i < 5; ++i) keys.push_back(Value::Null());
+  Rng rng(11);
+  for (size_t i = keys.size() - 1; i > 0; --i) {
+    std::swap(keys[i], keys[static_cast<size_t>(rng.UniformInt(
+                           0, static_cast<int64_t>(i)))]);
+  }
+  std::vector<Row> rows;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    rows.push_back({keys[i], Value::Int(static_cast<int64_t>(i % 11)),
+                    Value::Double(static_cast<double>(i))});
+  }
+  return rows;
+}
+
+struct LookupCase {
+  std::string name;
+  std::vector<ScanPredicate> pushed;  // on the build scan
+  bool residual = false;              // probe v < build v
+  bool null_safe = false;
+};
+
+// The join of `probe` and `build` on column 0, as a LookupJoinOp or as a
+// HashJoinOp.
+PhysOpPtr LookupCaseJoin(const Table* probe, const Table* build,
+                         const LookupCase& c, bool lookup) {
+  auto probe_scan = std::make_unique<TableScanOp>(probe);
+  auto build_scan = std::make_unique<TableScanOp>(build);
+  build_scan->PushPredicates(c.pushed);
+  ExprPtr residual;
+  if (c.residual) {
+    const Schema joined = Schema::Concat(probe_scan->output_schema(),
+                                         build_scan->output_schema());
+    residual = Lt(Col(joined, 1), Col(joined, 4));
+  }
+  if (lookup) {
+    return std::make_unique<LookupJoinOp>(std::move(probe_scan),
+                                          std::move(build_scan), 0, 0,
+                                          std::move(residual), c.null_safe);
+  }
+  return std::make_unique<HashJoinOp>(
+      std::move(probe_scan), std::move(build_scan), std::vector<int>{0},
+      std::vector<int>{0}, std::move(residual), 1, c.null_safe);
+}
+
+// Build rows a lookup fetches: for each non-NULL probe key, the rows of
+// its run that pass `pushed`.
+uint64_t ExpectedLookupFetches(const std::vector<Row>& probe,
+                               const Table& build,
+                               const std::vector<ScanPredicate>& pushed) {
+  const std::vector<uint32_t> passing = tutil::ScanReferenceSelection(
+      build.columnar(), build.schema(), pushed, 0, build.num_rows());
+  std::map<int64_t, uint64_t> per_key;
+  for (const uint32_t r : passing) per_key[K(build.rows()[r])]++;
+  uint64_t total = 0;
+  for (const Row& row : probe) {
+    if (row[0].is_null()) continue;
+    auto it = per_key.find(K(row));
+    if (it != per_key.end()) total += it->second;
+  }
+  return total;
+}
+
+TEST(LookupJoinTest, MatchesHashJoinAtEveryBatchSize) {
+  const LookupBuild b = MakeLookupBuild();
+  const std::vector<Row> probe_rows = MakeLookupProbe(b);
+  auto build = MakeTable("b", GroupedSchema(), b.rows);
+  auto probe = MakeTable("p", GroupedSchema(), probe_rows);
+  ASSERT_TRUE(build->columnar().ColumnSorted(0));
+  ASSERT_EQ(build->rows()[ColumnarTable::kMorselRows - 1][0].int_val(),
+            b.straddle);
+  ASSERT_EQ(build->rows()[ColumnarTable::kMorselRows][0].int_val(),
+            b.straddle);
+  using value_ops::CmpOp;
+  const std::vector<ScanPredicate> pushed = {
+      {1, CmpOp::kNe, Value::Int(3)}, {2, CmpOp::kGt, Value::Double(10.0)}};
+  const std::vector<LookupCase> cases = {
+      {"plain", {}, false, false},
+      {"null-safe", {}, false, true},
+      {"pushed", pushed, false, false},
+      {"residual", {}, true, false},
+      {"pushed+residual,null-safe", pushed, true, true},
+  };
+  for (const LookupCase& c : cases) {
+    const uint64_t fetched =
+        ExpectedLookupFetches(probe_rows, *build, c.pushed);
+    for (const size_t batch : kDiffBatchSizes) {
+      const std::string where = c.name + " batch=" + std::to_string(batch);
+      PhysOpPtr hash = LookupCaseJoin(probe.get(), build.get(), c, false);
+      PhysOpPtr lookup = LookupCaseJoin(probe.get(), build.get(), c, true);
+      ExecContext::Counters work;
+      const std::vector<Row> want = RunBatchPath(hash.get(), batch);
+      const std::vector<Row> got = RunBatchPath(lookup.get(), batch, &work);
+      ASSERT_FALSE(want.empty()) << where;
+      tutil::ExpectSameSequence(got, want, where);
+      // The probe scan books its rows; the join books the build rows it
+      // fetched, never the whole build table.
+      EXPECT_EQ(work.rows_scanned, probe_rows.size() + fetched) << where;
+    }
+  }
+}
+
+TEST(LookupJoinTest, EmptyBuildTableMatchesNothing) {
+  const LookupBuild b = MakeLookupBuild();
+  auto build = MakeTable("b", GroupedSchema(), {});
+  auto probe = MakeTable("p", GroupedSchema(), MakeLookupProbe(b));
+  ASSERT_TRUE(build->columnar().ColumnSorted(0));
+  for (const bool null_safe : {false, true}) {
+    const LookupCase c{"empty", {}, false, null_safe};
+    PhysOpPtr lookup = LookupCaseJoin(probe.get(), build.get(), c, true);
+    EXPECT_TRUE(RunBatchPath(lookup.get(), 1024).empty());
+  }
+}
+
+TEST(LookupJoinTest, RefusesABuildKeyThatIsNotSorted) {
+  auto build = MakeTable("b", GroupedSchema(),
+                         {{Value::Int(2), Value::Int(0), Value::Double(0)},
+                          {Value::Int(1), Value::Int(0), Value::Double(0)}});
+  auto probe = MakeTable("p", GroupedSchema(), {});
+  ASSERT_FALSE(build->columnar().ColumnSorted(0));
+  PhysOpPtr lookup =
+      LookupCaseJoin(probe.get(), build.get(), {"unsorted", {}}, true);
+  ExecContext ctx;
+  EXPECT_FALSE(lookup->Open(&ctx).ok());
+}
+
+// Plan level: lowering picks the lookup join under columnar storage and
+// the hash join under row storage, and both give the same sequence at
+// every batch size and DOP, with an Exchange over the lookup join at DOP 4.
+class LookupJoinPlanTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    const LookupBuild b = MakeLookupBuild();
+    Schema probe_schema({{"pk", TypeId::kInt64, "p"},
+                         {"pv", TypeId::kInt64, "p"},
+                         {"pd", TypeId::kDouble, "p"}});
+    Schema build_schema({{"bk", TypeId::kInt64, "b"},
+                         {"bv", TypeId::kInt64, "b"},
+                         {"bd", TypeId::kDouble, "b"}});
+    ASSERT_TRUE(db_.catalog()
+                    ->AddTable(MakeTable("p", probe_schema, MakeLookupProbe(b)))
+                    .ok());
+    ASSERT_TRUE(
+        db_.catalog()->AddTable(MakeTable("b", build_schema, b.rows)).ok());
+  }
+
+  static QueryOptions Options(size_t batch, size_t dop, bool columnar) {
+    QueryOptions options;
+    options.batch_size = batch;
+    options.lowering.gapply_parallelism = dop;
+    options.lowering.exchange_parallelism = dop;
+    options.lowering.exchange_min_rows = 1;
+    options.lowering.exchange_morsel_rows = 97;
+    options.lowering.columnar_storage = columnar;
+    return options;
+  }
+
+  // Runs `sql` at batch {1, 3, 1024} x DOP {1, 4} under columnar storage,
+  // whose plan must contain `join`, against row storage's hash join.
+  void ExpectSameAsRowStorage(const std::string& sql, const std::string& join) {
+    for (const size_t dop : {size_t{1}, size_t{4}}) {
+      Result<std::string> plan = db_.Explain(sql, Options(1024, dop, true));
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      EXPECT_NE(plan->find(join), std::string::npos) << *plan;
+      if (dop > 1) {
+        EXPECT_NE(plan->find("Exchange"), std::string::npos) << *plan;
+      }
+      Result<std::string> row_plan =
+          db_.Explain(sql, Options(1024, dop, false));
+      ASSERT_TRUE(row_plan.ok()) << row_plan.status().ToString();
+      EXPECT_NE(row_plan->find("HashJoin"), std::string::npos) << *row_plan;
+      for (const size_t batch : kDiffBatchSizes) {
+        const std::string where = join + " dop=" + std::to_string(dop) +
+                                  " batch=" + std::to_string(batch);
+        Result<QueryResult> got = db_.Query(sql, Options(batch, dop, true));
+        Result<QueryResult> want = db_.Query(sql, Options(batch, dop, false));
+        ASSERT_TRUE(got.ok()) << where << ": " << got.status().ToString();
+        ASSERT_TRUE(want.ok()) << where << ": " << want.status().ToString();
+        ASSERT_FALSE(want->rows.empty()) << where;
+        tutil::ExpectSameSequence(got->rows, want->rows, where);
+      }
+    }
+  }
+
+  Database db_;
+};
+
+TEST_F(LookupJoinPlanTest, MatchesRowStorageAtEveryBatchAndDop) {
+  ExpectSameAsRowStorage("select * from p, b where pk = bk", "LookupJoin");
+  ExpectSameAsRowStorage(
+      "select pk, bv from p, b where pk = bk and bv <> 3 and pv < bv",
+      "LookupJoin");
+}
+
+TEST_F(LookupJoinPlanTest, AppendThatBreaksKeyOrderFallsBackToHashJoin) {
+  const std::string sql = "select * from p, b where pk = bk";
+  ExpectSameAsRowStorage(sql, "LookupJoin");
+  Table* b = *db_.catalog()->GetTable("b");
+  ASSERT_TRUE(
+      b->Append({Value::Int(0), Value::Int(0), Value::Double(0)}).ok());
+  ASSERT_FALSE(b->columnar().ColumnSorted(0));
+  ExpectSameAsRowStorage(sql, "HashJoin");
+  Result<std::string> plan = db_.Explain(sql, Options(1024, 1, true));
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(plan->find("LookupJoin"), std::string::npos) << *plan;
 }
 
 TEST(BatchExprTest, EvalPredicateBatchRejectsNonBool) {

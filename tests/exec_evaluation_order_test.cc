@@ -3,7 +3,8 @@
 // divides by zero on a row that only a full evaluation of the EXISTS input
 // reaches; it must succeed at every batch size and DOP. Lowering keeps an
 // EXISTS input serial at any DOP; the operator-level HashJoin test runs a
-// parallel hash build under EXISTS.
+// parallel hash build under EXISTS. A join whose build key is sorted is a
+// LookupJoin; the bu table keeps the HashJoin query on an unsorted key.
 
 #include <gtest/gtest.h>
 
@@ -38,6 +39,13 @@ class EvaluationOrderTest : public ::testing::Test {
     AddTable("b",
              {{"bk", TypeId::kInt64, "b"}, {"y", TypeId::kInt64, "b"}},
              {{Value::Int(1), Value::Int(5)}, {Value::Int(1), Value::Int(4)}});
+    // bu: b's two rows around an unmatched one, so its key is unsorted and
+    // lowering keeps the hash join (b's sorted key is looked up).
+    AddTable("bu",
+             {{"bk", TypeId::kInt64, "bu"}, {"y", TypeId::kInt64, "bu"}},
+             {{Value::Int(1), Value::Int(5)},
+              {Value::Int(2), Value::Int(0)},
+              {Value::Int(1), Value::Int(4)}});
     AddTable("c", {{"ck", TypeId::kInt64, "c"}},
              {{Value::Int(1)}, {Value::Int(5)}});
     // bb: b's two rows followed by unmatched filler, enough rows for
@@ -89,9 +97,18 @@ class EvaluationOrderTest : public ::testing::Test {
 
 TEST_F(EvaluationOrderTest, ExistsOverHashJoinResidual) {
   ExpectSucceedsEverywhere(
-      "select ok from o where exists (select ak from a, b "
+      "select ok from o where exists (select ak from a, bu "
       "where ak = bk and 10 / (x - y) > 1)",
       "HashJoin", 2);
+}
+
+TEST_F(EvaluationOrderTest, ExistsOverLookupJoinResidual) {
+  // b's key [1, 1] is sorted: the lookup join emits the run from its last
+  // row, the y = 4 match first, just as the hash join does.
+  ExpectSucceedsEverywhere(
+      "select ok from o where exists (select ak from a, b "
+      "where ak = bk and 10 / (x - y) > 1)",
+      "LookupJoin", 2);
 }
 
 TEST_F(EvaluationOrderTest, ExistsOverNestedLoopJoin) {

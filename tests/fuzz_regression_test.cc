@@ -51,8 +51,12 @@ struct PinnedSeed {
 // generator learned to sort a fact int column (DESIGN.md §11), seeds 660,
 // 11 and 1245 drew one: their rows were reordered and 11 and 1245 gained
 // conjuncts on that column, but each keeps the features listed here, and
-// 11 still spills under the 4 KB budget below. The other seeds here, the
-// spill pins and repro 332 regenerate byte-identical data and SQL.
+// 11 still spills under the 4 KB budget below. When the generator learned
+// to shuffle d0's rows (DESIGN.md §20), seeds 1 and 332 drew a shuffle:
+// their d0 rows were reordered, which keeps their `fk = pk` joins hash
+// joins (repro 332's bug path is a budgeted HashJoin on a morsel spine).
+// Seed 40's unshuffled d0 makes its joins lookup joins. The other seeds
+// here (spill pins included) regenerate byte-identical data and SQL.
 const std::vector<PinnedSeed>& PinnedSeeds() {
   static const std::vector<PinnedSeed> seeds = {
       {1, {"join", "pgq-groupby"}},
@@ -69,7 +73,7 @@ const std::vector<PinnedSeed>& PinnedSeeds() {
       {258, {"nested-gapply", "pgq-exists", "order-by"}},
       {6555, {"null-keys", "pgq-exists", "pgq-star"}},
       {1245, {"nested-gapply", "pgq-exists", "dup-rows"}},
-      {40, {"union-top", "join", "gapply", "order-by"}},
+      {40, {"union-top", "join", "gapply", "order-by", "lookup-join"}},
       {26, {"sorted-col", "gapply", "pgq-agg"}},
   };
   return seeds;

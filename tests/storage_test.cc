@@ -312,6 +312,39 @@ TEST(ColumnarTest, SortedFlagDropsWhenAnAppendAfterAScanBreaksOrder) {
   EXPECT_FALSE(u.columnar().zone(0, 0).sorted);
 }
 
+TEST(ColumnarTest, ColumnSortedNeedsSortedZonesInMorselOrder) {
+  auto clean = tutil::MakeTable("t", tutil::GroupedSchema(),
+                                tutil::SortedRunRows(/*broken=*/false));
+  auto broken = tutil::MakeTable("t", tutil::GroupedSchema(),
+                                 tutil::SortedRunRows(/*broken=*/true));
+  EXPECT_TRUE(clean->columnar().ColumnSorted(0));
+  EXPECT_FALSE(clean->columnar().ColumnSorted(1));  // v = row % 13
+  EXPECT_FALSE(clean->columnar().ColumnSorted(2));  // a double column
+  EXPECT_FALSE(broken->columnar().ColumnSorted(0));
+
+  // Each morsel sorted on its own: the order must also hold across the
+  // boundary, where a tie is fine and a descent is not.
+  const auto two_morsels = [](int64_t second_start) {
+    Table t("t", Schema({{"k", TypeId::kInt64, "t"}}));
+    const int64_t n = static_cast<int64_t>(ColumnarTable::kMorselRows);
+    for (int64_t i = 0; i < n; ++i) {
+      EXPECT_TRUE(t.Append({Value::Int(i)}).ok());
+    }
+    for (int64_t i = 0; i < 10; ++i) {
+      EXPECT_TRUE(t.Append({Value::Int(second_start + i)}).ok());
+    }
+    const ColumnarTable& c = t.columnar();
+    EXPECT_TRUE(c.zone(0, 0).sorted && c.zone(0, 1).sorted);
+    return c.ColumnSorted(0);
+  };
+  const int64_t last = static_cast<int64_t>(ColumnarTable::kMorselRows) - 1;
+  EXPECT_TRUE(two_morsels(last));
+  EXPECT_FALSE(two_morsels(last - 1));
+
+  Table empty("e", Schema({{"k", TypeId::kInt64, "e"}}));
+  EXPECT_TRUE(empty.columnar().ColumnSorted(0));
+}
+
 TEST(ColumnarTest, NarrowMorselKeepsExactlyTheMatchingRunOfSortedMorsels) {
   using value_ops::CmpOp;
   for (const bool broken : {false, true}) {

@@ -15,12 +15,13 @@
 // and are skipped, as are per-operator profile times in ns (too noisy to
 // gate on; they are carried for inspection, not for gating).
 //
-// Work-counter leaves (a key named "pgq_executions" or
+// Work-counter leaves (a key named "pgq_executions", "rows_scanned" or
 // "scan_rows_evaluated") are gated exactly: each is a deterministic
 // function of the plan and the data, so any difference fails, on any
-// hardware. A change that silently stopped loop-lifting a PGQ, or stopped
-// narrowing a sorted scan, shows up here even when its timings sit under
-// the noise floor.
+// hardware. A change that silently stopped loop-lifting a PGQ, stopped
+// narrowing a sorted scan, or went back to reading a whole build table
+// where a lookup join fetches a key's run shows up here even when its
+// timings sit under the noise floor.
 //
 // The timing gate is hardware-aware: when the two files disagree on
 // "hardware_concurrency" the run is on different iron than the baseline,
@@ -74,7 +75,8 @@ bool IsTimingKey(const std::string& key) {
 }
 
 bool IsExactCounterKey(const std::string& key) {
-  return key == "pgq_executions" || key == "scan_rows_evaluated";
+  return key == "pgq_executions" || key == "rows_scanned" ||
+         key == "scan_rows_evaluated";
 }
 
 bool IsThroughputKey(const std::string& key) {
