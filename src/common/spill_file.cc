@@ -255,4 +255,55 @@ void RemoveSpillFile(const std::string& path) {
   std::filesystem::remove(path, ec);
 }
 
+Result<SpillPartition> LoadSpillPartition(const std::string& path, int level,
+                                          const SpillRecords& records,
+                                          MemoryReservation* reservation,
+                                          SpillManager* spill) {
+  ASSIGN_OR_RETURN(std::unique_ptr<SpillReader> reader,
+                   SpillReader::Open(path));
+  uint64_t index = 0;  // stays 0 for bare rows
+  Row row;
+  const auto read = [&] {
+    return records.indexed ? reader->ReadIndexedRow(&index, &row)
+                           : reader->ReadRow(&row);
+  };
+  SpillPartition part;
+  while (true) {
+    ASSIGN_OR_RETURN(bool has, read());
+    if (!has) {
+      reader.reset();
+      RemoveSpillFile(path);
+      part.loaded = true;
+      return part;
+    }
+    const size_t bytes = ApproxRowBytes(row);
+    if (!reservation->TryGrow(bytes)) {
+      if (level + 1 < kMaxSpillDepth) break;
+      reservation->ForceGrow(bytes);
+    }
+    if (records.indexed) part.indices.push_back(index);
+    part.rows.push_back(std::move(row));
+  }
+
+  ASSIGN_OR_RETURN(part.split, OpenSpillFanout(spill));
+  const auto route = [&](uint64_t i, const Row& r) {
+    SpillWriter* w = part.split[records.partition_of(i, r, level + 1)].get();
+    return records.indexed ? w->WriteIndexedRow(i, r) : w->WriteRow(r);
+  };
+  for (size_t i = 0; i < part.rows.size(); ++i) {
+    RETURN_NOT_OK(route(records.indexed ? part.indices[i] : 0, part.rows[i]));
+  }
+  part.indices = {};
+  part.rows = {};
+  reservation->ReleaseAll();
+  bool has = true;
+  while (has) {
+    RETURN_NOT_OK(route(index, row));
+    ASSIGN_OR_RETURN(has, read());
+  }
+  reader.reset();
+  RemoveSpillFile(path);
+  return part;
+}
+
 }  // namespace gapply

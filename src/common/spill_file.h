@@ -3,11 +3,13 @@
 
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "src/common/memory_tracker.h"
 #include "src/common/result.h"
 #include "src/common/status.h"
 #include "src/common/value.h"
@@ -127,6 +129,44 @@ Result<std::vector<std::unique_ptr<SpillWriter>>> OpenSpillFanout(
 
 /// Deletes a spill file; a missing file is not an error.
 void RemoveSpillFile(const std::string& path);
+
+/// The record layout and routing of one operator's spill files.
+struct SpillRecords {
+  /// Records are (index, row) pairs (WriteIndexedRow), not bare rows.
+  bool indexed = false;
+  /// The level-`level` partition of a record; bare rows get index 0.
+  std::function<size_t(uint64_t index, const Row& row, int level)>
+      partition_of;
+};
+
+/// One spill partition read back by LoadSpillPartition.
+struct SpillPartition {
+  /// True when the records are in `rows` (and, for indexed records, their
+  /// indices in `indices`), in file order; false when they were re-routed
+  /// into `split`.
+  bool loaded = false;
+  std::vector<uint64_t> indices;
+  std::vector<Row> rows;
+  /// kSpillFanout level + 1 writers holding the re-routed records, still
+  /// to be finished by the caller (which books them).
+  std::vector<std::unique_ptr<SpillWriter>> split;
+};
+
+/// \brief The budgeted spill-partition loader shared by GApply, HashGroupBy
+/// and the Grace HashJoin.
+///
+/// Reads the level-`level` partition at `path`, reserving each row's
+/// ApproxRowBytes in `reservation`, and deletes the file. When the budget
+/// refuses a row below kMaxSpillDepth, every record is re-routed at
+/// `level + 1` in file order — the loaded prefix (whose reservation is
+/// released), the refused row, then the rest of the file — so each split
+/// file keeps its records in their original relative order. At the depth
+/// cap the partition loads regardless of the budget (ForceGrow): an
+/// all-equal-key input cannot be split by any hash.
+Result<SpillPartition> LoadSpillPartition(const std::string& path, int level,
+                                          const SpillRecords& records,
+                                          MemoryReservation* reservation,
+                                          SpillManager* spill);
 
 }  // namespace gapply
 

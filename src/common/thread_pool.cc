@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <utility>
 
@@ -96,6 +97,57 @@ void RunTaskGroup(ThreadPool* pool, std::vector<std::function<void()>> tasks) {
   }
   ThreadPool transient(tasks.size() - 1);
   transient.RunGroup(std::move(tasks));
+}
+
+Status FanOutUnits(ThreadPool* pool, size_t dop, size_t num_units,
+                   const std::function<Status(size_t w, size_t u)>& run_unit,
+                   const FanOutHooks& hooks) {
+  const size_t workers = std::min(dop, num_units);
+  // A worker's failure rank: 0 for its open hook, u + 1 for unit u,
+  // UINT64_MAX for its close hook. The smallest rank is the serial error.
+  struct Failure {
+    Status error = Status::OK();
+    uint64_t rank = UINT64_MAX;
+    bool failed = false;
+  };
+  std::vector<Failure> failures(workers);
+  std::atomic<size_t> next_unit{0};
+  std::atomic<bool> abort{false};
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(workers);
+  for (size_t w = 0; w < workers; ++w) {
+    tasks.push_back([&, w] {
+      Failure& f = failures[w];
+      const auto fail = [&](Status st, uint64_t rank) {
+        f = {std::move(st), rank, true};
+        abort.store(true, std::memory_order_relaxed);
+      };
+      if (hooks.open) {
+        Status st = hooks.open(w);
+        if (!st.ok()) return fail(std::move(st), 0);
+      }
+      while (!abort.load(std::memory_order_relaxed)) {
+        const size_t u = next_unit.fetch_add(1, std::memory_order_relaxed);
+        if (u >= num_units) break;
+        Status st = run_unit(w, u);
+        if (!st.ok()) {
+          fail(std::move(st), u + 1);
+          break;
+        }
+      }
+      if (hooks.close) {
+        Status st = hooks.close(w);
+        if (!st.ok() && !f.failed) fail(std::move(st), UINT64_MAX);
+      }
+    });
+  }
+  RunTaskGroup(pool, std::move(tasks));
+
+  const Failure* first = nullptr;
+  for (const Failure& f : failures) {
+    if (f.failed && (first == nullptr || f.rank < first->rank)) first = &f;
+  }
+  return first == nullptr ? Status::OK() : first->error;
 }
 
 size_t ThreadPool::DefaultParallelism() {

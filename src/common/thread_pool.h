@@ -9,6 +9,8 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/status.h"
+
 namespace gapply {
 
 /// \brief A small fixed-size worker pool for intra-operator parallelism.
@@ -19,9 +21,9 @@ namespace gapply {
 /// drains the queue (runs everything already submitted) before joining.
 ///
 /// The pool makes no attempt at work stealing or task priorities — callers
-/// that need balanced fan-out (e.g. the parallel GApply executor) submit one
-/// long-lived task per worker and distribute fine-grained work through a
-/// shared atomic cursor, which keeps queue traffic off the hot path.
+/// that need balanced fan-out use FanOutUnits, which submits one long-lived
+/// task per worker and distributes fine-grained work through a shared
+/// atomic cursor, keeping queue traffic off the hot path.
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (clamped to at least 1).
@@ -71,10 +73,36 @@ class ThreadPool {
 
 /// \brief Runs a group of tasks with caller help on `pool`, or — when the
 /// caller has no pool (standalone operator tests) — on a transient pool
-/// sized for the group. The shared-engine entry point used by every
-/// parallel operator (GApply phase 2, Exchange, parallel join build,
-/// parallel aggregation).
+/// sized for the group. The task layer under FanOutUnits; operators fan out
+/// through FanOutUnits rather than calling this directly.
 void RunTaskGroup(ThreadPool* pool, std::vector<std::function<void()>> tasks);
+
+/// Per-worker hooks of FanOutUnits; either may be empty.
+struct FanOutHooks {
+  /// Runs on worker `w` before it claims a unit. A failure ranks before
+  /// every unit (serially, setup precedes all work); the worker then claims
+  /// nothing and skips `close`.
+  std::function<Status(size_t w)> open;
+  /// Runs on worker `w` after its last unit, also after one that failed. A
+  /// failure ranks after every unit and is dropped if the worker already
+  /// failed.
+  std::function<Status(size_t w)> close;
+};
+
+/// \brief The deterministic fan-out behind every parallel operator (GApply
+/// phase 2, Exchange, parallel aggregation, parallel join build).
+///
+/// Runs `run_unit(w, u)` once for every unit u in [0, num_units) on
+/// min(dop, num_units) workers w, as one task group on `pool` (see
+/// RunTaskGroup). Workers claim units in increasing order through a
+/// monotone cursor and run each claimed unit to completion; once any unit
+/// or hook fails, no worker claims another. So every unit below a failed
+/// one has run, and the smallest failing unit is the one serial execution
+/// fails at first: its error is the one returned. Units must not depend on
+/// each other; each should write only its own output slot.
+Status FanOutUnits(ThreadPool* pool, size_t dop, size_t num_units,
+                   const std::function<Status(size_t w, size_t u)>& run_unit,
+                   const FanOutHooks& hooks = {});
 
 }  // namespace gapply
 

@@ -1,7 +1,6 @@
 #include "src/engine/session.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <shared_mutex>
 
@@ -48,13 +47,6 @@ std::string RuleTraceText(const std::vector<Optimizer::RuleFiring>& trace) {
            " -> " + FormatRows(firing.rows_after) + ")\n";
   }
   return out;
-}
-
-uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
 }
 
 /// EXPLAIN ANALYZE text: the annotated plan, then outcome lines.

@@ -1,7 +1,6 @@
 #include "src/exec/agg_ops.h"
 
 #include <algorithm>
-#include <atomic>
 #include <functional>
 #include <optional>
 
@@ -272,69 +271,32 @@ Status HashGroupByOp::SpillPartitionAndAggregate(ExecContext* ctx,
 Status HashGroupByOp::AggregatePartition(
     ExecContext* ctx, const std::string& path, int level,
     std::vector<std::pair<uint64_t, Row>>* ordered) {
-  // Load the partition under its own reservation; overflow below the
-  // depth cap repartitions at the next salt level.
+  const SpillRecords records{
+      /*indexed=*/true, [this](uint64_t, const Row& r, int l) {
+        return SpillPartitionOf(HashRowColumns(r, key_columns_), l);
+      }};
   MemoryReservation part_mem(mem_.tracker());
-  std::vector<std::pair<uint64_t, Row>> rows;
-  ASSIGN_OR_RETURN(std::unique_ptr<SpillReader> reader,
-                   SpillReader::Open(path));
-  uint64_t idx = 0;
-  Row row;
-  bool overflow = false;
-  while (!overflow) {
-    ASSIGN_OR_RETURN(bool has, reader->ReadIndexedRow(&idx, &row));
-    if (!has) break;
-    const size_t bytes = ApproxRowBytes(row);
-    if (!part_mem.TryGrow(bytes)) {
-      if (level + 1 < kMaxSpillDepth) {
-        overflow = true;
-      } else {
-        part_mem.ForceGrow(bytes);
-      }
-    }
-    if (!overflow) rows.emplace_back(idx, std::move(row));
-  }
-
-  if (overflow) {
-    ASSIGN_OR_RETURN(std::vector<std::unique_ptr<SpillWriter>> writers,
-                     OpenSpillFanout(ctx->spill()));
-    const auto route = [&](uint64_t i, const Row& r) -> Status {
-      const size_t part =
-          SpillPartitionOf(HashRowColumns(r, key_columns_), level + 1);
-      return writers[part]->WriteIndexedRow(i, r);
-    };
-    for (const auto& [i, r] : rows) RETURN_NOT_OK(route(i, r));
-    rows.clear();
-    part_mem.ReleaseAll();
-    RETURN_NOT_OK(route(idx, row));
-    while (true) {
-      ASSIGN_OR_RETURN(bool has, reader->ReadIndexedRow(&idx, &row));
-      if (!has) break;
-      RETURN_NOT_OK(route(idx, row));
-    }
-    reader.reset();
-    RemoveSpillFile(path);
+  ASSIGN_OR_RETURN(
+      SpillPartition part,
+      LoadSpillPartition(path, level, records, &part_mem, ctx->spill()));
+  if (!part.loaded) {
     ASSIGN_OR_RETURN(std::vector<std::string> sub_paths,
-                     FinishSpillFiles(writers));
-    writers.clear();
-    for (size_t p = 0; p < kSpillFanout; ++p) {
-      RETURN_NOT_OK(AggregatePartition(ctx, sub_paths[p], level + 1,
-                                       ordered));
+                     FinishSpillFiles(part.split));
+    for (const std::string& sub : sub_paths) {
+      RETURN_NOT_OK(AggregatePartition(ctx, sub, level + 1, ordered));
     }
     return Status::OK();
   }
-  reader.reset();
   profile_.peak_memory =
       std::max<uint64_t>(profile_.peak_memory, part_mem.peak());
 
   // In-memory aggregation in file order (= global input order for this
   // partition's rows), tracking each group's first tagged position.
   GroupTable groups(key_columns_, aggs_);
-  for (const auto& [i, r] : rows) {
-    RETURN_NOT_OK(groups.Add(r, i, *ctx->eval()));
+  for (size_t i = 0; i < part.rows.size(); ++i) {
+    RETURN_NOT_OK(groups.Add(part.rows[i], part.indices[i], *ctx->eval()));
   }
   groups.FinishAll(ordered);
-  RemoveSpillFile(path);
   return Status::OK();
 }
 
@@ -363,9 +325,6 @@ Status HashGroupByOp::AggregateParallel(ExecContext* ctx,
     std::vector<AggregateDesc> aggs;
     std::optional<GroupTable> groups;  // over aggs; set once partials exist
     ExecContext wctx;
-    Status error = Status::OK();
-    uint64_t error_pos = 0;
-    bool failed = false;
   };
   std::vector<Partial> partials(dop);
   for (Partial& p : partials) {
@@ -374,45 +333,18 @@ Status HashGroupByOp::AggregateParallel(ExecContext* ctx,
     p.wctx = ctx->ForkForWorker();
   }
 
-  // Workers claim morsels through a monotone shared cursor and abort only
-  // between morsels, so every morsel before any claimed one runs to
-  // completion — which makes "smallest failing row index" the error serial
-  // execution would hit first.
-  std::atomic<size_t> next_morsel{0};
-  std::atomic<bool> abort{false};
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(dop);
-  for (size_t w = 0; w < dop; ++w) {
-    tasks.push_back([&, w] {
-      Partial& p = partials[w];
-      while (!abort.load(std::memory_order_relaxed)) {
-        const size_t m = next_morsel.fetch_add(1, std::memory_order_relaxed);
-        if (m >= num_morsels) break;
-        const size_t begin = m * kMorselRows;
-        const size_t end = std::min(n, begin + kMorselRows);
-        for (size_t i = begin; i < end; ++i) {
-          Status st = p.groups->Add(input[i], i, *p.wctx.eval());
-          if (!st.ok()) {
-            p.error = std::move(st);
-            p.error_pos = i;
-            p.failed = true;
-            abort.store(true, std::memory_order_relaxed);
-            return;
-          }
+  // Morsels are contiguous row ranges, so the smallest failing morsel's
+  // error (what FanOutUnits returns) is the serial error.
+  RETURN_NOT_OK(FanOutUnits(
+      ctx->thread_pool(), dop, num_morsels,
+      [&](size_t w, size_t m) -> Status {
+        Partial& p = partials[w];
+        const size_t end = std::min(n, (m + 1) * kMorselRows);
+        for (size_t i = m * kMorselRows; i < end; ++i) {
+          RETURN_NOT_OK(p.groups->Add(input[i], i, *p.wctx.eval()));
         }
-      }
-    });
-  }
-  RunTaskGroup(ctx->thread_pool(), std::move(tasks));
-
-  const Partial* first_failure = nullptr;
-  for (const Partial& p : partials) {
-    if (p.failed && (first_failure == nullptr ||
-                     p.error_pos < first_failure->error_pos)) {
-      first_failure = &p;
-    }
-  }
-  if (first_failure != nullptr) return first_failure->error;
+        return Status::OK();
+      }));
 
   // Merge the partials (exact, so merge order is irrelevant), keeping the
   // minimum global first-appearance position per group, then emit in that

@@ -189,7 +189,7 @@ class ExecContext {
   /// Shared engine worker pool for parallel operators (GApply phase 2,
   /// Exchange, parallel join build / aggregation), owned by the Database
   /// for the session. nullptr (standalone plans built in tests) makes
-  /// `RunTaskGroup` fall back to a transient pool per parallel section.
+  /// `FanOutUnits` fall back to a transient pool per parallel section.
   ThreadPool* thread_pool() const { return thread_pool_; }
   void set_thread_pool(ThreadPool* pool) { thread_pool_ = pool; }
 

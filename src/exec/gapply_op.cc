@@ -1,8 +1,6 @@
 #include "src/exec/gapply_op.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <functional>
 #include <iterator>
 #include <limits>
@@ -34,13 +32,6 @@ Row ExtractKey(const Row& row, const std::vector<int>& cols) {
   key.reserve(cols.size());
   for (int c : cols) key.push_back(row[static_cast<size_t>(c)]);
   return key;
-}
-
-uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
 }
 
 /// Lifted units per worker at DOP > 1: enough that one slow gid range
@@ -349,12 +340,10 @@ Status GApplyOp::ExecuteUnitsParallel(ExecContext* ctx) {
   struct WorkerState {
     PhysOpPtr pgq;
     ExecContext ctx;
-    Status error = Status::OK();
-    size_t error_unit = 0;
-    bool failed = false;
     size_t units_claimed = 0;
     uint64_t pgq_executions = 0;
-    uint64_t busy_ns = 0;  // profiling only
+    uint64_t busy_start_ns = 0;  // profiling only
+    uint64_t busy_ns = 0;
   };
   std::vector<WorkerState> workers(dop);
   for (WorkerState& w : workers) {
@@ -362,39 +351,28 @@ Status GApplyOp::ExecuteUnitsParallel(ExecContext* ctx) {
     w.ctx = ctx->ForkForWorker();
   }
 
-  // Morsel-driven scheduling: workers claim the next unprocessed unit
-  // through a shared cursor. Each unit's output goes to its own slot in
-  // unit_outputs_, so no two workers ever write the same element and the
-  // final stream order is independent of scheduling. The worker loops run
-  // as one task group on the shared engine pool (with the calling thread
-  // helping), falling back to a transient pool for standalone plans — no
-  // per-execution thread spawn/join when a Database pool is present.
-  std::atomic<size_t> next_unit{0};
-  std::atomic<bool> abort{false};
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(dop);
-  for (size_t w = 0; w < dop; ++w) {
-    tasks.push_back([this, &workers, &next_unit, &abort, units, w] {
-      WorkerState& ws = workers[w];
-      const bool timed = ws.ctx.profiling();
-      const uint64_t busy_start = timed ? NowNs() : 0;
-      while (!abort.load(std::memory_order_relaxed)) {
-        const size_t u = next_unit.fetch_add(1, std::memory_order_relaxed);
-        if (u >= units) break;
-        ws.units_claimed++;
-        Status st = ExecuteBound(ws.pgq.get(), &ws.ctx, u, &ws.pgq_executions);
-        if (!st.ok()) {
-          ws.error = std::move(st);
-          ws.error_unit = u;
-          ws.failed = true;
-          abort.store(true, std::memory_order_relaxed);
-          break;
-        }
-      }
-      if (timed) ws.busy_ns = NowNs() - busy_start;
-    });
+  // Each unit's output goes to its own slot in unit_outputs_, so the
+  // stream order is independent of scheduling, and FanOutUnits surfaces
+  // the smallest failing unit's error — the one serial execution hits.
+  FanOutHooks hooks;
+  if (ctx->profiling()) {
+    hooks.open = [&workers](size_t w) {
+      workers[w].busy_start_ns = NowNs();
+      return Status::OK();
+    };
+    hooks.close = [&workers](size_t w) {
+      workers[w].busy_ns = NowNs() - workers[w].busy_start_ns;
+      return Status::OK();
+    };
   }
-  RunTaskGroup(ctx->thread_pool(), std::move(tasks));
+  Status st = FanOutUnits(
+      ctx->thread_pool(), dop, units,
+      [this, &workers](size_t w, size_t u) {
+        WorkerState& ws = workers[w];
+        ws.units_claimed++;
+        return ExecuteBound(ws.pgq.get(), &ws.ctx, u, &ws.pgq_executions);
+      },
+      hooks);
 
   // The clones' work reaches the tree through the template PGQ.
   for (const WorkerState& w : workers) {
@@ -402,14 +380,10 @@ Status GApplyOp::ExecuteUnitsParallel(ExecContext* ctx) {
     if (w.units_claimed > 0) pgq_->MergeTreeProfileFrom(*w.pgq);
   }
   if (ctx->profiling()) {
-    uint64_t pgq_rows = 0;
-    for (const std::vector<Row>& rows : unit_outputs_) {
-      pgq_rows += rows.size();
-    }
     // The clones' output had no profiled consumer (workers drain them from
     // a bare context); credit it to this operator so rows_in stays equal to
     // the children's merged rows_out.
-    profile_.rows_in += pgq_rows;
+    profile_.rows_in += unit_outputs_.num_rows();
     // Per-worker attribution: only a worker that actually claimed a unit
     // reports itself. A worker that lost every race to the unit cursor
     // must be skipped entirely — folding it in as a zero would collapse
@@ -423,18 +397,7 @@ Status GApplyOp::ExecuteUnitsParallel(ExecContext* ctx) {
       profile_.work.MergeFrom(busy);
     }
   }
-
-  // Deterministic error selection: among the workers that failed, surface
-  // the smallest unit index — the error serial execution would hit first.
-  const WorkerState* first_failure = nullptr;
-  for (const WorkerState& w : workers) {
-    if (w.failed && (first_failure == nullptr ||
-                     w.error_unit < first_failure->error_unit)) {
-      first_failure = &w;
-    }
-  }
-  if (first_failure != nullptr) return first_failure->error;
-  return Status::OK();
+  return st;
 }
 
 Status GApplyOp::StartMemberSpill(ExecContext* ctx, std::vector<Row>* input,
@@ -462,63 +425,21 @@ Status GApplyOp::StartMemberSpill(ExecContext* ctx, std::vector<Row>* input,
 
 Status GApplyOp::ExecuteSpilledPartition(ExecContext* ctx,
                                          const std::string& path, int level) {
-  // Load the partition under its own reservation; overflow below the
-  // depth cap repartitions the gids at the next salt level.
+  const SpillRecords records{
+      /*indexed=*/true,
+      [](uint64_t gid, const Row&, int l) { return PartitionOfGid(gid, l); }};
   MemoryReservation part_mem(mem_.tracker());
-  std::vector<Row> rows;
-  std::vector<uint32_t> gids;
-  ASSIGN_OR_RETURN(std::unique_ptr<SpillReader> reader,
-                   SpillReader::Open(path));
-  uint64_t gid = 0;
-  Row row;
-  bool overflow = false;
-  while (!overflow) {
-    ASSIGN_OR_RETURN(bool has, reader->ReadIndexedRow(&gid, &row));
-    if (!has) break;
-    const size_t bytes = ApproxRowBytes(row);
-    if (!part_mem.TryGrow(bytes)) {
-      if (level + 1 < kMaxSpillDepth) {
-        overflow = true;
-      } else {
-        // A single group's members cannot be split below the gid grain;
-        // past the cap the partition loads regardless of the budget.
-        part_mem.ForceGrow(bytes);
-      }
-    }
-    if (!overflow) {
-      rows.push_back(std::move(row));
-      gids.push_back(static_cast<uint32_t>(gid));
-    }
-  }
-
-  if (overflow) {
-    ASSIGN_OR_RETURN(std::vector<std::unique_ptr<SpillWriter>> writers,
-                     OpenSpillFanout(ctx->spill()));
-    const auto route = [&](uint64_t g, const Row& r) -> Status {
-      return writers[PartitionOfGid(g, level + 1)]->WriteIndexedRow(g, r);
-    };
-    for (size_t i = 0; i < rows.size(); ++i) {
-      RETURN_NOT_OK(route(gids[i], rows[i]));
-    }
-    rows.clear();
-    part_mem.ReleaseAll();
-    RETURN_NOT_OK(route(gid, row));
-    while (true) {
-      ASSIGN_OR_RETURN(bool has, reader->ReadIndexedRow(&gid, &row));
-      if (!has) break;
-      RETURN_NOT_OK(route(gid, row));
-    }
-    reader.reset();
-    RemoveSpillFile(path);
+  ASSIGN_OR_RETURN(
+      SpillPartition part,
+      LoadSpillPartition(path, level, records, &part_mem, ctx->spill()));
+  if (!part.loaded) {
     ASSIGN_OR_RETURN(std::vector<std::string> sub_paths,
-                     FinishSpillFiles(writers));
-    writers.clear();
-    for (size_t p = 0; p < kSpillFanout; ++p) {
-      RETURN_NOT_OK(ExecuteSpilledPartition(ctx, sub_paths[p], level + 1));
+                     FinishSpillFiles(part.split));
+    for (const std::string& sub : sub_paths) {
+      RETURN_NOT_OK(ExecuteSpilledPartition(ctx, sub, level + 1));
     }
     return Status::OK();
   }
-  reader.reset();
   profile_.peak_memory =
       std::max<uint64_t>(profile_.peak_memory, part_mem.peak());
 
@@ -527,6 +448,7 @@ Status GApplyOp::ExecuteSpilledPartition(ExecContext* ctx,
   // (= outer input order). Its units then run as in memory, serially;
   // their outputs land in per-gid slots, drained in gid order by the
   // buffered-output path.
+  std::vector<uint32_t> gids(part.indices.begin(), part.indices.end());
   buffer_gids_ = gids;
   std::sort(buffer_gids_.begin(), buffer_gids_.end());
   buffer_gids_.erase(std::unique(buffer_gids_.begin(), buffer_gids_.end()),
@@ -539,8 +461,8 @@ Status GApplyOp::ExecuteSpilledPartition(ExecContext* ctx,
     ++counts[g];
   }
   RETURN_NOT_OK(
-      ScatterByGid(&rows, std::move(gids), std::move(counts), &offsets_));
-  members_ = std::move(rows);
+      ScatterByGid(&part.rows, std::move(gids), std::move(counts), &offsets_));
+  members_ = std::move(part.rows);
   PlanUnits(/*dop=*/1);
   for (size_t u = 0; u < num_units(); ++u) {
     RETURN_NOT_OK(
@@ -549,16 +471,14 @@ Status GApplyOp::ExecuteSpilledPartition(ExecContext* ctx,
   members_.clear();
   offsets_.clear();
   buffer_gids_.clear();
-  RemoveSpillFile(path);
   return Status::OK();
 }
 
 Status GApplyOp::OpenImpl(ExecContext* ctx) {
   current_unit_ = 0;
-  output_pos_ = 0;
   unit_open_ = false;
   buffered_exec_ = false;
-  unit_outputs_.clear();
+  unit_outputs_.Reset(0);
 
   // Phase timers run only under profiling (DESIGN.md §12).
   const bool timed = ctx->profiling();
@@ -570,7 +490,7 @@ Status GApplyOp::OpenImpl(ExecContext* ctx) {
     // Spilled phase 2 runs one partition at a time, serially, into per-gid
     // output slots — the buffered drain below emits them in gid order.
     buffered_exec_ = true;
-    unit_outputs_.assign(num_groups_, {});
+    unit_outputs_.Reset(num_groups_);
     const uint64_t t1 = timed ? NowNs() : 0;
     Status st = Status::OK();
     for (const std::string& path : spill_paths_) {
@@ -588,7 +508,7 @@ Status GApplyOp::OpenImpl(ExecContext* ctx) {
   PlanUnits(parallelism_);
   if (parallelism_ > 1 && num_units() > 1) {
     buffered_exec_ = true;
-    unit_outputs_.assign(num_units(), {});
+    unit_outputs_.Reset(num_units());
     const uint64_t t1 = timed ? NowNs() : 0;
     Status st = ExecuteUnitsParallel(ctx);
     if (timed) profile_.work.gapply_pgq_ns += NowNs() - t1;
@@ -598,28 +518,10 @@ Status GApplyOp::OpenImpl(ExecContext* ctx) {
 }
 
 Result<bool> GApplyOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
+  // Parallel and spilled phase 2 buffered their output in unit (gid)
+  // order, which is the serial emission order.
+  if (buffered_exec_) return unit_outputs_.Drain(out);
   out->Clear();
-
-  if (buffered_exec_) {
-    // Slice ranges straight out of the per-unit buffers, preserving the
-    // serial emission order.
-    while (current_unit_ < unit_outputs_.size() && !out->full()) {
-      std::vector<Row>& rows = unit_outputs_[current_unit_];
-      const size_t n = std::min(out->capacity() - out->size(),
-                                rows.size() - output_pos_);
-      for (size_t i = 0; i < n; ++i) {
-        out->Add(std::move(rows[output_pos_ + i]));
-      }
-      output_pos_ += n;
-      if (output_pos_ >= rows.size()) {
-        rows.clear();
-        rows.shrink_to_fit();
-        ++current_unit_;
-        output_pos_ = 0;
-      }
-    }
-    return !out->empty();
-  }
 
   // Serial phase 2: pull the open unit's PGQ rows and emit them
   // key-prefixed, rolling over unit boundaries until the batch fills. PGQ
@@ -652,7 +554,7 @@ Status GApplyOp::CloseImpl(ExecContext* ctx) {
   offsets_.clear();
   buffer_gids_.clear();
   unit_bounds_.clear();
-  unit_outputs_.clear();
+  unit_outputs_.Reset(0);
   spill_writers_.clear();
   for (const std::string& path : spill_paths_) RemoveSpillFile(path);
   spill_paths_.clear();

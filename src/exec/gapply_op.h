@@ -129,7 +129,7 @@ class GApplyOp : public PhysOp {
   Status ExecuteBound(PhysOp* pgq, ExecContext* ctx, size_t unit,
                       uint64_t* pgq_executions);
 
-  /// Phase-2 fan-out: executes every unit on a worker pool, filling
+  /// Phase-2 fan-out: executes every unit through FanOutUnits, filling
   /// unit_outputs_, and folds the worker clones' profiles into the
   /// template PGQ.
   Status ExecuteUnitsParallel(ExecContext* ctx);
@@ -141,9 +141,10 @@ class GApplyOp : public PhysOp {
   Status StartMemberSpill(ExecContext* ctx, std::vector<Row>* input,
                           std::vector<uint32_t>* gids,
                           const std::vector<size_t>& first_row);
-  /// Phase 2 over one spill partition: loads its (gid, row) records
-  /// (recursively repartitioning on overflow) into the partition buffer
-  /// and runs its units into unit_outputs_.
+  /// Phase 2 over one spill partition: loads its (gid, row) records with
+  /// LoadSpillPartition (recursing into the split files when it
+  /// overflows) into the partition buffer and runs its units into
+  /// unit_outputs_.
   Status ExecuteSpilledPartition(ExecContext* ctx, const std::string& path,
                                  int level);
 
@@ -177,8 +178,7 @@ class GApplyOp : public PhysOp {
   // Buffered-output state (parallel and spilled phase 2): per-unit (per
   // gid when spilled) output rows, streamed by NextBatch in slot order.
   bool buffered_exec_ = false;
-  std::vector<std::vector<Row>> unit_outputs_;
-  size_t output_pos_ = 0;
+  RowSlots unit_outputs_;
 
   // Member-row spill state (hash mode only); inert until a budget refusal
   // during Partition flips spilled_.

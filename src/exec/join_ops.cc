@@ -1,7 +1,6 @@
 #include "src/exec/join_ops.h"
 
 #include <algorithm>
-#include <atomic>
 #include <tuple>
 
 #include "src/common/thread_pool.h"
@@ -92,46 +91,31 @@ void HashJoinOp::BuildParallel(ExecContext* ctx) {
   const size_t nshards = parallelism_;
   std::vector<size_t> hashes(n);
   std::vector<uint32_t> shard_of(n);
-
-  std::atomic<size_t> next_chunk{0};
-  const auto hash_chunks = [&] {
-    while (true) {
-      const size_t c = next_chunk.fetch_add(1, std::memory_order_relaxed);
-      if (c >= num_chunks) return;
-      const size_t end = std::min(n, (c + 1) * kChunkRows);
-      for (size_t i = c * kChunkRows; i < end; ++i) {
-        if (Keyless(build_rows_[i], right_keys_)) {
-          shard_of[i] = HashTable::kNone;
-          continue;
-        }
-        hashes[i] = HashRowColumns(build_rows_[i], right_keys_);
-        shard_of[i] = static_cast<uint32_t>(hashes[i] % nshards);
+  const auto hash_chunk = [&](size_t, size_t c) {
+    const size_t end = std::min(n, (c + 1) * kChunkRows);
+    for (size_t i = c * kChunkRows; i < end; ++i) {
+      if (Keyless(build_rows_[i], right_keys_)) {
+        shard_of[i] = HashTable::kNone;
+        continue;
       }
+      hashes[i] = HashRowColumns(build_rows_[i], right_keys_);
+      shard_of[i] = static_cast<uint32_t>(hashes[i] % nshards);
     }
+    return Status::OK();
   };
+  // Neither phase can fail.
+  (void)FanOutUnits(ctx->thread_pool(), parallelism_, num_chunks, hash_chunk);
 
-  const size_t dop = std::min(parallelism_, num_chunks);
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(dop);
-  for (size_t w = 0; w < dop; ++w) tasks.push_back(hash_chunks);
-  RunTaskGroup(ctx->thread_pool(), std::move(tasks));
-
-  // Phase 2: one worker per shard inserts that shard's rows in global row
+  // Phase 2: one unit per shard inserts that shard's rows in global row
   // order, reproducing the serial per-key insertion sequence.
   tables_.resize(nshards);
-  std::atomic<size_t> next_shard{0};
-  const auto build_shards = [&] {
-    while (true) {
-      const size_t s = next_shard.fetch_add(1, std::memory_order_relaxed);
-      if (s >= nshards) return;
-      for (size_t i = 0; i < n; ++i) {
-        if (shard_of[i] == s) Insert(&tables_[s], build_rows_[i], hashes[i]);
-      }
+  const auto build_shard = [&](size_t, size_t s) {
+    for (size_t i = 0; i < n; ++i) {
+      if (shard_of[i] == s) Insert(&tables_[s], build_rows_[i], hashes[i]);
     }
+    return Status::OK();
   };
-  tasks.clear();
-  for (size_t w = 0; w < nshards; ++w) tasks.push_back(build_shards);
-  RunTaskGroup(ctx->thread_pool(), std::move(tasks));
+  (void)FanOutUnits(ctx->thread_pool(), nshards, nshards, build_shard);
 }
 
 Status HashJoinOp::OpenImpl(ExecContext* ctx) {
@@ -284,64 +268,32 @@ Status HashJoinOp::SpillBuildAndJoin(ExecContext* ctx, RowBatch* pending,
 Status HashJoinOp::JoinPartition(ExecContext* ctx,
                                  const std::string& build_path,
                                  const std::string& probe_path, int level) {
-  // Load the build partition under its own reservation; an overflow below
-  // the depth cap triggers a recursive repartition at the next salt level.
+  const SpillRecords records{
+      /*indexed=*/false, [this](uint64_t, const Row& r, int l) {
+        return SpillPartitionOf(HashRowColumns(r, right_keys_), l);
+      }};
   MemoryReservation part_mem(mem_.tracker());
-  std::vector<Row> build;
-  ASSIGN_OR_RETURN(std::unique_ptr<SpillReader> build_reader,
-                   SpillReader::Open(build_path));
-  Row row;
-  bool overflow = false;
-  while (!overflow) {
-    ASSIGN_OR_RETURN(bool has, build_reader->ReadRow(&row));
-    if (!has) break;
-    const size_t bytes = ApproxRowBytes(row);
-    if (!part_mem.TryGrow(bytes)) {
-      if (level + 1 < kMaxSpillDepth) {
-        overflow = true;
-      } else {
-        part_mem.ForceGrow(bytes);
-      }
-    }
-    if (!overflow) build.push_back(std::move(row));
-  }
-  if (!overflow) {
-    build_reader.reset();
+  ASSIGN_OR_RETURN(SpillPartition build,
+                   LoadSpillPartition(build_path, level, records, &part_mem,
+                                      ctx->spill()));
+  if (build.loaded) {
     profile_.peak_memory =
         std::max<uint64_t>(profile_.peak_memory, part_mem.peak());
-    RETURN_NOT_OK(JoinLoadedPartition(ctx, build, probe_path));
-    RemoveSpillFile(build_path);
+    RETURN_NOT_OK(JoinLoadedPartition(ctx, build.rows, probe_path));
     RemoveSpillFile(probe_path);
     return Status::OK();
   }
+  ASSIGN_OR_RETURN(std::vector<std::string> build_paths,
+                   FinishSpillFiles(build.split));
 
-  // Repartition the build side (the loaded prefix, the row that tripped
-  // the budget, then the rest of the file) at level + 1.
+  // The build partition split: repartition the probe side with the same
+  // salt, so build sub-partition p still meets probe sub-partition p.
   ASSIGN_OR_RETURN(std::vector<std::unique_ptr<SpillWriter>> writers,
                    OpenSpillFanout(ctx->spill()));
-  const auto route_build = [&](const Row& r) -> Status {
-    const size_t part =
-        SpillPartitionOf(HashRowColumns(r, right_keys_), level + 1);
-    return writers[part]->WriteRow(r);
-  };
-  for (const Row& r : build) RETURN_NOT_OK(route_build(r));
-  build.clear();
-  part_mem.ReleaseAll();
-  RETURN_NOT_OK(route_build(row));
-  while (true) {
-    ASSIGN_OR_RETURN(bool has, build_reader->ReadRow(&row));
-    if (!has) break;
-    RETURN_NOT_OK(route_build(row));
-  }
-  build_reader.reset();
-  ASSIGN_OR_RETURN(std::vector<std::string> build_paths,
-                   FinishSpillFiles(writers));
-
-  // Repartition the probe side with the same salt.
-  ASSIGN_OR_RETURN(writers, OpenSpillFanout(ctx->spill()));
   ASSIGN_OR_RETURN(std::unique_ptr<SpillReader> probe_reader,
                    SpillReader::Open(probe_path));
   uint64_t idx = 0;
+  Row row;
   while (true) {
     ASSIGN_OR_RETURN(bool has, probe_reader->ReadIndexedRow(&idx, &row));
     if (!has) break;
@@ -353,7 +305,6 @@ Status HashJoinOp::JoinPartition(ExecContext* ctx,
   ASSIGN_OR_RETURN(std::vector<std::string> probe_paths,
                    FinishSpillFiles(writers));
   writers.clear();
-  RemoveSpillFile(build_path);
   RemoveSpillFile(probe_path);
 
   for (size_t p = 0; p < kSpillFanout; ++p) {

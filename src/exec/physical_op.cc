@@ -10,23 +10,23 @@
 
 namespace gapply {
 
-namespace {
-
-uint64_t ProfileNowNs() {
+uint64_t NowNs() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
 
+namespace {
+
 /// Runs `impl`, the entry point of `op`, with `op` on top of the profiler
 /// consumer stack, adding its wall time to `*ns`.
 template <typename Impl>
 auto ProfiledCall(ExecContext* ctx, PhysOp* op, uint64_t* ns, Impl impl) {
   ctx->profiler_consumers().push_back(op);
-  const uint64_t t0 = ProfileNowNs();
+  const uint64_t t0 = NowNs();
   auto result = impl();
-  *ns += ProfileNowNs() - t0;
+  *ns += NowNs() - t0;
   ctx->profiler_consumers().pop_back();
   return result;
 }

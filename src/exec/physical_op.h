@@ -14,6 +14,10 @@ namespace gapply {
 
 class SpillWriter;
 
+/// Monotonic clock reading in nanoseconds: the one clock behind operator
+/// profiles, phase timers and the session's per-layer timings.
+uint64_t NowNs();
+
 /// Per-operator runtime profile: the one place an operator's work is booked
 /// (DESIGN.md §12).
 ///

@@ -137,6 +137,31 @@ void MaybeShuffleDim(FuzzDataset* ds, Rng* side) {
   ds->features.push_back("dim-shuffled");
 }
 
+/// Sometimes gives d0 a second join key `rk`: non-decreasing by row
+/// position, in runs of 2–3 equal keys, now and then skipping a key so some
+/// fk values find no run. A `fk = rk` join then reaches the lookup join's
+/// duplicate-key runs, which the unique pk never has. Added after the
+/// shuffle, so rk stays sorted either way. Draws only from `side`.
+void MaybeAddRunKey(FuzzDataset* ds, Rng* side) {
+  if (!ds->dim.has_value() || !side->Bernoulli(0.5)) return;
+  FuzzTable& dim = *ds->dim;
+  int64_t key = 0;
+  int64_t left_in_run = side->UniformInt(2, 3);
+  for (Row& row : dim.rows) {
+    if (left_in_run-- == 0) {
+      key += side->Bernoulli(0.25) ? 2 : 1;
+      left_in_run = side->UniformInt(2, 3) - 1;
+    }
+    row.push_back(Value::Int(key));
+  }
+  dim.columns.push_back({.name = "rk",
+                         .type = TypeId::kInt64,
+                         .group_key = true,
+                         .int_min = 0,
+                         .int_max = key});
+  ds->features.push_back("dim-run-key");
+}
+
 Schema ToSchema(const FuzzTable& table) {
   std::vector<Column> cols;
   cols.reserve(table.columns.size());
@@ -280,6 +305,7 @@ FuzzDataset GenerateDataset(Rng* rng) {
   Rng side(Rng(*rng).Next() ^ 0x50f7edc011ull);
   MaybeSortColumn(&ds, &side);
   MaybeShuffleDim(&ds, &side);
+  MaybeAddRunKey(&ds, &side);
   return ds;
 }
 

@@ -122,11 +122,22 @@ struct GenSelect {
 
 class QueryGen {
  public:
-  // `side_` is seeded off (not drawn from) the main stream.
+  // `side_` and `join_side_` are seeded off (not drawn from) the main
+  // stream.
   QueryGen(const FuzzDataset& ds, Rng* rng)
-      : ds_(ds), rng_(rng), side_(Rng(*rng).Next() ^ 0x5a17edc0ull) {}
+      : ds_(ds),
+        rng_(rng),
+        side_(Rng(*rng).Next() ^ 0x5a17edc0ull),
+        join_side_(Rng(*rng).Next() ^ 0x6b28fed1ull) {}
 
   GeneratedQuery Generate() {
+    // On a d0 with a run key, most queries join on it instead of pk. The
+    // draw comes from its own stream and rk stays out of JoinScope, so a
+    // query that joins on pk is the one the dataset without rk would get.
+    if (ds_.dim.has_value() && ds_.dim->columns.back().name == "rk" &&
+        join_side_.Bernoulli(0.75)) {
+      dim_key_ = "rk";
+    }
     GeneratedQuery out;
     out.ast = GenTop();
     out.sql = sql::ToSql(*out.ast);
@@ -147,8 +158,16 @@ class QueryGen {
 
   Scope JoinScope() const {
     Scope s = FactScope();
-    for (const FuzzColumn& c : ds_.dim->columns) s.push_back(&c);
+    for (const FuzzColumn& c : ds_.dim->columns) {
+      if (c.name != "rk") s.push_back(&c);
+    }
     return s;
+  }
+
+  /// The equi-join predicate of `from t0, d0`; tags a join on the run key.
+  SqlExprPtr JoinPred() {
+    if (dim_key_ == "rk") Tag("run-key-join");
+    return Bin(BinaryOp::kEq, Col("fk"), Col(dim_key_));
   }
 
   const FuzzColumn* Pick(const Scope& scope) {
@@ -375,7 +394,7 @@ class QueryGen {
     if (join) Tag("join");
 
     SqlExprPtr where;
-    if (join) where = Bin(BinaryOp::kEq, Col("fk"), Col("pk"));
+    if (join) where = JoinPred();
     if (rng_->Bernoulli(join ? 0.5 : 0.55)) {
       SqlExprPtr pred = Pred(scope);
       where = where == nullptr
@@ -614,7 +633,7 @@ class QueryGen {
     g.stmt->group_var = depth == 0 ? "g" : "h" + std::to_string(depth);
 
     SqlExprPtr where;
-    if (join) where = Bin(BinaryOp::kEq, Col("fk"), Col("pk"));
+    if (join) where = JoinPred();
     if (rng_->Bernoulli(0.45)) {
       SqlExprPtr pred = Pred(scope);
       where = where == nullptr
@@ -678,7 +697,7 @@ class QueryGen {
           SqlExprPtr pred = Pred(scope);
           if (other->from.size() == 2) {
             pred = Bin(BinaryOp::kAnd,
-                       Bin(BinaryOp::kEq, Col("fk"), Col("pk")),
+                       JoinPred(),
                        std::move(pred));
           }
           other->where = std::move(pred);
@@ -711,6 +730,9 @@ class QueryGen {
   const FuzzDataset& ds_;
   Rng* rng_;
   Rng side_;
+  Rng join_side_;
+  /// The d0 column every `fk = ...` join predicate of this query uses.
+  std::string dim_key_ = "pk";
   std::set<std::string> features_;
   int alias_counter_ = 0;
 };

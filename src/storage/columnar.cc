@@ -164,6 +164,14 @@ bool ColumnarTable::CanPruneMorsel(
     // (NULL comparisons are NULL, and WHERE rejects NULL).
     if (zone.min.is_null()) return true;
     if (RangeRefutes(p.op, zone.min, zone.max, p.literal)) return true;
+    // A string the dictionary never interned equals no row's value, even
+    // one that sorts inside [min, max].
+    const ColumnVector& col = columns_[static_cast<size_t>(p.column)];
+    if (p.op == CmpOp::kEq && col.type() == TypeId::kString &&
+        p.literal.type() == TypeId::kString &&
+        col.FindCode(p.literal.str_val()) < 0) {
+      return true;
+    }
   }
   return false;
 }

@@ -161,8 +161,9 @@ class ColumnarTable {
 
   /// True when the zone maps prove no row of morsel `m` can satisfy every
   /// predicate in `preds` — i.e. some conjunct is statically false over the
-  /// morsel's value range (or the referenced column is entirely NULL there).
-  /// A morsel that cannot be pruned may still contain zero matching rows.
+  /// morsel's value range (or the referenced column is entirely NULL there),
+  /// or is a string `=` whose literal the column's dictionary lacks. A
+  /// morsel that cannot be pruned may still contain zero matching rows.
   bool CanPruneMorsel(size_t m, const std::vector<ScanPredicate>& preds) const;
 
   /// Narrows the row range [*begin, *end), which must lie inside morsel

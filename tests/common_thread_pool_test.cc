@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <functional>
 #include <memory>
+#include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -177,6 +181,136 @@ TEST(ThreadPoolTest, NestedPoolsDoNotDeadlock) {
   }
   pool.WaitIdle();
   EXPECT_EQ(counter.load(), 64);
+}
+
+// ---------------------------------------------------------------------------
+// FanOutUnits: the deterministic fan-out every parallel operator runs on.
+// ---------------------------------------------------------------------------
+
+TEST(ThreadPoolFanOutTest, SmallestFailingUnitWinsWhenFailuresFinishOutOfOrder) {
+  // Unit 1 fails only after unit 3 has already failed, so the first
+  // failure in time is unit 3's; the serial error is unit 1's.
+  ThreadPool pool(3);
+  for (int round = 0; round < 5; ++round) {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool unit3_failed = false;
+    bool saw_unit3_first = false;
+    std::vector<std::atomic<int>> runs(10);
+    Status st = FanOutUnits(&pool, 4, 10, [&](size_t, size_t u) -> Status {
+      runs[u].fetch_add(1);
+      if (u == 3) {
+        std::lock_guard<std::mutex> lock(mu);
+        unit3_failed = true;
+        cv.notify_all();
+        return Status::Internal("unit 3");
+      }
+      if (u == 1) {
+        std::unique_lock<std::mutex> lock(mu);
+        saw_unit3_first = cv.wait_for(lock, std::chrono::seconds(30),
+                                      [&] { return unit3_failed; });
+        return Status::Internal("unit 1");
+      }
+      return Status::OK();
+    });
+    EXPECT_TRUE(saw_unit3_first) << "round " << round;
+    EXPECT_EQ(st.ToString(), Status::Internal("unit 1").ToString());
+    // Every unit below a failing one ran exactly once.
+    for (size_t u = 0; u <= 3; ++u) EXPECT_EQ(runs[u].load(), 1) << u;
+  }
+}
+
+TEST(ThreadPoolFanOutTest, SerialStopsAtFirstFailingUnit) {
+  std::vector<int> ran;
+  Status st = FanOutUnits(nullptr, 1, 8, [&](size_t w, size_t u) -> Status {
+    EXPECT_EQ(w, 0u);
+    ran.push_back(static_cast<int>(u));
+    if (u == 2 || u == 5) return Status::Internal("unit " + std::to_string(u));
+    return Status::OK();
+  });
+  EXPECT_EQ(st.ToString(), Status::Internal("unit 2").ToString());
+  EXPECT_EQ(ran, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(ThreadPoolFanOutTest, DopAboveUnitCountRunsEachUnitOnce) {
+  ThreadPool shared(4);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &shared}) {
+    std::vector<std::atomic<int>> runs(3);
+    std::atomic<size_t> max_worker{0};
+    std::atomic<int> opens{0};
+    std::atomic<int> closes{0};
+    FanOutHooks hooks;
+    hooks.open = [&](size_t) {
+      opens.fetch_add(1);
+      return Status::OK();
+    };
+    hooks.close = [&](size_t) {
+      closes.fetch_add(1);
+      return Status::OK();
+    };
+    Status st = FanOutUnits(
+        pool, 8, 3,
+        [&](size_t w, size_t u) {
+          runs[u].fetch_add(1);
+          size_t seen = max_worker.load();
+          while (w > seen && !max_worker.compare_exchange_weak(seen, w)) {
+          }
+          return Status::OK();
+        },
+        hooks);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    for (size_t u = 0; u < 3; ++u) EXPECT_EQ(runs[u].load(), 1) << u;
+    EXPECT_LT(max_worker.load(), 3u);  // workers are min(dop, units)
+    EXPECT_EQ(opens.load(), closes.load());
+    EXPECT_LE(opens.load(), 3);
+  }
+}
+
+TEST(ThreadPoolFanOutTest, ZeroUnitsRunsNoWorker) {
+  ThreadPool pool(2);
+  std::atomic<int> calls{0};
+  FanOutHooks hooks;
+  hooks.open = [&](size_t) {
+    calls.fetch_add(1);
+    return Status::Internal("open");
+  };
+  Status st = FanOutUnits(
+      &pool, 4, 0,
+      [&](size_t, size_t) {
+        calls.fetch_add(1);
+        return Status::Internal("unit");
+      },
+      hooks);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(calls.load(), 0);
+}
+
+TEST(ThreadPoolFanOutTest, OpenFailureRanksBeforeUnitsCloseFailureAfter) {
+  ThreadPool pool(3);
+  const auto fail_unit = [](size_t failing) {
+    return [failing](size_t, size_t u) {
+      return u == failing ? Status::Internal("unit " + std::to_string(u))
+                          : Status::OK();
+    };
+  };
+  for (int round = 0; round < 5; ++round) {
+    // One worker's open fails: that outranks any unit failure.
+    FanOutHooks open_fails;
+    open_fails.open = [](size_t w) {
+      return w == 1 ? Status::Internal("open") : Status::OK();
+    };
+    EXPECT_EQ(FanOutUnits(&pool, 4, 16, fail_unit(0), open_fails).ToString(),
+              Status::Internal("open").ToString());
+
+    // Every worker's close fails: a unit failure still outranks it, and
+    // with no unit failure the close error surfaces.
+    FanOutHooks close_fails;
+    close_fails.close = [](size_t) { return Status::Internal("close"); };
+    EXPECT_EQ(FanOutUnits(&pool, 4, 16, fail_unit(9), close_fails).ToString(),
+              Status::Internal("unit 9").ToString());
+    EXPECT_EQ(FanOutUnits(&pool, 4, 16, fail_unit(99), close_fails).ToString(),
+              Status::Internal("close").ToString());
+  }
 }
 
 }  // namespace

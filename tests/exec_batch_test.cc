@@ -831,6 +831,49 @@ TEST(ColumnarStorageEdgeTest, PruningCountersBookMorselSkips) {
   EXPECT_EQ(counters.morsels_pruned, 4u);
 }
 
+TEST(ColumnarStorageEdgeTest, StringEqualityAbsentFromDictionaryPrunesAll) {
+  // "melon" sorts inside every morsel's [apple, zebra] range, so the zone
+  // maps cannot refute `s = 'melon'`; that the dictionary never interned
+  // it can, for every morsel. `<>` keeps scanning every row.
+  Schema schema({{"s", TypeId::kString, "t"}});
+  std::vector<Row> rows;
+  const char* names[] = {"apple", "kiwi", "zebra"};
+  const size_t n = 3 * ColumnarTable::kMorselRows + 100;
+  for (size_t i = 0; i < n; ++i) rows.push_back({Value::Str(names[i % 3])});
+  auto table = MakeTable("t", schema, std::move(rows));
+
+  struct Case {
+    value_ops::CmpOp op;
+    size_t rows, pruned, evaluated;
+  };
+  for (const Case& c : {Case{value_ops::CmpOp::kEq, 0, 4, 0},
+                        Case{value_ops::CmpOp::kNe, n, 0, n}}) {
+    for (size_t dop : {1u, 4u}) {
+      for (size_t batch : {1u, 1024u}) {
+        auto scan = std::make_unique<TableScanOp>(table.get());
+        scan->PushPredicates({{0, c.op, Value::Str("melon")}});
+        PhysOpPtr plan = std::move(scan);
+        if (dop > 1) {
+          plan = std::make_unique<ExchangeOp>(std::move(plan), dop,
+                                              ColumnarTable::kMorselRows);
+        }
+        ExecContext ctx;
+        ctx.set_batch_size(batch);
+        Result<QueryResult> r = ExecuteToVector(plan.get(), &ctx);
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        const ExecContext::Counters got = SumWorkCounters(*plan);
+        const std::string where = "op=" + std::to_string(int(c.op)) +
+                                  " dop=" + std::to_string(dop) +
+                                  " batch=" + std::to_string(batch);
+        EXPECT_EQ(r->rows.size(), c.rows) << where;
+        EXPECT_EQ(got.morsels_pruned, c.pruned) << where;
+        EXPECT_EQ(got.morsels_scanned, 4 - c.pruned) << where;
+        EXPECT_EQ(got.scan_rows_evaluated, c.evaluated) << where;
+      }
+    }
+  }
+}
+
 TEST(ColumnarStorageEdgeTest, PruningInsideExchangeMorselDriver) {
   // Exchange morsels (odd-sized, smaller than storage morsels) intersect
   // storage morsels; pruning still fires and results stay bit-for-bit.

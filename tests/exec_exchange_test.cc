@@ -202,6 +202,57 @@ TEST(ExchangeErrorTest, FailingWorkerPropagatesSerialError) {
   }
 }
 
+// Two poisons with *different* messages, so a test can tell which one
+// surfaced: v == -1 trips "division by zero" in the left operand, v == -2
+// trips "modulo by zero" in the right one.
+ExprPtr TwoPoisonExpr(const Schema& s) {
+  return Binary(
+      BinaryOp::kAdd,
+      Binary(BinaryOp::kDivide, Lit(int64_t{100}),
+             Binary(BinaryOp::kAdd, Col(s, "v"), Lit(int64_t{1}))),
+      Binary(BinaryOp::kModulo, Lit(int64_t{100}),
+             Binary(BinaryOp::kAdd, Col(s, "v"), Lit(int64_t{2}))));
+}
+
+TEST(ExchangeErrorTest, DistinctFailuresSurfaceSmallestMorselsError) {
+  // Row 200 (morsel 3 at morsel_rows = 64) divides by zero; row 700
+  // (morsel 10) takes modulo by zero. Serial hits morsel 3 first, so every
+  // parallel run must report the division even when morsel 10 fails first.
+  std::vector<Row> rows;
+  for (int i = 0; i < 1000; ++i) {
+    const int64_t v = i == 200 ? -1 : i == 700 ? -2 : (i % 90) + 1;
+    rows.push_back({Value::Int(i % 23), Value::Int(v), Value::Double(0.5)});
+  }
+  auto table = MakeTable("t", GroupedSchema(), std::move(rows));
+
+  auto make_plan = [&] {
+    auto scan = std::make_unique<TableScanOp>(table.get());
+    const Schema s = scan->output_schema();
+    std::vector<ExprPtr> exprs;
+    exprs.push_back(TwoPoisonExpr(s));
+    auto proj = ProjectOp::Make(std::move(scan), std::move(exprs),
+                                std::vector<std::string>{"q"});
+    EXPECT_TRUE(proj.ok());
+    return std::move(proj).value();
+  };
+
+  PhysOpPtr serial = make_plan();
+  Result<QueryResult> serial_r = RunWithBatch(serial.get(), 1024);
+  ASSERT_FALSE(serial_r.ok());
+  const std::string expected_error = serial_r.status().ToString();
+  EXPECT_NE(expected_error.find("division by zero"), std::string::npos);
+
+  for (size_t dop : {1u, 2u, 4u, 8u}) {
+    for (size_t batch : {1u, 1024u}) {
+      ExchangeOp ex(make_plan(), dop, /*morsel_rows=*/64);
+      Result<QueryResult> r = RunWithBatch(&ex, batch);
+      ASSERT_FALSE(r.ok()) << "dop=" << dop << " batch=" << batch;
+      EXPECT_EQ(r.status().ToString(), expected_error)
+          << "dop=" << dop << " batch=" << batch;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Parallel hash-join build: shard-partitioned build must be invisible —
 // identical probe results at every DOP and batch size.
@@ -297,6 +348,46 @@ TEST(ParallelHashAggTest, ExactAggsBitForBitIdenticalAcrossDop) {
     tutil::ExpectSameSequence(got.rows, expected.rows,
                               "dop=" + std::to_string(dop) +
                                   " batch=" + std::to_string(batch));
+  }
+}
+
+TEST(ParallelHashAggTest, SmallestFailingMorselsErrorWins) {
+  // Over 2 x kParallelAggMinRows rows, so the input splits into three
+  // 4,096-row morsels. Row 5000 (morsel 1) divides by zero in the SUM
+  // argument; row 8500 (morsel 2) takes modulo by zero. The serial
+  // streaming path hits row 5000 first, so every parallel run must too.
+  const size_t n = 2 * HashGroupByOp::kParallelAggMinRows + 1000;
+  std::vector<Row> rows;
+  for (size_t i = 0; i < n; ++i) {
+    const int64_t v = i == 5000 ? -1 : i == 8500 ? -2 : int64_t(i % 50);
+    rows.push_back({Value::Int(int64_t(i % 31)), Value::Int(v),
+                    Value::Double(0.5)});
+  }
+  auto table = MakeTable("t", GroupedSchema(), std::move(rows));
+  auto make_agg = [&](size_t dop) {
+    auto scan = std::make_unique<TableScanOp>(table.get());
+    const Schema s = scan->output_schema();
+    std::vector<AggregateDesc> aggs;
+    aggs.push_back(CountStar("cnt"));
+    aggs.push_back(Sum(TwoPoisonExpr(s), "poisoned"));
+    return std::make_unique<HashGroupByOp>(
+        std::move(scan), std::vector<int>{0}, std::move(aggs), dop);
+  };
+
+  auto serial = make_agg(1);
+  Result<QueryResult> serial_r = RunWithBatch(serial.get(), 1024);
+  ASSERT_FALSE(serial_r.ok());
+  const std::string expected_error = serial_r.status().ToString();
+  EXPECT_NE(expected_error.find("division by zero"), std::string::npos);
+
+  for (size_t dop : {1u, 2u, 4u, 8u}) {
+    for (size_t batch : {1u, 1024u}) {
+      auto par = make_agg(dop);
+      Result<QueryResult> r = RunWithBatch(par.get(), batch);
+      ASSERT_FALSE(r.ok()) << "dop=" << dop << " batch=" << batch;
+      EXPECT_EQ(r.status().ToString(), expected_error)
+          << "dop=" << dop << " batch=" << batch;
+    }
   }
 }
 

@@ -55,8 +55,13 @@ struct PinnedSeed {
 // to shuffle d0's rows (DESIGN.md §20), seeds 1 and 332 drew a shuffle:
 // their d0 rows were reordered, which keeps their `fk = pk` joins hash
 // joins (repro 332's bug path is a budgeted HashJoin on a morsel spine).
-// Seed 40's unshuffled d0 makes its joins lookup joins. The other seeds
-// here (spill pins included) regenerate byte-identical data and SQL.
+// Seed 40's unshuffled d0 makes its joins lookup joins. When the generator
+// learned to give d0 a run key `rk` (sorted, in runs of 2–3 equal keys),
+// seeds 1, 2, 5, 41, 45, 332, 420 and 660 drew one: d0 gained that column,
+// and 5 and 45 now join `fk = rk`; every other draw, and the SQL of the
+// rest, is unchanged. Seed 183 joins on rk through a lookup join, so a
+// lookup join that emitted a duplicate-key run in the wrong order fails
+// it. The other seeds here regenerate byte-identical data and SQL.
 const std::vector<PinnedSeed>& PinnedSeeds() {
   static const std::vector<PinnedSeed> seeds = {
       {1, {"join", "pgq-groupby"}},
@@ -75,6 +80,7 @@ const std::vector<PinnedSeed>& PinnedSeeds() {
       {1245, {"nested-gapply", "pgq-exists", "dup-rows"}},
       {40, {"union-top", "join", "gapply", "order-by", "lookup-join"}},
       {26, {"sorted-col", "gapply", "pgq-agg"}},
+      {183, {"dim-run-key", "run-key-join", "lookup-join"}},
   };
   return seeds;
 }

@@ -21,7 +21,10 @@
 // hardware. A change that silently stopped loop-lifting a PGQ, stopped
 // narrowing a sorted scan, or went back to reading a whole build table
 // where a lookup join fetches a key's run shows up here even when its
-// timings sit under the noise floor.
+// timings sit under the noise floor. A counter leaf that the baseline
+// has and the current file lacks (a dropped member, a shorter array, a
+// changed shape) fails too, as COUNTER MISSING: a bench that stops
+// writing a counter must not pass the gate unexamined.
 //
 // The timing gate is hardware-aware: when the two files disagree on
 // "hardware_concurrency" the run is on different iron than the baseline,
@@ -95,36 +98,76 @@ std::string RecordLabel(const JsonValue& obj) {
   return "";
 }
 
-void Walk(const JsonValue& base, const JsonValue& cur, const std::string& path,
-          CheckState* state) {
-  if (base.type() == JsonValue::Type::kObject &&
-      cur.type() == JsonValue::Type::kObject) {
-    const std::string label = RecordLabel(base);
-    const std::string here =
-        label.empty() ? path : path + "(" + label + ")";
-    for (const auto& member : base.members()) {
-      const JsonValue* cv = cur.Find(member.first);
-      if (cv == nullptr) continue;  // field dropped: not a perf regression
-      Walk(member.second, *cv, here + "." + member.first, state);
-    }
-    return;
-  }
-  if (base.type() == JsonValue::Type::kArray &&
-      cur.type() == JsonValue::Type::kArray) {
-    const size_t n = std::min(base.items().size(), cur.items().size());
-    for (size_t i = 0; i < n; ++i) {
-      Walk(base.items()[i], cur.items()[i],
-           path + "[" + std::to_string(i) + "]", state);
-    }
-    return;
-  }
-  if (!base.is_number() || !cur.is_number()) return;
-  // The timing-ness of a leaf is decided by the last key on its path.
+/// The last key on a leaf's path ("" at the root), which decides how the
+/// leaf is gated.
+std::string LeafKey(const std::string& path) {
   const size_t dot = path.rfind('.');
-  if (dot == std::string::npos) return;
+  if (dot == std::string::npos) return "";
   std::string key = path.substr(dot + 1);
   const size_t bracket = key.find('[');
   if (bracket != std::string::npos) key.resize(bracket);
+  return key;
+}
+
+std::string MemberPath(const JsonValue& obj, const std::string& path,
+                       const std::string& key) {
+  const std::string label = RecordLabel(obj);
+  return (label.empty() ? path : path + "(" + label + ")") + "." + key;
+}
+
+/// Fails every exact-counter leaf under `base`, which the current file
+/// lacks. Dropped timings are not regressions; dropped counters are.
+void ReportMissingCounters(const JsonValue& base, const std::string& path,
+                           CheckState* state) {
+  if (base.type() == JsonValue::Type::kObject) {
+    for (const auto& member : base.members()) {
+      ReportMissingCounters(member.second,
+                            MemberPath(base, path, member.first), state);
+    }
+  } else if (base.type() == JsonValue::Type::kArray) {
+    for (size_t i = 0; i < base.items().size(); ++i) {
+      ReportMissingCounters(base.items()[i],
+                            path + "[" + std::to_string(i) + "]", state);
+    }
+  } else if (base.is_number() && IsExactCounterKey(LeafKey(path))) {
+    state->counters++;
+    state->regressions++;
+    state->messages.push_back("  COUNTER MISSING " + path);
+  }
+}
+
+void Walk(const JsonValue& base, const JsonValue& cur, const std::string& path,
+          CheckState* state) {
+  if (base.type() != cur.type() && !(base.is_number() && cur.is_number())) {
+    ReportMissingCounters(base, path, state);
+    return;
+  }
+  if (base.type() == JsonValue::Type::kObject) {
+    for (const auto& member : base.members()) {
+      const JsonValue* cv = cur.Find(member.first);
+      const std::string here = MemberPath(base, path, member.first);
+      if (cv == nullptr) {
+        ReportMissingCounters(member.second, here, state);
+      } else {
+        Walk(member.second, *cv, here, state);
+      }
+    }
+    return;
+  }
+  if (base.type() == JsonValue::Type::kArray) {
+    for (size_t i = 0; i < base.items().size(); ++i) {
+      const std::string here = path + "[" + std::to_string(i) + "]";
+      if (i < cur.items().size()) {
+        Walk(base.items()[i], cur.items()[i], here, state);
+      } else {
+        ReportMissingCounters(base.items()[i], here, state);
+      }
+    }
+    return;
+  }
+  if (!base.is_number()) return;
+  const std::string key = LeafKey(path);
+  if (key.empty()) return;
   if (IsExactCounterKey(key)) {
     state->counters++;
     if (base.number_value() != cur.number_value()) {
